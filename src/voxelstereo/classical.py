@@ -1,11 +1,17 @@
 """Non-learned baselines: silhouette carving and ZNCC plane-sweep stereo.
 
 The plane sweep scores fronto-parallel depth hypotheses (equally spaced in
-reference-camera z, placed at bin midpoints of the configured range) by
-warping each other view onto the reference via the plane-induced point
-transfer and correlating square windows with zero-mean normalized cross
-correlation. Depth is winner-take-all over planes with a single parabolic
-refinement across the argmax neighborhood.
+reference-camera z, placed at bin midpoints of the depth range the unit
+cube spans in the reference camera) by warping each other view onto the
+reference via the plane-induced point transfer and correlating square
+windows with zero-mean normalized cross correlation. Depth is
+winner-take-all over planes with a single parabolic refinement across the
+argmax neighborhood.
+
+Image sampling (diffops.bilinear_sample), depth-plane placement
+(diffops.plane_depths) and pixel back-projection (geometry.backproject)
+are the ones the learned pipeline uses, so both baselines see the same
+geometry as the network.
 
 Validity: a window score requires every warped sample of the window to land
 inside the other view and both windows to carry variance above 1e-12; a
@@ -21,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import minimum_filter, uniform_filter
 
-from .geometry import Intrinsics, Pose, VoxelGridSpec, camera_z_range, project_points, voxel_centers
+from .diffops import bilinear_sample, plane_depths
+from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, pixel_grid, project_points,
+                       voxel_centers)
 
 _VAR_EPS = 1e-12
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -65,7 +73,6 @@ class PlaneSweepConfig:
 
     window: int = 5
     n_planes: int = 300
-    z_range: tuple[float, float] | None = None  # default: reference vs unit cube
     min_views_for_score: int = 1
     top_k_views: int = 3
 
@@ -103,32 +110,21 @@ def plane_sweep_depth(
     if ref.shape != (h, w):
         raise ValueError(f"reference image {ref.shape} does not match camera {(h, w)}")
 
-    if cfg.z_range is None:
-        z_near, z_far = camera_z_range(VoxelGridSpec(), cam, pose)
-    else:
-        z_near, z_far = cfg.z_range
-    spacing = (z_far - z_near) / cfg.n_planes
-    z_planes = z_near + (np.arange(cfg.n_planes) + 0.5) * spacing
+    z_planes, spacing = plane_depths(VoxelGridSpec(), cam, pose, cfg.n_planes)
 
     ref_mean, ref_var = _window_stats(ref, cfg.window)
     ref_textured = ref_var >= _VAR_EPS
 
-    # reference pixel rays: camera point at depth z is z * (x/z, y/z, 1)
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    x_over_z = (uu - cam.cx) / cam.fx
-    y_over_z = (vv - cam.cy) / cam.fy
-
+    pixels = pixel_grid(cam).reshape(-1, 2)
     grays = [to_grayscale(im) for im in other_images]
     score_volume = np.full((cfg.n_planes, h, w), -np.inf)
 
     for k_plane, z in enumerate(z_planes):
-        x_cam = np.stack([x_over_z * z, y_over_z * z, np.full((h, w), z)], axis=-1)
-        pts_world = (x_cam.reshape(-1, 3) - pose.translation) @ pose.rotation
+        pts_world = backproject(pixels, z, cam, pose)
         view_scores = np.full((len(grays), h, w), -np.inf)
         for j, (gray, (ocam, opose)) in enumerate(zip(grays, other_cameras)):
             uv, z_o, _ = project_points(pts_world, ocam, opose)
-            # bilinear sample of the other view, marking out-of-image lookups
-            warped, sample_ok = _bilinear_gray(gray, uv)
+            warped, sample_ok = bilinear_sample(gray[..., None], uv)
             warped = warped.reshape(h, w)
             sample_ok = (sample_ok & (z_o > 0)).reshape(h, w)
             # whole window must be sampled validly
@@ -210,13 +206,9 @@ def cross_checked_sweep(
     pcam, ppose = cameras[partner]
     pdepth, _, pvalid = sweep(partner)
 
-    z_near, z_far = cfg.z_range if cfg.z_range is not None else camera_z_range(
-        VoxelGridSpec(), cam, pose)
-    spacing = (z_far - z_near) / cfg.n_planes
+    _, spacing = plane_depths(VoxelGridSpec(), cam, pose, cfg.n_planes)
     vs, us = np.nonzero(valid)
-    d = depth[vs, us]
-    x_cam = np.stack([(us - cam.cx) / cam.fx * d, (vs - cam.cy) / cam.fy * d, d], axis=1)
-    pts = (x_cam - pose.translation) @ pose.rotation
+    pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
     uv, z_partner, ok = project_points(pts, pcam, ppose)
     ui = np.clip(np.round(uv[:, 0]).astype(np.int64), 0, pcam.width - 1)
     vi = np.clip(np.round(uv[:, 1]).astype(np.int64), 0, pcam.height - 1)
@@ -224,24 +216,6 @@ def cross_checked_sweep(
     checked = np.zeros_like(valid)
     checked[vs[consistent], us[consistent]] = True
     return np.where(checked, depth, 0.0), np.where(checked, score, 0.0), checked
-
-
-def _bilinear_gray(gray: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grayscale bilinear lookup with an all-corners-inside validity flag."""
-    h, w = gray.shape
-    u, v = uv[:, 0], uv[:, 1]
-    ok = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    uc = np.clip(u, 0, w - 1)
-    vc = np.clip(v, 0, h - 1)
-    u0 = np.clip(np.floor(uc).astype(np.int64), 0, w - 2) if w > 1 else np.zeros(len(u), np.int64)
-    v0 = np.clip(np.floor(vc).astype(np.int64), 0, h - 2) if h > 1 else np.zeros(len(v), np.int64)
-    du = uc - u0
-    dv = vc - v0
-    val = ((1 - du) * (1 - dv) * gray[v0, u0]
-           + du * (1 - dv) * gray[v0, u0 + 1]
-           + (1 - du) * dv * gray[v0 + 1, u0]
-           + du * dv * gray[v0 + 1, u0 + 1])
-    return np.where(ok, val, 0.0), ok
 
 
 @dataclass(frozen=True)
@@ -279,8 +253,8 @@ def visual_hull(
     for mask, (cam, pose) in zip(masks, cameras):
         uv, _, valid = project_points(centers, cam, pose)
         # sub-pixel silhouette test: bilinear mask value above one half
-        val, _ = _bilinear_gray(np.asarray(mask, dtype=np.float64), uv)
-        inside_count += valid & (val > 0.5)
+        val, _ = bilinear_sample(mask[..., None], uv)
+        inside_count += valid & (val[:, 0] > 0.5)
     v = spec.resolution
     return (inside_count / len(masks)).reshape(v, v, v)
 
@@ -297,6 +271,4 @@ def depth_to_pointcloud(
     if mask is not None:
         valid &= np.asarray(mask).astype(bool)
     vs, us = np.nonzero(valid)
-    d = depth[vs, us]
-    x_cam = np.stack([(us - cam.cx) / cam.fx * d, (vs - cam.cy) / cam.fy * d, d], axis=1)
-    return (x_cam - pose.translation) @ pose.rotation
+    return backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)

@@ -10,10 +10,19 @@ vector-Jacobian product:
                     pixel's ray and stack the samples in ascending-z channel
                     blocks
 
+bilinear_sample is the package's one image sampler: unproject, and the
+classical visual_hull and plane_sweep_depth, all read images through it.
+Its edge rule: a sample is zero unless its point lies inside
+[0, W-1] x [0, H-1], and its valid flag marks exactly those points; a
+point only partly outside reads zero. plane_depths is likewise the one
+placement of depth planes, shared with the plane sweep.
+
 Feature maps are (H, W, C) arrays, feature grids (V, V, V, C) arrays indexed
 like voxel_centers (axis 0 = x). Samples that fall outside the image or the
 grid cube contribute zeros; gradients are taken with respect to feature
-values only, never camera parameters or sample coordinates.
+values only, never camera parameters or sample coordinates. Both VJPs
+scatter with one np.bincount in a fixed order, so gradients are bitwise
+reproducible.
 
 Nearest-neighbor grid lookup rounds half-down (floor(x + 0.5 - eps)) so that
 tie-breaking is identical on every platform.
@@ -25,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Intrinsics, Pose, VoxelGridSpec, camera_z_range, project_points
+from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, camera_z_range,
+                       pixel_grid, project_points, voxel_centers)
 
 # Tie-break nudge for nearest-neighbor rounding; half-integer coordinates
 # round down.
@@ -43,62 +53,73 @@ class GeomFeatureConfig:
         return c_in + int(self.append_depth) + 3 * int(self.append_ray_dir)
 
 
-def _bilinear_weights(fmap_shape, pts):
-    """Corner indices, weights and inside-ness for bilinear interpolation.
+def _bilinear_corners(fmap_shape, pts):
+    """Flat indices and weights of the four bilinear interpolation corners.
 
-    Returns (idx_v, idx_u, weights, in_range, valid): each of the first four
-    has a leading axis of 4 for the corners (v0u0, v0u1, v1u0, v1u1);
-    in_range marks corners inside the image, valid marks points fully inside
-    [0, W-1] x [0, H-1].
+    Returns (idx, weights, valid): idx and weights are 4-tuples of (N,)
+    arrays for the corners (v0u0, v0u1, v1u0, v1u1), idx into the
+    row-major (H * W) map; valid marks points inside [0, W-1] x [0, H-1].
+    Coordinates are clamped first, so every index is in range: the lower
+    corner stops one short of the last row and column, where the upper
+    corner takes the whole weight.
     """
     h, w = fmap_shape[0], fmap_shape[1]
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     u, v = pts[:, 0], pts[:, 1]
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    du = u - u0
-    dv = v - v0
-    idx_u = np.stack([u0, u0 + 1, u0, u0 + 1])
-    idx_v = np.stack([v0, v0, v0 + 1, v0 + 1])
-    weights = np.stack([(1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv])
-    in_range = (idx_u >= 0) & (idx_u < w) & (idx_v >= 0) & (idx_v < h)
     valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    return idx_v, idx_u, weights, in_range, valid
+    uc = np.clip(u, 0, w - 1)
+    vc = np.clip(v, 0, h - 1)
+    u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
+    v0 = np.clip(np.floor(vc).astype(np.int64), 0, max(h - 2, 0))
+    du = uc - u0
+    dv = vc - v0
+    # a map one pixel wide (high) has no second column (row); du (dv) is 0
+    step_u, step_v = min(1, w - 1), w * min(1, h - 1)
+    i00 = v0 * w + u0
+    idx = (i00, i00 + step_u, i00 + step_v, i00 + step_v + step_u)
+    weights = ((1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv)
+    return idx, weights, valid
+
+
+def _scatter_add(lin, weights, upstream, n_bins):
+    """Sum of weights[k, n] * upstream[n] into row lin[k, n] of (n_bins, C).
+
+    One np.bincount in (corner, point, channel) order: every bin adds its
+    terms corner by corner, each corner in point order, on every run.
+    """
+    c = upstream.shape[1]
+    idx = lin[..., None] * c + np.arange(c)
+    vals = weights[..., None] * upstream
+    return np.bincount(idx.reshape(-1), weights=vals.reshape(-1),
+                       minlength=n_bins * c).reshape(n_bins, c)
 
 
 def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample (H, W, C) at continuous (u, v) points (N, 2).
 
-    Out-of-image corners contribute zeros; valid[n] is True iff pts[n] lies
-    fully inside the sample rectangle.
+    valid[n] is True iff pts[n] lies inside [0, W-1] x [0, H-1]; every
+    other sample is zero, including points only partly outside.
     """
     fmap = np.asarray(fmap, dtype=np.float64)
-    idx_v, idx_u, weights, in_range, valid = _bilinear_weights(fmap.shape, pts)
-    out = np.zeros((idx_u.shape[1], fmap.shape[2]))
-    for c in range(4):
-        ok = in_range[c]
-        if ok.any():
-            out[ok] += weights[c, ok, None] * fmap[idx_v[c, ok], idx_u[c, ok]]
-    return out, valid
+    h, w, c = fmap.shape
+    idx, weights, valid = _bilinear_corners(fmap.shape, pts)
+    flat = fmap.reshape(h * w, c)
+    out = weights[0][:, None] * flat[idx[0]]
+    for k in range(1, 4):
+        out += weights[k][:, None] * flat[idx[k]]
+    return np.where(valid[:, None], out, 0.0), valid
 
 
 def bilinear_sample_vjp(fmap: np.ndarray, pts: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of <bilinear_sample(fmap, pts), upstream> w.r.t. fmap."""
-    fmap = np.asarray(fmap)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    idx_v, idx_u, weights, in_range, _ = _bilinear_weights(fmap.shape, pts)
-    grad = np.zeros(fmap.shape)
-    for c in range(4):
-        ok = in_range[c]
-        if ok.any():
-            np.add.at(grad, (idx_v[c, ok], idx_u[c, ok]),
-                      weights[c, ok, None] * upstream[ok])
-    return grad
+    h, w, c = np.shape(fmap)
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(-1, c)
+    idx, weights, valid = _bilinear_corners((h, w), pts)
+    weights = np.where(valid, np.stack(weights), 0.0)
+    return _scatter_add(np.stack(idx), weights, upstream, h * w).reshape(h, w, c)
 
 
 def _unproject_geometry(cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):
-    from .geometry import voxel_centers
-
     centers = voxel_centers(spec)
     uv, z, valid = project_points(centers, cam, pose)
     return centers, uv, z, valid
@@ -162,30 +183,16 @@ def plane_depths(
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing
 
 
-def _sweep_points(cam: Intrinsics, pose: Pose, z_values: np.ndarray) -> np.ndarray:
-    """World points on every pixel's ray at each camera depth.
+def _project_geometry(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int,
+                      interp: str):
+    """Flat voxel indices and weights of the ray samples of project.
 
-    Returns (N_z, H, W, 3) for the full pixel raster of `cam`.
+    Samples run over (plane, row, column) of the pixel raster. Returns
+    (lin, weights), each (n_corners, N_z * H * W); out-of-grid corners carry
+    weight 0 and index 0.
     """
-    us = np.arange(cam.width, dtype=np.float64)
-    vs = np.arange(cam.height, dtype=np.float64)
-    uu, vv = np.meshgrid(us, vs)  # (H, W)
-    x_over_z = (uu - cam.cx) / cam.fx
-    y_over_z = (vv - cam.cy) / cam.fy
-    zk = z_values.reshape(-1, 1, 1)
-    x_cam = np.stack(
-        [x_over_z * zk, y_over_z * zk, np.broadcast_to(zk, (len(z_values),) + uu.shape)],
-        axis=-1,
-    )
-    return (x_cam - pose.translation) @ pose.rotation  # R.T @ (x_cam - t), row form
-
-
-def _grid_sample_indices(spec: VoxelGridSpec, points: np.ndarray, interp: str):
-    """Voxel indices and weights for sampling the grid at world points.
-
-    Returns (idx, weights, n_corners): idx has shape (n_corners, N, 3) and
-    out-of-grid corners are marked by weight 0 with idx clamped to 0.
-    """
+    z_values, _ = plane_depths(spec, cam, pose, n_planes)
+    points = backproject(pixel_grid(cam), z_values[:, None, None], cam, pose)
     v = spec.resolution
     g = spec.world_to_grid(points.reshape(-1, 3))
     if interp == "nearest":
@@ -201,9 +208,8 @@ def _grid_sample_indices(spec: VoxelGridSpec, points: np.ndarray, interp: str):
     else:
         raise ValueError(f"unknown interpolation {interp!r}")
     inside = ((idx >= 0) & (idx < v)).all(axis=2)
-    weights = np.where(inside, weights, 0.0)
-    idx = np.where(inside[..., None], idx, 0)
-    return idx, weights
+    lin = (idx[..., 0] * v + idx[..., 1]) * v + idx[..., 2]
+    return np.where(inside, lin, 0), np.where(inside, weights, 0.0)
 
 
 def project(
@@ -221,13 +227,8 @@ def project(
     """
     grid = np.asarray(grid, dtype=np.float64)
     c = grid.shape[3]
-    z_values, _ = plane_depths(spec, cam, pose, n_planes)
-    pts = _sweep_points(cam, pose, z_values)
-    idx, weights = _grid_sample_indices(spec, pts, interp)
-    flat = grid.reshape(-1, c)
-    v = spec.resolution
-    lin = (idx[..., 0] * v + idx[..., 1]) * v + idx[..., 2]
-    out = np.einsum("kn,knc->nc", weights, flat[lin])
+    lin, weights = _project_geometry(spec, cam, pose, n_planes, interp)
+    out = np.einsum("kn,knc->nc", weights, grid.reshape(-1, c)[lin])
     # (N_z, H, W, C) -> (H, W, N_z * C)
     return out.reshape(n_planes, cam.height, cam.width, c).transpose(1, 2, 0, 3).reshape(
         cam.height, cam.width, n_planes * c
@@ -244,17 +245,10 @@ def project_vjp(
     upstream: np.ndarray,
 ) -> np.ndarray:
     """Gradient of <project(grid, ...), upstream> w.r.t. grid values."""
-    grid = np.asarray(grid)
-    c = grid.shape[3]
-    z_values, _ = plane_depths(spec, cam, pose, n_planes)
-    pts = _sweep_points(cam, pose, z_values)
-    idx, weights = _grid_sample_indices(spec, pts, interp)
+    shape = np.shape(grid)
+    c = shape[3]
+    lin, weights = _project_geometry(spec, cam, pose, n_planes, interp)
     up = np.asarray(upstream, dtype=np.float64).reshape(
         cam.height, cam.width, n_planes, c
     ).transpose(2, 0, 1, 3).reshape(-1, c)
-    v = spec.resolution
-    lin = (idx[..., 0] * v + idx[..., 1]) * v + idx[..., 2]
-    grad = np.zeros((v * v * v, c))
-    for corner in range(len(lin)):
-        np.add.at(grad, lin[corner], weights[corner, :, None] * up)
-    return grad.reshape(grid.shape)
+    return _scatter_add(lin, weights, up, spec.resolution ** 3).reshape(shape)

@@ -16,6 +16,8 @@ Pixels:
     (0, 0) is the center of the top-left pixel, (width-1, height-1) the
     center of the bottom-right pixel.
   - u = fx * x_cam / z_cam + cx,  v = fy * y_cam / z_cam + cy.
+  - Back-projection of pixel (u, v) at depth z inverts both maps:
+    X_world = R.T @ (z * ((u - cx) / fx, (v - cy) / fy, 1) - t).
 
 Depth is camera-frame z in world length units. Points with z <= Z_EPS are
 behind (or numerically on) the camera plane and project invalidly.
@@ -135,16 +137,6 @@ class VoxelGridSpec:
         return ((c + 0.5) / self.resolution - 0.5) * self.side + np.asarray(self.center)
 
 
-@dataclass(frozen=True)
-class PixelProjection:
-    """Result of projecting a single world point."""
-
-    u: float
-    v: float
-    z: float
-    valid: bool
-
-
 def project_points(
     points: np.ndarray, cam: Intrinsics, pose: Pose
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,10 +158,25 @@ def project_points(
     return np.stack([u, v], axis=1), z, valid
 
 
-def project_point(point: np.ndarray, cam: Intrinsics, pose: Pose) -> PixelProjection:
-    """Single-point convenience wrapper around project_points."""
-    uv, z, valid = project_points(np.asarray(point).reshape(1, 3), cam, pose)
-    return PixelProjection(float(uv[0, 0]), float(uv[0, 1]), float(z[0]), bool(valid[0]))
+def backproject(uv: np.ndarray, z: np.ndarray, cam: Intrinsics, pose: Pose) -> np.ndarray:
+    """World points at camera depth z on the rays through pixels uv.
+
+    uv (..., 2) broadcasts against z (...); returns (..., 3). Inverse of
+    project_points for z > Z_EPS.
+    """
+    uv = np.asarray(uv, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    x = (uv[..., 0] - cam.cx) / cam.fx * z
+    y = (uv[..., 1] - cam.cy) / cam.fy * z
+    x_cam = np.stack([x, y, np.broadcast_to(z, x.shape)], axis=-1)
+    return (x_cam - pose.translation) @ pose.rotation  # R.T @ (x_cam - t), row form
+
+
+def pixel_grid(cam: Intrinsics) -> np.ndarray:
+    """(u, v) of every pixel center, shape (H, W, 2)."""
+    uu, vv = np.meshgrid(np.arange(cam.width, dtype=np.float64),
+                         np.arange(cam.height, dtype=np.float64))
+    return np.stack([uu, vv], axis=-1)
 
 
 def voxel_centers(spec: VoxelGridSpec) -> np.ndarray:
@@ -201,14 +208,6 @@ def rays_through_pixels(
     d_world = d_cam @ pose.rotation  # R.T applied to each row
     d_world /= np.linalg.norm(d_world, axis=1, keepdims=True)
     return pose.camera_center, d_world
-
-
-def ray_through_pixel(
-    u: float, v: float, cam: Intrinsics, pose: Pose
-) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame (origin, unit direction) of the ray through pixel (u, v)."""
-    origin, dirs = rays_through_pixels(np.array([[u, v]]), cam, pose)
-    return origin, dirs[0]
 
 
 def camera_z_range(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose) -> tuple[float, float]:

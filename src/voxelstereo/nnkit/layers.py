@@ -105,22 +105,6 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     return grad_x, grad_k, grad_b
 
 
-def conv2d(x, kernel, bias=None, stride=1, padding="same"):
-    return conv_forward(x, kernel, bias, stride, padding)
-
-
-def conv2d_vjp(x, kernel, stride, padding, upstream):
-    return conv_vjp(x, kernel, stride, padding, upstream)
-
-
-def conv3d(x, kernel, bias=None, stride=1, padding="same"):
-    return conv_forward(x, kernel, bias, stride, padding)
-
-
-def conv3d_vjp(x, kernel, stride, padding, upstream):
-    return conv_vjp(x, kernel, stride, padding, upstream)
-
-
 def _norm_forward(x, gain, shift, axes, eps):
     mu = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)

@@ -9,8 +9,12 @@ Two variants share the encoder, unprojection and grid reasoning:
          chain of 1x1 convolutions halving channels to one, upsampled to
          image size and refined together with an encoder skip feature.
 
-Checkpoints are a directory with one tensor file per parameter (float32)
-plus a manifest of names and shapes.
+Checkpoints are a directory with one tensor file per parameter plus a
+manifest of names and shapes. Values are stored as float32, so a loaded
+parameter equals value.astype(np.float32).astype(np.float64) of the saved
+one, not the float64 value itself. Loading rejects a checkpoint whose
+manifest lacks a model parameter, names one the model does not have, or
+gives a mis-shaped one.
 """
 
 from __future__ import annotations
@@ -258,9 +262,12 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
         cfg_dict[key] = tuple(cfg_dict[key])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
     by_name = {p.name: p for p in model.parameters()}
+    missing = sorted(by_name.keys() - meta["parameters"].keys())
+    if missing:
+        raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
     for name, entry in meta["parameters"].items():
         values = read_tensor(ckpt_dir / entry["file"]).astype(np.float64)
-        if list(values.shape) != entry["shape"] or name not in by_name:
+        if name not in by_name or values.shape != by_name[name].value.shape:
             raise ValueError(f"checkpoint entry {name} does not match the model")
-        by_name[name].value = values.reshape(entry["shape"])
+        by_name[name].value = values
     return model

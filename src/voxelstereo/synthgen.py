@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Intrinsics, Pose, VoxelGridSpec, look_at, rays_through_pixels, voxel_centers
+from .geometry import (Intrinsics, Pose, VoxelGridSpec, look_at, pixel_grid,
+                       rays_through_pixels, voxel_centers)
 from .tensorio import DatasetManifest, write_scene
 
 MAX_MARCH_STEPS = 256
@@ -194,8 +195,7 @@ def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose, shaded: bool = Tr
     Depth is camera-frame z at the hit, 0 at misses; the background is white.
     """
     h, w = cam.height, cam.width
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    origin, dirs = rays_through_pixels(np.stack([uu.ravel(), vv.ravel()], axis=1), cam, pose)
+    origin, dirs = rays_through_pixels(pixel_grid(cam).reshape(-1, 2), cam, pose)
     n = dirs.shape[0]
     t = np.zeros(n)
     active = np.ones(n, dtype=bool)

@@ -65,7 +65,7 @@ class TestBilinearSample:
     def test_partial_overlap_zero_padded(self):
         fmap = np.ones((4, 4, 1))
         vals, valid = bilinear_sample(fmap, [[-0.5, 0.0]])
-        assert vals[0, 0] == pytest.approx(0.5)  # only the in-image column
+        assert vals[0, 0] == 0.0  # half outside counts as outside
         assert not valid[0]
 
     def test_edge_point_valid(self):

@@ -14,9 +14,7 @@ from voxelstereo.geometry import (
     Z_EPS,
     camera_z_range,
     look_at,
-    project_point,
     project_points,
-    ray_through_pixel,
     rays_through_pixels,
     scale_intrinsics,
     voxel_centers,
@@ -34,27 +32,27 @@ POSE_Z2 = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
 
 class TestProjectPoint:
     def test_optical_axis_point_hits_principal_point(self):
-        p = project_point([0.0, 0.0, 0.0], CAM, POSE_Z2)
-        assert (p.u, p.v, p.z) == (112.0, 112.0, 2.0)
-        assert p.valid
+        uv, z, valid = project_points([0.0, 0.0, 0.0], CAM, POSE_Z2)
+        assert (uv[0, 0], uv[0, 1], z[0]) == (112.0, 112.0, 2.0)
+        assert valid[0]
 
     def test_off_axis_point(self):
         # u = 100 * 0.1 / 2 + 112 = 117
-        p = project_point([0.1, 0.0, 0.0], CAM, POSE_Z2)
-        assert p.u == pytest.approx(117.0)
-        assert p.v == pytest.approx(112.0)
-        assert p.z == pytest.approx(2.0)
-        assert p.valid
+        uv, z, valid = project_points([0.1, 0.0, 0.0], CAM, POSE_Z2)
+        assert uv[0, 0] == pytest.approx(117.0)
+        assert uv[0, 1] == pytest.approx(112.0)
+        assert z[0] == pytest.approx(2.0)
+        assert valid[0]
 
     def test_behind_camera_rejected(self):
-        p = project_point([0.0, 0.0, -3.0], CAM, POSE_Z2)
-        assert p.z == pytest.approx(-1.0)
-        assert not p.valid
+        _, z, valid = project_points([0.0, 0.0, -3.0], CAM, POSE_Z2)
+        assert z[0] == pytest.approx(-1.0)
+        assert not valid[0]
 
     def test_out_of_frame_invalid(self):
-        p = project_point([10.0, 0.0, 0.0], CAM, POSE_Z2)  # u = 612
-        assert p.z > 0
-        assert not p.valid
+        _, z, valid = project_points([10.0, 0.0, 0.0], CAM, POSE_Z2)  # u = 612
+        assert z[0] > 0
+        assert not valid[0]
 
     def test_scale_consistency(self):
         # Projecting X and the scaled camera-frame point lam * x_cam agree.
@@ -68,10 +66,10 @@ class TestProjectPoint:
                 continue
             lam = rng.uniform(0.5, 3.0)
             scaled_pose = Pose(rotation=np.eye(3), translation=np.zeros(3))
-            a = project_point(x, CAM, pose)
-            b = project_point(lam * x_cam, CAM, scaled_pose)
-            assert a.u == pytest.approx(b.u, abs=1e-9)
-            assert a.v == pytest.approx(b.v, abs=1e-9)
+            a, _, _ = project_points(x, CAM, pose)
+            b, _, _ = project_points(lam * x_cam, CAM, scaled_pose)
+            assert a[0, 0] == pytest.approx(b[0, 0], abs=1e-9)
+            assert a[0, 1] == pytest.approx(b[0, 1], abs=1e-9)
 
 
 class TestVoxelCenters:
@@ -115,9 +113,9 @@ class TestVoxelCenters:
 
 class TestRays:
     def test_principal_point_ray(self):
-        origin, d = ray_through_pixel(112.0, 112.0, CAM, POSE_Z2)
+        origin, d = rays_through_pixels([112.0, 112.0], CAM, POSE_Z2)
         np.testing.assert_allclose(origin, [0.0, 0.0, -2.0], atol=1e-12)
-        np.testing.assert_allclose(d, [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(d[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_round_trip_through_projection(self):
         rng = np.random.default_rng(7)
@@ -137,12 +135,13 @@ class TestRays:
     def test_reconstructs_point_from_valid_projection(self):
         pose = look_at([0.9, -0.7, 1.8], [0, 0, 0])
         x = np.array([0.12, -0.05, 0.2])
-        p = project_point(x, CAM, pose)
-        assert p.valid
-        origin, d = ray_through_pixel(p.u, p.v, CAM, pose)
+        uv, z, valid = project_points(x, CAM, pose)
+        assert valid[0]
+        origin, dirs = rays_through_pixels(uv[0], CAM, pose)
+        d = dirs[0]
         # camera-frame z of origin + s*d is s * (R @ d)[2]
         dz = (pose.rotation @ d)[2]
-        np.testing.assert_allclose(origin + (p.z / dz) * d, x, atol=1e-9)
+        np.testing.assert_allclose(origin + (z[0] / dz) * d, x, atol=1e-9)
 
 
 class TestCameraZRange:
@@ -201,6 +200,6 @@ class TestHelpers:
         # pixel centers correspond: u_small maps to (u_small + .5) * 4 - .5
         for u_s, v_s in [(0.0, 0.0), (7.5, 7.5), (15.0, 3.0)]:
             u_f, v_f = (u_s + 0.5) * 4 - 0.5, (v_s + 0.5) * 4 - 0.5
-            _, d_small = ray_through_pixel(u_s, v_s, small, pose)
-            _, d_full = ray_through_pixel(u_f, v_f, cam, pose)
-            np.testing.assert_allclose(d_small, d_full, atol=1e-12)
+            _, d_small = rays_through_pixels([u_s, v_s], small, pose)
+            _, d_full = rays_through_pixels([u_f, v_f], cam, pose)
+            np.testing.assert_allclose(d_small[0], d_full[0], atol=1e-12)

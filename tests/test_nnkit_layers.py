@@ -7,10 +7,8 @@ from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error
 
 from voxelstereo.nnkit.adam import adam_step
 from voxelstereo.nnkit.layers import (
-    conv2d,
-    conv2d_vjp,
-    conv3d,
-    conv3d_vjp,
+    conv_forward,
+    conv_vjp,
     instance_norm,
     instance_norm_vjp,
     layer_norm_channels,
@@ -29,27 +27,27 @@ class TestConv:
     def test_1x1_identity_kernel(self):
         x = np.random.default_rng(0).random((5, 6, 3))
         kernel = np.eye(3).reshape(1, 1, 3, 3)
-        np.testing.assert_allclose(conv2d(x, kernel), x, atol=1e-14)
+        np.testing.assert_allclose(conv_forward(x, kernel), x, atol=1e-14)
 
     def test_3x3_average_on_constant_interior(self):
         x = np.full((6, 6, 1), 2.0)
         kernel = np.full((3, 3, 1, 1), 1.0 / 9.0)
-        y = conv2d(x, kernel, padding="same")
+        y = conv_forward(x, kernel, padding="same")
         np.testing.assert_allclose(y[1:-1, 1:-1], 2.0)
         assert y[0, 0, 0] == pytest.approx(2.0 * 4 / 9)  # zero padding at the corner
 
     def test_bias_added(self):
         x = np.zeros((4, 4, 2))
         kernel = np.zeros((1, 1, 2, 3))
-        y = conv2d(x, kernel, bias=np.array([1.0, 2.0, 3.0]))
+        y = conv_forward(x, kernel, bias=np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(y, np.broadcast_to([1.0, 2.0, 3.0], (4, 4, 3)))
 
     def test_stride2_shape(self):
-        y = conv2d(np.zeros((8, 8, 2)), np.zeros((3, 3, 2, 4)), stride=2)
+        y = conv_forward(np.zeros((8, 8, 2)), np.zeros((3, 3, 2, 4)), stride=2)
         assert y.shape == (4, 4, 4)
 
     def test_valid_padding_shape(self):
-        y = conv2d(np.zeros((8, 8, 2)), np.zeros((3, 3, 2, 4)), padding="valid")
+        y = conv_forward(np.zeros((8, 8, 2)), np.zeros((3, 3, 2, 4)), padding="valid")
         assert y.shape == (6, 6, 4)
 
     def test_hand_computed_entry(self):
@@ -57,13 +55,13 @@ class TestConv:
         # supported by "same" (even), so check one valid-mode output by hand
         x = np.arange(9.0).reshape(3, 3, 1)
         k = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1, 1)
-        y = conv2d(x, k, padding="valid")
+        y = conv_forward(x, k, padding="valid")
         # window [[0,1],[3,4]] . [[1,2],[3,4]] = 0 + 2 + 9 + 16 = 27
         assert y[0, 0, 0] == pytest.approx(27.0)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            conv2d(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 1)))
+            conv_forward(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 1)))
 
     @pytest.mark.parametrize("stride,padding", [(1, "same"), (1, "valid"), (2, "same")])
     def test_conv2d_gradcheck(self, stride, padding):
@@ -71,17 +69,17 @@ class TestConv:
         x = rng.standard_normal((6, 5, 2))
         kernel = rng.standard_normal((3, 3, 2, 3))
         bias = rng.standard_normal(3)
-        up = rng.standard_normal(conv2d(x, kernel, bias, stride, padding).shape)
+        up = rng.standard_normal(conv_forward(x, kernel, bias, stride, padding).shape)
 
         assert_vjp_matches_fd(
-            lambda xx: conv2d(xx, kernel, bias, stride, padding),
-            lambda xx, u: conv2d_vjp(xx, kernel, stride, padding, u)[0], x, up)
+            lambda xx: conv_forward(xx, kernel, bias, stride, padding),
+            lambda xx, u: conv_vjp(xx, kernel, stride, padding, u)[0], x, up)
         assert_vjp_matches_fd(
-            lambda kk: conv2d(x, kk, bias, stride, padding),
-            lambda kk, u: conv2d_vjp(x, kk, stride, padding, u)[1], kernel, up)
+            lambda kk: conv_forward(x, kk, bias, stride, padding),
+            lambda kk, u: conv_vjp(x, kk, stride, padding, u)[1], kernel, up)
         assert_vjp_matches_fd(
-            lambda bb: conv2d(x, kernel, bb, stride, padding),
-            lambda bb, u: conv2d_vjp(x, kernel, stride, padding, u)[2], bias, up)
+            lambda bb: conv_forward(x, kernel, bb, stride, padding),
+            lambda bb, u: conv_vjp(x, kernel, stride, padding, u)[2], bias, up)
 
     def test_conv3d_gradcheck(self):
         rng = np.random.default_rng(2)
@@ -89,11 +87,11 @@ class TestConv:
         kernel = rng.standard_normal((3, 3, 3, 2, 2))
         up = rng.standard_normal((4, 4, 4, 2))
         assert_vjp_matches_fd(
-            lambda xx: conv3d(xx, kernel),
-            lambda xx, u: conv3d_vjp(xx, kernel, 1, "same", u)[0], x, up)
+            lambda xx: conv_forward(xx, kernel),
+            lambda xx, u: conv_vjp(xx, kernel, 1, "same", u)[0], x, up)
         assert_vjp_matches_fd(
-            lambda kk: conv3d(x, kk),
-            lambda kk, u: conv3d_vjp(x, kk, 1, "same", u)[1], kernel, up)
+            lambda kk: conv_forward(x, kk),
+            lambda kk, u: conv_vjp(x, kk, 1, "same", u)[1], kernel, up)
 
 
 class TestInstanceNorm:
