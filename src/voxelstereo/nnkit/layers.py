@@ -5,9 +5,15 @@ Layout conventions: feature maps are channels-last, (H, W, C) in 2D and
 implement cross-correlation. "same" padding requires odd kernels and pads
 symmetrically; stride subsamples the output grid.
 
-All arithmetic is float64. Backward passes use a deterministic
-accumulation order (BLAS contractions and np.bincount scatters), so
-gradients are bitwise reproducible run to run.
+Convolution pads the input once and reads it as rows of a row-major
+(rows, C_in) matrix: the stride-1 output at padded position r reads row
+r + offset(tap) for each kernel tap, so every tap is one GEMM over a
+contiguous block of rows, and stride keeps every stride-th position of that
+stride-1 grid. The kernel gradient and the strided input gradient run the
+same loop over the taps.
+
+All arithmetic is float64. Taps are always accumulated in np.ndindex
+order, so outputs and gradients are bitwise reproducible run to run.
 """
 
 from __future__ import annotations
@@ -35,30 +41,19 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     return nd, spatial, kspatial, pads, out
 
 
-def _im2col(x, kspatial, pads, stride, out):
-    """Patches of shape (prod(out), prod(kspatial) * C_in)."""
-    nd = len(kspatial)
+def _tap_rows(x, pads, kspatial):
+    """The padded input as (rows, C), the padded grid shape, the row offset of
+    every tap in np.ndindex order, and the number of rows each tap's GEMM covers."""
     xp = np.pad(x, [(p, p) for p in pads] + [(0, 0)])
-    win = np.lib.stride_tricks.sliding_window_view(xp, kspatial, axis=tuple(range(nd)))
-    # (out_full..., C, k...) subsampled by stride, then channels moved last
-    win = win[tuple(slice(None, None, stride) for _ in range(nd))]
-    order = tuple(range(nd)) + tuple(range(nd + 1, 2 * nd + 1)) + (nd,)
-    patches = win.transpose(order).reshape(int(np.prod(out)), -1)
-    return patches, xp.shape
+    padded = xp.shape[:-1]
+    offsets = [int(np.ravel_multi_index(tap, padded)) for tap in np.ndindex(*kspatial)]
+    rows = xp.reshape(-1, x.shape[-1])
+    return rows, padded, offsets, len(rows) - offsets[-1]
 
 
-def _scatter_indices(xp_shape, kspatial, stride, out, c_in):
-    """Flat indices into the padded input for every patch element."""
-    nd = len(kspatial)
-    sp_pad = xp_shape[:nd]
-    starts = np.meshgrid(*[np.arange(o) * stride for o in out], indexing="ij")
-    starts = np.stack([s.reshape(-1) for s in starts], axis=1)  # (N, nd)
-    offs = np.meshgrid(*[np.arange(k) for k in kspatial], indexing="ij")
-    offs = np.stack([o.reshape(-1) for o in offs], axis=1)  # (pk, nd)
-    pos = starts[:, None, :] + offs[None, :, :]  # (N, pk, nd)
-    flat = np.ravel_multi_index(tuple(pos[..., d] for d in range(nd)), sp_pad)
-    idx = flat[..., None] * c_in + np.arange(c_in)
-    return idx.reshape(flat.shape[0], -1)  # (N, pk * C_in)
+def _output_slices(out, stride):
+    """The output positions within the stride-1 grid over the padded input."""
+    return tuple(slice(0, stride * (o - 1) + 1, stride) for o in out)
 
 
 def conv_forward(x, kernel, bias=None, stride=1, padding="same"):
@@ -68,11 +63,14 @@ def conv_forward(x, kernel, bias=None, stride=1, padding="same"):
     nd, _, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride, padding)
     if x.shape[nd] != kernel.shape[nd]:
         raise ValueError(f"channel mismatch: input {x.shape[nd]}, kernel {kernel.shape[nd]}")
-    patches, _ = _im2col(x, kspatial, pads, stride, out)
-    y = patches @ kernel.reshape(-1, kernel.shape[-1])
+    rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
+    y = np.zeros((len(rows), kernel.shape[-1]))
+    for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
+        y[:m] += rows[off:off + m] @ k
+    y = np.ascontiguousarray(y.reshape(*padded, -1)[_output_slices(out, stride)])
     if bias is not None:
-        y = y + np.asarray(bias, dtype=np.float64)
-    return y.reshape(*out, kernel.shape[-1])
+        y += np.asarray(bias, dtype=np.float64)
+    return y
 
 
 def conv_vjp(x, kernel, stride, padding, upstream):
@@ -81,12 +79,15 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     kernel = np.asarray(kernel, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     nd, spatial, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride, padding)
-    c_in, c_out = kernel.shape[-2], kernel.shape[-1]
-    up_flat = upstream.reshape(-1, c_out)
+    c_out = kernel.shape[-1]
+    rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
+    # upstream on the stride-1 grid of conv_forward, zero where no output is
+    up_rows = np.zeros((*padded, c_out))
+    up_rows[_output_slices(out, stride)] = upstream
+    up_rows = up_rows.reshape(-1, c_out)[:m]
 
-    patches, xp_shape = _im2col(x, kspatial, pads, stride, out)
-    grad_k = (patches.T @ up_flat).reshape(kernel.shape)
-    grad_b = up_flat.sum(axis=0)
+    grad_k = np.stack([rows[off:off + m].T @ up_rows for off in offsets]).reshape(kernel.shape)
+    grad_b = upstream.reshape(-1, c_out).sum(axis=0)
 
     if stride == 1:
         # transposed convolution: correlate upstream with the flipped kernel
@@ -96,11 +97,10 @@ def conv_vjp(x, kernel, stride, padding, upstream):
         )
         grad_x = conv_forward(up_padded, k_t, None, stride=1, padding="valid")
     else:
-        contrib = up_flat @ kernel.reshape(-1, c_out).T  # (N, pk * C_in)
-        idx = _scatter_indices(xp_shape, kspatial, stride, out, c_in)
-        flat = np.bincount(idx.reshape(-1), weights=contrib.reshape(-1),
-                           minlength=int(np.prod(xp_shape)))
-        grad_x = flat.reshape(xp_shape)[
+        grad_rows = np.zeros_like(rows)
+        for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
+            grad_rows[off:off + m] += up_rows @ k.T
+        grad_x = grad_rows.reshape(*padded, -1)[
             tuple(slice(p, s + p) for p, s in zip(pads, spatial))]
     return grad_x, grad_k, grad_b
 

@@ -209,7 +209,7 @@ class ToyModel:
             stacked = tape.concat([coarse, skip_full], axis=-1)
             depth = tape.conv(stacked, self.params["depth_refine.kernel"],
                               self.params["depth_refine.bias"])
-            out.append(_squeeze_last(depth))
+            out.append(_take_channel(depth, 0))
         return out
 
     def loss(self, scene_images, scene_cameras, occupancy_gt=None, depth_gt=None):
@@ -230,15 +230,9 @@ def _take_channel(node, index):
     def vjp(g):
         out = np.zeros(node.value.shape)
         out[..., index] = g
-        return out
+        return (out,)
 
-    return tape.TapeNode(node.value[..., index], (node,), (vjp,))
-
-
-def _squeeze_last(node):
-    shape = node.value.shape
-    return tape.TapeNode(node.value.reshape(shape[:-1]), (node,),
-                         (lambda g: g.reshape(shape),))
+    return tape.TapeNode(node.value[..., index], (node,), vjp)
 
 
 def save_checkpoint(model: ToyModel, out_dir) -> None:

@@ -1,9 +1,10 @@
 """Reverse-mode differentiation over the package's fixed operator set.
 
-Every operation below computes its value eagerly and records how to push a
-cotangent back to its inputs. A TapeNode is therefore both the value and the
-provenance record; backward() walks the recorded graph once in
-anti-topological order, accumulating gradients additively at fan-out.
+Every operation below computes its value eagerly and records one VJP: a
+function from the node's cotangent to the cotangents of all its parents, in
+parent order. A TapeNode is therefore both the value and the provenance
+record; backward() walks the recorded graph once in anti-topological order,
+runs each node's VJP once and accumulates gradients additively at fan-out.
 
 This is not a general autodiff system: only the operators defined here are
 composable, which is all the toy pipelines need.
@@ -18,14 +19,18 @@ from . import layers, losses
 
 
 class TapeNode:
-    """A value plus the recorded inputs and VJP closures that produced it."""
+    """A value plus the inputs that produced it and one VJP for all of them.
 
-    __slots__ = ("value", "parents", "vjp_fns", "grad")
+    vjp(g) maps the node's cotangent g to a sequence holding one cotangent
+    per parent, in the order of `parents`. Leaves have no parents and no VJP.
+    """
 
-    def __init__(self, value, parents=(), vjp_fns=()):
+    __slots__ = ("value", "parents", "vjp", "grad")
+
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
-        self.vjp_fns = tuple(vjp_fns)
+        self.vjp = vjp
         self.grad = None
 
     @property
@@ -50,27 +55,12 @@ def as_node(x) -> TapeNode:
     return x if isinstance(x, TapeNode) else TapeNode(x)
 
 
-def _shared_vjp(fn, n_outputs):
-    """Split a multi-output VJP into per-parent closures sharing one evaluation.
-
-    backward() calls a node's parent VJPs back-to-back with the same
-    cotangent object, so caching on identity is enough.
-    """
-    cache = {}
-
-    def make(i):
-        def call(g):
-            if cache.get("g") is not g:
-                cache["g"] = g
-                cache["res"] = fn(g)
-            return cache["res"][i]
-        return call
-
-    return tuple(make(i) for i in range(n_outputs))
-
-
 def backward(root: TapeNode, seed=None) -> None:
-    """Accumulate gradients of `root` into every reachable node's .grad."""
+    """Accumulate gradients of `root` into every reachable leaf's .grad.
+
+    A node with parents drops its cotangent once its VJP has run, so the
+    graph holds no intermediate gradients after the pass.
+    """
     order = []
     seen = set()
     stack = [(root, False)]
@@ -88,53 +78,47 @@ def backward(root: TapeNode, seed=None) -> None:
                 stack.append((parent, False))
     root.grad = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=np.float64)
     for node in reversed(order):
-        if node.grad is None:
+        if node.grad is None or not node.parents:
             continue
-        for parent, vjp in zip(node.parents, node.vjp_fns):
-            if vjp is None:
-                continue
-            g = vjp(node.grad)
+        for parent, g in zip(node.parents, node.vjp(node.grad), strict=True):
             parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad = None
 
 
 # --- arithmetic -------------------------------------------------------------
 
 def add(a, b):
     a, b = as_node(a), as_node(b)
-    return TapeNode(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
+    return TapeNode(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     a, b = as_node(a), as_node(b)
-    return TapeNode(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
+    return TapeNode(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
     a, b = as_node(a), as_node(b)
     av, bv = a.value, b.value
-    return TapeNode(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
+    return TapeNode(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(a, s: float):
     a = as_node(a)
-    return TapeNode(a.value * s, (a,), (lambda g: g * s,))
+    return TapeNode(a.value * s, (a,), lambda g: (g * s,))
 
 
 def one_minus(a):
     a = as_node(a)
-    return TapeNode(1.0 - a.value, (a,), (lambda g: -g,))
+    return TapeNode(1.0 - a.value, (a,), lambda g: (-g,))
 
 
 def concat(nodes, axis=-1):
     nodes = [as_node(n) for n in nodes]
     sizes = [n.value.shape[axis] for n in nodes]
     splits = np.cumsum(sizes)[:-1]
-
-    def make_vjp(i):
-        return lambda g: np.split(g, splits, axis=axis)[i]
-
-    return TapeNode(np.concatenate([n.value for n in nodes], axis=axis),
-                    tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
+    return TapeNode(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes),
+                    lambda g: np.split(g, splits, axis=axis))
 
 
 # --- activations and norms ---------------------------------------------------
@@ -142,39 +126,39 @@ def concat(nodes, axis=-1):
 def relu(a):
     a = as_node(a)
     x = a.value
-    return TapeNode(layers.relu(x), (a,), (lambda g: layers.relu_vjp(x, g),))
+    return TapeNode(layers.relu(x), (a,), lambda g: (layers.relu_vjp(x, g),))
 
 
 def sigmoid(a):
     a = as_node(a)
     s = layers.sigmoid(a.value)
-    return TapeNode(s, (a,), (lambda g: g * s * (1.0 - s),))
+    return TapeNode(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def tanh(a):
     a = as_node(a)
     t = np.tanh(a.value)
-    return TapeNode(t, (a,), (lambda g: g * (1.0 - t * t),))
+    return TapeNode(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def instance_norm(x, gain, shift):
     x, gain, shift = as_node(x), as_node(gain), as_node(shift)
     xv, gv, sv = x.value, gain.value, shift.value
-    vjps = _shared_vjp(lambda g: layers.instance_norm_vjp(xv, gv, sv, g), 3)
-    return TapeNode(layers.instance_norm(xv, gv, sv), (x, gain, shift), vjps)
+    return TapeNode(layers.instance_norm(xv, gv, sv), (x, gain, shift),
+                    lambda g: layers.instance_norm_vjp(xv, gv, sv, g))
 
 
 def layer_norm_channels(x, gain, shift):
     x, gain, shift = as_node(x), as_node(gain), as_node(shift)
     xv, gv, sv = x.value, gain.value, shift.value
-    vjps = _shared_vjp(lambda g: layers.layer_norm_channels_vjp(xv, gv, sv, g), 3)
-    return TapeNode(layers.layer_norm_channels(xv, gv, sv), (x, gain, shift), vjps)
+    return TapeNode(layers.layer_norm_channels(xv, gv, sv), (x, gain, shift),
+                    lambda g: layers.layer_norm_channels_vjp(xv, gv, sv, g))
 
 
 def softmax_channels(a):
     a = as_node(a)
     p = layers.softmax_channels(a.value)
-    return TapeNode(p, (a,), (lambda g: layers.softmax_channels_vjp(p, g),))
+    return TapeNode(p, (a,), lambda g: (layers.softmax_channels_vjp(p, g),))
 
 
 # --- convolutions and resampling ---------------------------------------------
@@ -185,15 +169,16 @@ def conv(x, kernel, bias=None, stride=1, padding="same"):
     parents = (x, kernel) if bias is None else (x, kernel, as_node(bias))
     out = layers.conv_forward(xv, kv, None if bias is None else parents[2].value,
                               stride, padding)
-    vjps = _shared_vjp(lambda g: layers.conv_vjp(xv, kv, stride, padding, g), len(parents))
-    return TapeNode(out, parents, vjps)
+    # without a bias parent, the bias cotangent is dropped
+    return TapeNode(out, parents,
+                    lambda g: layers.conv_vjp(xv, kv, stride, padding, g)[:len(parents)])
 
 
 def upsample_nearest(x, factor):
     x = as_node(x)
     shape = x.value.shape
     return TapeNode(layers.upsample_nearest(x.value, factor), (x,),
-                    (lambda g: layers.upsample_nearest_vjp(shape, factor, g),))
+                    lambda g: (layers.upsample_nearest_vjp(shape, factor, g),))
 
 
 # --- grid transfer ------------------------------------------------------------
@@ -203,7 +188,7 @@ def unproject(fmap, cam, pose, spec, gcfg):
     fv = fmap.value
     out = diffops.unproject(fv, cam, pose, spec, gcfg)
     return TapeNode(out, (fmap,),
-                    (lambda g: diffops.unproject_vjp(fv, cam, pose, spec, gcfg, g),))
+                    lambda g: (diffops.unproject_vjp(fv, cam, pose, spec, gcfg, g),))
 
 
 def project(grid, spec, cam, pose, n_planes, interp="nearest"):
@@ -211,7 +196,7 @@ def project(grid, spec, cam, pose, n_planes, interp="nearest"):
     gv = grid.value
     out = diffops.project(gv, spec, cam, pose, n_planes, interp)
     return TapeNode(out, (grid,),
-                    (lambda g: diffops.project_vjp(gv, spec, cam, pose, n_planes, interp, g),))
+                    lambda g: (diffops.project_vjp(gv, spec, cam, pose, n_planes, interp, g),))
 
 
 # --- reductions over view stacks ----------------------------------------------
@@ -222,7 +207,7 @@ def mean_stack(nodes):
     stacked = np.sort(np.stack([n.value for n in nodes]), axis=0)
     value = stacked.sum(axis=0) / len(nodes)
     inv_n = 1.0 / len(nodes)
-    return TapeNode(value, tuple(nodes), tuple(lambda g: g * inv_n for _ in nodes))
+    return TapeNode(value, tuple(nodes), lambda g: (g * inv_n,) * len(nodes))
 
 
 def max_stack(nodes):
@@ -230,12 +215,8 @@ def max_stack(nodes):
     nodes = [as_node(n) for n in nodes]
     stacked = np.stack([n.value for n in nodes])
     winner = np.argmax(stacked, axis=0)
-
-    def make_vjp(i):
-        return lambda g: np.where(winner == i, g, 0.0)
-
     return TapeNode(stacked.max(axis=0), tuple(nodes),
-                    tuple(make_vjp(i) for i in range(len(nodes))))
+                    lambda g: tuple(np.where(winner == i, g, 0.0) for i in range(len(nodes))))
 
 
 # --- losses --------------------------------------------------------------------
@@ -244,11 +225,11 @@ def bce(probs, target):
     probs = as_node(probs)
     pv = probs.value
     return TapeNode(losses.bce_loss(pv, target), (probs,),
-                    (lambda g: losses.bce_loss_vjp(pv, target, float(g)),))
+                    lambda g: (losses.bce_loss_vjp(pv, target, float(g)),))
 
 
 def l1_masked(pred, target, valid_mask):
     pred = as_node(pred)
     pv = pred.value
     return TapeNode(losses.l1_depth_loss(pv, target, valid_mask), (pred,),
-                    (lambda g: losses.l1_depth_loss_vjp(pv, target, valid_mask, float(g)),))
+                    lambda g: (losses.l1_depth_loss_vjp(pv, target, valid_mask, float(g)),))

@@ -61,6 +61,8 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
         opt.zero_grad()
         backward(loss)
         opt.step()
+        # drop this iteration's graph before the next forward builds its own
+        del loss
 
     ckpt = None
     if out_dir is not None:

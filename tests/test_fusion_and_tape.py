@@ -141,7 +141,7 @@ class TestGruStep:
 def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
     return tape.TapeNode(node.value.sum(), (node,),
-                         (lambda g: np.broadcast_to(g, node.value.shape).copy(),))
+                         lambda g: (np.broadcast_to(g, node.value.shape).copy(),))
 
 
 class TestTape:
@@ -157,6 +157,15 @@ class TestTape:
         out = tape.add(shared, shared)  # 2x^2
         tape.backward(TapeSum(out))
         np.testing.assert_allclose(x.grad, 4.0 * x.value)
+
+    def test_backward_keeps_gradients_on_leaves_only(self):
+        x = tape.Parameter(np.array([2.0, -1.0]), "x")
+        c = tape.as_node(np.array([3.0, 4.0]))  # parentless, not a Parameter
+        inner = tape.mul(x, c)
+        tape.backward(TapeSum(inner))
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(c.grad, [2.0, -1.0])
+        assert inner.grad is None
 
     def test_composed_model_adjoint_identity(self):
         # whole-pipeline dot-product test on a tiny instance: for the

@@ -1,15 +1,17 @@
-"""The learned pipeline end to end: training reproducibility and checkpoints.
+"""The learned pipeline end to end: gradients, training reproducibility and checkpoints.
 
 Everything runs on a tiny configuration (8^3 grid, 16x16 images, 2 views)
 over a dataset generated into a temporary directory.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from voxelstereo.nnkit.model import ToyModelConfig, load_checkpoint, save_checkpoint
+from voxelstereo.nnkit.tape import backward
 from voxelstereo.nnkit.train import train_toy
 from voxelstereo.synthgen import generate_dataset
 from voxelstereo.tensorio import write_tensor
@@ -32,6 +34,51 @@ def dataset(tmp_path_factory):
 def trained(dataset):
     """One voxel/GRU model trained for two iterations."""
     return train_toy(tiny_config("voxel", "gru"), dataset, iters=2).model
+
+
+PARAMETER_GROUPS = {"encoder": ("enc",), "gru": ("gru.",), "reasoner": ("reason",),
+                    "head": ("voxel_head", "ray_reduce", "depth_refine")}
+
+
+@pytest.mark.parametrize("head", ["voxel", "depth"])
+@pytest.mark.parametrize("fusion", ["gru", "mean", "max"])
+def test_tape_gradient_matches_central_difference(dataset, head, fusion):
+    # both heads are zero-initialised, so at initialisation every gradient
+    # upstream of the head is exactly 0; two iterations in, none is
+    model = train_toy(replace(tiny_config(head, fusion), n_z=8), dataset, iters=2).model
+    scene = dataset.load_all()[0]
+    views = [0, 1]
+
+    def loss():
+        return model.loss(scene.images[views], [scene.cameras[i] for i in views],
+                          occupancy_gt=scene.occupancy,
+                          depth_gt=[scene.depths[i] for i in views])
+
+    for p in model.parameters():
+        p.zero_grad()
+    backward(loss())
+    groups = {name: [p for p in model.parameters() if p.name.startswith(prefixes)]
+              for name, prefixes in PARAMETER_GROUPS.items()}
+    assert sum(map(len, groups.values())) == len(model.parameters())
+    rng = np.random.default_rng(0)
+    # a step of 1e-6 already crosses ReLU kinks of the voxel/GRU model;
+    # 1e-7 stays clear of them and well above the rounding floor
+    step = 1e-7
+    for name, params in groups.items():
+        if not params:
+            continue
+        direction = [rng.standard_normal(p.value.shape) for p in params]
+        analytic = sum(float(np.sum(p.grad * d)) for p, d in zip(params, direction))
+        start = [p.value for p in params]
+        ends = []
+        for sign in (1.0, -1.0):
+            for p, x, d in zip(params, start, direction):
+                p.value = x + sign * step * d
+            ends.append(float(loss().value))
+        for p, x in zip(params, start):
+            p.value = x
+        numeric = (ends[0] - ends[1]) / (2 * step)
+        assert abs(numeric - analytic) <= 1e-5 * abs(analytic), (name, analytic, numeric)
 
 
 @pytest.mark.parametrize("head,fusion", PIPELINES)

@@ -1,9 +1,12 @@
-"""Randomized identities of the ray operators, drawn with hypothesis.
+"""Randomized identities of the ray operators and convolution, drawn with hypothesis.
 
-Each operator is linear in its feature values, so its VJP must be its exact
-adjoint: <A x, y> = <x, A^T y> for every camera, including cameras inside
-the grid, grazing views that see only part of the cube, and sample points
-outside the image. Back-projection must invert projection. Examples are
+Each ray operator is linear in its feature values, so its VJP must be its
+exact adjoint: <A x, y> = <x, A^T y> for every camera, including cameras
+inside the grid, grazing views that see only part of the cube, and sample
+points outside the image. Back-projection must invert projection.
+Convolution must match a direct per-output-position sum, and its VJP must be
+the adjoint in the input and in the kernel, over non-cubic grids, size-1
+axes, strides up to 3 and kernels that only just fit. Examples are
 derandomized, so every run checks the same cases.
 """
 
@@ -21,6 +24,7 @@ from voxelstereo.diffops import (
     unproject_vjp,
 )
 from voxelstereo.geometry import Intrinsics, VoxelGridSpec, backproject, look_at, project_points
+from voxelstereo.nnkit.layers import conv_forward, conv_vjp
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -107,3 +111,53 @@ def test_project_points_inverts_backproject(seed, camera):
     uv_back, z_back, _ = project_points(backproject(uv, z, cam, pose).reshape(-1, 3), cam, pose)
     np.testing.assert_allclose(uv_back, uv.reshape(-1, 2), rtol=0, atol=1e-9)
     np.testing.assert_allclose(z_back, z.ravel(), rtol=1e-12, atol=0)
+
+
+@st.composite
+def convs(draw):
+    """Shapes of a 1D-3D convolution: (spatial, kspatial, c_in, c_out, stride, padding)."""
+    nd = draw(st.integers(1, 3))
+    spatial = tuple(draw(st.integers(1, 6)) for _ in range(nd))
+    padding = draw(st.sampled_from(["same", "valid"]))
+    if padding == "same":
+        kspatial = tuple(draw(st.sampled_from([1, 3, 5])) for _ in range(nd))
+    else:
+        kspatial = tuple(draw(st.integers(1, s)) for s in spatial)
+    return (spatial, kspatial, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), padding)
+
+
+def conv_reference(x, kernel, stride, padding):
+    """Cross-correlation summed directly at every output position."""
+    nd = x.ndim - 1
+    kspatial = kernel.shape[:nd]
+    pads = [k // 2 if padding == "same" else 0 for k in kspatial]
+    xp = np.pad(x, [(p, p) for p in pads] + [(0, 0)])
+    out = [(n - k) // stride + 1 for n, k in zip(xp.shape[:nd], kspatial)]
+    y = np.zeros(out + [kernel.shape[-1]])
+    for pos in np.ndindex(*out):
+        window = xp[tuple(slice(i * stride, i * stride + k) for i, k in zip(pos, kspatial))]
+        y[pos] = np.tensordot(window, kernel, axes=nd + 1)
+    return y
+
+
+@PROPERTY
+@given(seed=seeds, shapes=convs())
+def test_conv_matches_direct_sum_and_vjp_is_adjoint(seed, shapes):
+    spatial, kspatial, c_in, c_out, stride, padding = shapes
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(spatial + (c_in,))
+    kernel = rng.standard_normal(kspatial + (c_in, c_out))
+    bias = rng.standard_normal(c_out)
+    y = conv_forward(x, kernel, bias, stride, padding)
+    ref = conv_reference(x, kernel, stride, padding) + bias
+    assert y.shape == ref.shape
+    np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
+
+    up = rng.standard_normal(y.shape)
+    grad_x, grad_k, grad_b = conv_vjp(x, kernel, stride, padding, up)
+    assert grad_x.shape == x.shape and grad_k.shape == kernel.shape
+    linear = conv_forward(x, kernel, None, stride, padding)
+    assert_adjoint(linear, up, x, grad_x)
+    assert_adjoint(linear, up, kernel, grad_k)
+    np.testing.assert_allclose(grad_b, up.reshape(-1, c_out).sum(axis=0), rtol=1e-12, atol=1e-12)
