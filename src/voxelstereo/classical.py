@@ -130,9 +130,7 @@ def plane_sweep_depth(
             # whole window must be sampled validly
             window_ok = minimum_filter(sample_ok.astype(np.uint8), size=cfg.window,
                                        mode="constant") > 0
-            w_mean = uniform_filter(warped, size=cfg.window, mode="constant")
-            w_sq = uniform_filter(warped * warped, size=cfg.window, mode="constant")
-            w_var = w_sq - w_mean * w_mean
+            w_mean, w_var = _window_stats(warped, cfg.window)
             cross = uniform_filter(ref * warped, size=cfg.window, mode="constant")
             cov = cross - ref_mean * w_mean
             ok = window_ok & ref_textured & (w_var >= _VAR_EPS)

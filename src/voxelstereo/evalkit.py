@@ -49,6 +49,14 @@ def _per_class_mean(per_item: list[tuple[str, str, float]]):
     return class_means, overall
 
 
+def _report_lines(title, per_item, class_means, mean) -> list[str]:
+    out = [title]
+    out += [f"  {name:16s} {family:10s} {value:.4f}" for name, family, value in per_item]
+    out += [f"  class {fam:16s} {m:.4f}" for fam, m in class_means.items()]
+    out.append(f"  mean {mean:.4f}")
+    return out
+
+
 @dataclass
 class IoUReport:
     threshold: float
@@ -60,11 +68,8 @@ class IoUReport:
         self.class_means, self.mean = _per_class_mean(self.per_scene)
 
     def lines(self) -> list[str]:
-        out = [f"voxel IoU @ {self.threshold}"]
-        out += [f"  {name:16s} {family:10s} {iou:.4f}" for name, family, iou in self.per_scene]
-        out += [f"  class {fam:16s} {m:.4f}" for fam, m in self.class_means.items()]
-        out.append(f"  mean {self.mean:.4f}")
-        return out
+        return _report_lines(f"voxel IoU @ {self.threshold}", self.per_scene,
+                             self.class_means, self.mean)
 
 
 def iou_report(entries: list[tuple[str, str, np.ndarray, np.ndarray]],
@@ -85,11 +90,8 @@ class DepthErrorReport:
         self.class_means, self.mean = _per_class_mean(self.per_view)
 
     def lines(self) -> list[str]:
-        out = ["median absolute depth error"]
-        out += [f"  {name:16s} {family:10s} {err:.4f}" for name, family, err in self.per_view]
-        out += [f"  class {fam:16s} {m:.4f}" for fam, m in self.class_means.items()]
-        out.append(f"  mean {self.mean:.4f}")
-        return out
+        return _report_lines("median absolute depth error", self.per_view,
+                             self.class_means, self.mean)
 
 
 def depth_valid_mask(gt_depth: np.ndarray, pose: Pose,

@@ -2,13 +2,20 @@
 
 Two routes: exactly permutation-invariant pointwise pooling (max / mean),
 and a 3D convolutional gated recurrent unit that folds the views in
-sequence. GRU gates are computed with same-padded 3D convolutions whose
-pre-activations are layer-normalized over channels per voxel:
+sequence. GRU gates are same-padded 3x3x3 convolutions over the channel
+concatenation of input and state, with pre-activations layer-normalized
+over channels per voxel:
 
-    z  = sigmoid(LN_z(conv(x, Wx_z) + conv(h, Wh_z) + b_z))
-    r  = sigmoid(LN_r(conv(x, Wx_r) + conv(h, Wh_r) + b_r))
-    c  = tanh(LN_c(conv(x, Wx_c) + conv(r * h, Wh_c) + b_c))
+    z  = sigmoid(LN_z(conv([x, h], W_z) + b_z))
+    r  = sigmoid(LN_r(conv([x, h], W_r) + b_r))
+    c  = tanh(LN_c(conv([x, r * h], W_c) + b_c))
     h' = (1 - z) * h + z * c
+
+Each gate kernel W has shape (3, 3, 3, C_in + C_h, C_h): rows [:C_in] act
+on x and rows [C_in:] on h (or r * h), so one convolution computes the sum
+of the input and the recurrent term. Checkpoints store it as
+gru.<gate>.kernel; the separate w_x / w_h entries of older checkpoints are
+rejected as missing that kernel.
 
 Note the layer norm removes any constant shift of its input, so a gate is
 forced open/closed through the LN shift parameter, not the convolution
@@ -47,8 +54,7 @@ def fuse_pointwise(grids, mode="max"):
 
 @dataclass
 class GateParams:
-    w_x: Parameter      # (k, k, k, C_in, C_h)
-    w_h: Parameter      # (k, k, k, C_h, C_h)
+    kernel: Parameter   # (3, 3, 3, C_in + C_h, C_h): x rows, then h rows
     bias: Parameter     # (C_h,)
     ln_gain: Parameter  # (C_h,)
     ln_shift: Parameter  # (C_h,)
@@ -61,12 +67,8 @@ class GruCellParams:
     candidate: GateParams
 
     @property
-    def in_channels(self) -> int:
-        return self.update.w_x.value.shape[3]
-
-    @property
     def hidden_channels(self) -> int:
-        return self.update.w_x.value.shape[4]
+        return self.update.kernel.value.shape[4]
 
     def parameters(self) -> list[Parameter]:
         out = []
@@ -75,65 +77,51 @@ class GruCellParams:
         return out
 
 
-def init_gru_params(c_in, c_hidden, kernel=3, rng=None, prefix="gru") -> GruCellParams:
-    """He-initialized kernels, zero biases, unit layer-norm gains."""
-    if kernel % 2 == 0:
-        raise ValueError("GRU kernel must be odd for same padding")
+def init_gru_params(c_in, c_hidden, rng=None) -> GruCellParams:
+    """He-initialized kernels, zero biases, unit layer-norm gains.
+
+    Each gate's x rows and h rows are He-scaled by their own fan-in.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
 
     def gate(name):
-        sx = np.sqrt(2.0 / (kernel ** 3 * c_in))
-        sh = np.sqrt(2.0 / (kernel ** 3 * c_hidden))
+        w_x = rng.standard_normal((3, 3, 3, c_in, c_hidden)) * np.sqrt(2.0 / (27 * c_in))
+        w_h = rng.standard_normal((3, 3, 3, c_hidden, c_hidden)) * np.sqrt(2.0 / (27 * c_hidden))
         return GateParams(
-            w_x=Parameter(rng.standard_normal((kernel,) * 3 + (c_in, c_hidden)) * sx,
-                          f"{prefix}.{name}.w_x"),
-            w_h=Parameter(rng.standard_normal((kernel,) * 3 + (c_hidden, c_hidden)) * sh,
-                          f"{prefix}.{name}.w_h"),
-            bias=Parameter(np.zeros(c_hidden), f"{prefix}.{name}.bias"),
-            ln_gain=Parameter(np.ones(c_hidden), f"{prefix}.{name}.ln_gain"),
-            ln_shift=Parameter(np.zeros(c_hidden), f"{prefix}.{name}.ln_shift"),
+            kernel=Parameter(np.concatenate([w_x, w_h], axis=3), f"gru.{name}.kernel"),
+            bias=Parameter(np.zeros(c_hidden), f"gru.{name}.bias"),
+            ln_gain=Parameter(np.ones(c_hidden), f"gru.{name}.ln_gain"),
+            ln_shift=Parameter(np.zeros(c_hidden), f"gru.{name}.ln_shift"),
         )
 
     return GruCellParams(update=gate("update"), reset=gate("reset"), candidate=gate("candidate"))
 
 
-def _gate_preact(x, h_or_rh, gate: GateParams):
-    pre = tape.add(tape.conv(x, gate.w_x, gate.bias), tape.conv(h_or_rh, gate.w_h))
-    return tape.layer_norm_channels(pre, gate.ln_gain, gate.ln_shift)
+def _gate_preact(xh, gate: GateParams):
+    return tape.layer_norm_channels(tape.conv(xh, gate.kernel, gate.bias),
+                                    gate.ln_gain, gate.ln_shift)
 
 
 def gru_step_node(h, x, params: GruCellParams) -> TapeNode:
     """One recurrent update on tape nodes."""
     h, x = tape.as_node(h), tape.as_node(x)
-    z = tape.sigmoid(_gate_preact(x, h, params.update))
-    r = tape.sigmoid(_gate_preact(x, h, params.reset))
-    c = tape.tanh(_gate_preact(x, tape.mul(r, h), params.candidate))
+    xh = tape.concat([x, h])
+    z = tape.sigmoid(_gate_preact(xh, params.update))
+    r = tape.sigmoid(_gate_preact(xh, params.reset))
+    c = tape.tanh(_gate_preact(tape.concat([x, tape.mul(r, h)]), params.candidate))
     return tape.add(tape.mul(tape.one_minus(z), h), tape.mul(z, c))
 
 
-def gru_step(h, x, params: GruCellParams) -> np.ndarray:
-    """Plain-array wrapper around gru_step_node."""
-    return gru_step_node(h, x, params).value
-
-
-def fuse_recurrent_node(grids, params: GruCellParams, h0=None) -> TapeNode:
-    """Fold gru_step over the views in the given order; returns the final state."""
+def fuse_recurrent_node(grids, params: GruCellParams) -> TapeNode:
+    """Fold gru_step_node over the views in the given order from a zero state."""
     grids = list(grids)
     if not grids:
         raise ValueError("need at least one grid")
-    first = tape.as_node(grids[0])
-    if h0 is None:
-        v = first.value.shape[0]
-        h = tape.as_node(np.zeros((v, v, v, params.hidden_channels)))
-    else:
-        h = tape.as_node(h0)
+    v = tape.as_node(grids[0]).value.shape[0]
+    h = tape.as_node(np.zeros((v, v, v, params.hidden_channels)))
     for g in grids:
         h = gru_step_node(h, g, params)
     return h
-
-
-def fuse_recurrent(grids, params: GruCellParams, h0=None) -> np.ndarray:
-    return fuse_recurrent_node(grids, params, h0).value
 
 
 def ordering_variance(grids, params: GruCellParams, n_orders=5, seed=0):
@@ -144,10 +132,10 @@ def ordering_variance(grids, params: GruCellParams, n_orders=5, seed=0):
     """
     grids = list(grids)
     rng = np.random.default_rng(seed)
-    baseline = fuse_recurrent(grids, params)
+    baseline = fuse_recurrent_node(grids, params).value
     worst = 0.0
     for _ in range(n_orders):
         perm = rng.permutation(len(grids))
-        out = fuse_recurrent([grids[i] for i in perm], params)
+        out = fuse_recurrent_node([grids[i] for i in perm], params).value
         worst = max(worst, float(np.abs(out - baseline).max()))
     return worst

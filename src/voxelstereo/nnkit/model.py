@@ -105,8 +105,7 @@ class ToyModel:
         gru = None
         unproj_c = cfg.geom_features.out_channels(e3)
         if cfg.fusion == "gru":
-            gru = init_gru_params(unproj_c, cfg.gru_hidden, kernel=3,
-                                  rng=rng, prefix="gru")
+            gru = init_gru_params(unproj_c, cfg.gru_hidden, rng=rng)
         r1, r2 = cfg.reasoner_channels
         _conv_block(rng, params, "reason1", (3, 3, 3, cfg.fused_channels, r1))
         _conv_block(rng, params, "reason2", (3, 3, 3, r1, r2))

@@ -9,14 +9,13 @@ from voxelstereo.diffops import GeomFeatureConfig
 from voxelstereo.fusion import (
     GruCellParams,
     fuse_pointwise,
-    fuse_recurrent,
-    gru_step,
+    fuse_recurrent_node,
     gru_step_node,
     init_gru_params,
     ordering_variance,
 )
 from voxelstereo.geometry import Intrinsics, Pose, VoxelGridSpec, look_at
-from voxelstereo.nnkit import tape
+from voxelstereo.nnkit import layers, tape
 
 
 def zeroed(params: GruCellParams) -> GruCellParams:
@@ -62,7 +61,7 @@ class TestGruStep:
         params = zeroed(init_gru_params(2, 2, rng=np.random.default_rng(0)))
         h = np.random.default_rng(1).random((3, 3, 3, 2))
         x = np.zeros((3, 3, 3, 2))
-        out = gru_step(h, x, params)
+        out = gru_step_node(h, x, params).value
         # zero pre-activations: z = 0.5, candidate = 0, h' = 0.5 h
         np.testing.assert_allclose(out, 0.5 * h, atol=1e-12)
 
@@ -71,7 +70,7 @@ class TestGruStep:
         params.update.ln_shift.value[...] = -50.0  # z -> 0
         h = np.random.default_rng(2).random((3, 3, 3, 2))
         x = np.random.default_rng(3).random((3, 3, 3, 2))
-        np.testing.assert_allclose(gru_step(h, x, params), h, atol=1e-12)
+        np.testing.assert_allclose(gru_step_node(h, x, params).value, h, atol=1e-12)
 
     def test_open_update_gate_overwrites_state(self):
         rng = np.random.default_rng(4)
@@ -79,27 +78,27 @@ class TestGruStep:
         params.update.ln_shift.value[...] = 50.0   # z -> 1: h' = candidate
         params.reset.ln_shift.value[...] = -50.0   # r -> 0: candidate ignores h
         grids = [rng.random((3, 3, 3, 2)) for _ in range(3)]
-        out = fuse_recurrent(grids, params)
+        out = fuse_recurrent_node(grids, params).value
         # full overwrite: result depends only on the last view
         grids2 = [rng.random((3, 3, 3, 2)) for _ in range(2)] + [grids[-1]]
-        out2 = fuse_recurrent(grids2, params)
+        out2 = fuse_recurrent_node(grids2, params).value
         np.testing.assert_allclose(out, out2, atol=1e-9)
 
     def test_single_view_zero_weights(self):
         params = zeroed(init_gru_params(2, 2, rng=np.random.default_rng(0)))
-        out = fuse_recurrent([np.zeros((3, 3, 3, 2))], params)
+        out = fuse_recurrent_node([np.zeros((3, 3, 3, 2))], params).value
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_outputs_finite(self):
         rng = np.random.default_rng(5)
         params = init_gru_params(3, 4, rng=rng)
         grids = [10.0 * rng.standard_normal((4, 4, 4, 3)) for _ in range(4)]
-        out = fuse_recurrent(grids, params)
+        out = fuse_recurrent_node(grids, params).value
         assert np.isfinite(out).all()
 
     def test_gradcheck_all_parameters_and_input(self):
         rng = np.random.default_rng(6)
-        params = init_gru_params(2, 2, kernel=3, rng=rng)
+        params = init_gru_params(2, 2, rng=rng)
         h = rng.standard_normal((3, 3, 3, 2)) * 0.5
         x = rng.standard_normal((3, 3, 3, 2)) * 0.5
         target = rng.standard_normal((3, 3, 3, 2))
@@ -129,6 +128,29 @@ class TestGruStep:
             lambda v: float(((gru_step_node(tape.as_node(v), tape.as_node(x), params).value
                               - target) ** 2).sum()), h.copy(), step=1e-4)
         assert max_rel_error(h_node.grad, fd_h) < 1e-3
+
+    def test_matches_formula_with_separate_x_and_h_rows(self):
+        # pins the kernel row layout: rows [:C_in] act on x, rows [C_in:] on h
+        rng = np.random.default_rng(10)
+        c_in, c_h = 3, 2
+        params = init_gru_params(c_in, c_h, rng=rng)
+        for p in params.parameters():
+            p.value = p.value + 0.3 * rng.standard_normal(p.value.shape)
+        h = rng.standard_normal((4, 4, 4, c_h))
+        x = rng.standard_normal((4, 4, 4, c_in))
+
+        def preact(gate, state):
+            k = gate.kernel.value
+            pre = (layers.conv_forward(x, k[..., :c_in, :], gate.bias.value)
+                   + layers.conv_forward(state, k[..., c_in:, :]))
+            return layers.layer_norm_channels(pre, gate.ln_gain.value, gate.ln_shift.value)
+
+        z = layers.sigmoid(preact(params.update, h))
+        r = layers.sigmoid(preact(params.reset, h))
+        c = np.tanh(preact(params.candidate, r * h))
+        expected = (1.0 - z) * h + z * c
+        out = gru_step_node(h, x, params).value
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     def test_ordering_variance_diagnostic_runs(self):
         rng = np.random.default_rng(7)

@@ -125,6 +125,18 @@ def test_checkpoint_missing_parameters_rejected(trained, tmp_path):
     for name in dropped:
         assert name in str(err.value)
 
+    # a manifest with separate x / h kernels in place of the gate's one kernel
+    save_checkpoint(trained, ckpt)
+
+    def split(params):
+        entry = params.pop("gru.update.kernel")
+        params["gru.update.w_x"] = entry
+        params["gru.update.w_h"] = entry
+
+    _edit_manifest(ckpt, split)
+    with pytest.raises(ValueError, match="missing parameters: gru.update.kernel"):
+        load_checkpoint(ckpt)
+
 
 def test_checkpoint_wrong_shape_rejected(trained, tmp_path):
     ckpt = tmp_path / "ckpt"
