@@ -10,8 +10,9 @@ argmax neighborhood.
 
 Image sampling (diffops.bilinear_sample), depth-plane placement
 (diffops.plane_depths) and pixel back-projection (geometry.backproject)
-are the ones the learned pipeline uses, so both baselines see the same
-geometry as the network.
+are the ones the learned pipeline uses, and the visual hull reads its
+masks through diffops.unproject, so both baselines see the same geometry
+as the network.
 
 Validity: a window score requires every warped sample of the window to land
 inside the other view and both windows to carry variance above 1e-12; a
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import minimum_filter, uniform_filter
 
-from .diffops import bilinear_sample, plane_depths
-from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, pixel_grid, project_points,
-                       voxel_centers)
+from .diffops import bilinear_sample, plane_depths, unproject
+from .geometry import Intrinsics, Pose, VoxelGridSpec, backproject, pixel_grid, project_points
 
 _VAR_EPS = 1e-12
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -104,6 +104,9 @@ def plane_sweep_depth(
     """
     if not other_images:
         raise ValueError("need at least one non-reference view")
+    if len(other_images) != len(other_cameras):
+        raise ValueError(
+            f"{len(other_images)} other images for {len(other_cameras)} other cameras")
     cam, pose = ref_camera
     h, w = cam.height, cam.width
     ref = to_grayscale(ref_image)
@@ -234,7 +237,6 @@ def visual_hull(
     masks: np.ndarray,
     cameras: list[tuple[Intrinsics, Pose]],
     spec: VoxelGridSpec,
-    cfg: HullConfig = HullConfig(),
 ) -> np.ndarray:
     """Fraction of views whose silhouette contains each voxel center.
 
@@ -246,15 +248,12 @@ def visual_hull(
         raise ValueError("need at least one mask")
     if len(masks) != len(cameras):
         raise ValueError(f"{len(masks)} masks for {len(cameras)} cameras")
-    centers = voxel_centers(spec)
-    inside_count = np.zeros(len(centers))
+    inside_count = np.zeros((spec.resolution,) * 3)
     for mask, (cam, pose) in zip(masks, cameras):
-        uv, _, valid = project_points(centers, cam, pose)
-        # sub-pixel silhouette test: bilinear mask value above one half
-        val, _ = bilinear_sample(mask[..., None], uv)
-        inside_count += valid & (val[:, 0] > 0.5)
-    v = spec.resolution
-    return (inside_count / len(masks)).reshape(v, v, v)
+        # sub-pixel silhouette test: the unprojected mask, zero for an invalid
+        # projection, above one half
+        inside_count += unproject(mask[..., None], cam, pose, spec)[..., 0] > 0.5
+    return inside_count / len(masks)
 
 
 def depth_to_pointcloud(

@@ -20,9 +20,17 @@ placement of depth planes, shared with the plane sweep.
 Feature maps are (H, W, C) arrays, feature grids (V, V, V, C) arrays indexed
 like voxel_centers (axis 0 = x). Samples that fall outside the image or the
 grid cube contribute zeros; gradients are taken with respect to feature
-values only, never camera parameters or sample coordinates. Both VJPs
-scatter with one np.bincount in a fixed order, so gradients are bitwise
-reproducible.
+values only, never camera parameters or sample coordinates.
+
+Each operator is one sparse sampling matrix S (scipy CSR), with one row per
+sample and one column per map pixel or grid voxel; a row holds the
+sample's interpolation weights and an invalid sample is a zero row. The
+forward is S @ values.reshape(-1, C) and the VJP is S.T @ upstream, so the
+adjoint identity holds by construction. CSR products add each output's
+terms in a fixed order, so forwards and gradients repeat bitwise. project's
+rows run over (pixel row, pixel column, plane), so its (H, W, N_z * C)
+output is a plain reshape of S @ grid, and its VJP's upstream a plain
+reshape to (H * W * N_z, C).
 
 Nearest-neighbor grid lookup rounds half-down (floor(x + 0.5 - eps)) so that
 tie-breaking is identical on every platform.
@@ -33,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, camera_z_range,
                        pixel_grid, project_points, voxel_centers)
@@ -53,20 +62,30 @@ class GeomFeatureConfig:
         return c_in + int(self.append_depth) + 3 * int(self.append_ray_dir)
 
 
-def _bilinear_corners(fmap_shape, pts):
-    """Flat indices and weights of the four bilinear interpolation corners.
+def _sampling_matrix(lin, weights, n_cols):
+    """CSR matrix whose row n holds weights[n, k] at column lin[n, k].
 
-    Returns (idx, weights, valid): idx and weights are 4-tuples of (N,)
-    arrays for the corners (v0u0, v0u1, v1u0, v1u1), idx into the
-    row-major (H * W) map; valid marks points inside [0, W-1] x [0, H-1].
-    Coordinates are clamped first, so every index is in range: the lower
-    corner stops one short of the last row and column, where the upper
-    corner takes the whole weight.
+    lin and weights are (N, K) in row order, so they are the CSR index and
+    data arrays as they stand; a row of zero weights samples zero.
+    """
+    n, k = lin.shape
+    return csr_array((weights.reshape(-1), lin.reshape(-1), np.arange(0, n * k + 1, k)),
+                     shape=(n, n_cols))
+
+
+def _bilinear_matrix(fmap_shape, pts, valid=True):
+    """Sampling matrix (N, H * W) of bilinear_sample, and its inside flags.
+
+    Row n holds the four corner weights (v0u0, v0u1, v1u0, v1u1) of pts[n]
+    over the row-major map; it is zero unless pts[n] lies inside
+    [0, W-1] x [0, H-1] and valid[n] holds. Coordinates are clamped first,
+    so every index is in range: the lower corner stops one short of the last
+    row and column, where the upper corner takes the whole weight.
     """
     h, w = fmap_shape[0], fmap_shape[1]
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     u, v = pts[:, 0], pts[:, 1]
-    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
     uc = np.clip(u, 0, w - 1)
     vc = np.clip(v, 0, h - 1)
     u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
@@ -76,22 +95,15 @@ def _bilinear_corners(fmap_shape, pts):
     # a map one pixel wide (high) has no second column (row); du (dv) is 0
     step_u, step_v = min(1, w - 1), w * min(1, h - 1)
     i00 = v0 * w + u0
-    idx = (i00, i00 + step_u, i00 + step_v, i00 + step_v + step_u)
-    weights = ((1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv)
-    return idx, weights, valid
-
-
-def _scatter_add(lin, weights, upstream, n_bins):
-    """Sum of weights[k, n] * upstream[n] into row lin[k, n] of (n_bins, C).
-
-    One np.bincount in (corner, point, channel) order: every bin adds its
-    terms corner by corner, each corner in point order, on every run.
-    """
-    c = upstream.shape[1]
-    idx = lin[..., None] * c + np.arange(c)
-    vals = weights[..., None] * upstream
-    return np.bincount(idx.reshape(-1), weights=vals.reshape(-1),
-                       minlength=n_bins * c).reshape(n_bins, c)
+    lin = np.stack([i00, i00 + step_u, i00 + step_v, i00 + step_v + step_u], axis=1)
+    eu, ev = 1 - du, 1 - dv
+    weights = np.empty((len(pts), 4))
+    np.multiply(eu, ev, out=weights[:, 0])
+    np.multiply(du, ev, out=weights[:, 1])
+    np.multiply(eu, dv, out=weights[:, 2])
+    np.multiply(du, dv, out=weights[:, 3])
+    weights[~(inside & valid)] = 0.0
+    return _sampling_matrix(lin, weights, h * w), inside
 
 
 def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,27 +114,23 @@ def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.n
     """
     fmap = np.asarray(fmap, dtype=np.float64)
     h, w, c = fmap.shape
-    idx, weights, valid = _bilinear_corners(fmap.shape, pts)
-    flat = fmap.reshape(h * w, c)
-    out = weights[0][:, None] * flat[idx[0]]
-    for k in range(1, 4):
-        out += weights[k][:, None] * flat[idx[k]]
-    return np.where(valid[:, None], out, 0.0), valid
+    s, valid = _bilinear_matrix(fmap.shape, pts)
+    return s @ fmap.reshape(h * w, c), valid
 
 
 def bilinear_sample_vjp(fmap: np.ndarray, pts: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of <bilinear_sample(fmap, pts), upstream> w.r.t. fmap."""
     h, w, c = np.shape(fmap)
-    upstream = np.asarray(upstream, dtype=np.float64).reshape(-1, c)
-    idx, weights, valid = _bilinear_corners((h, w), pts)
-    weights = np.where(valid, np.stack(weights), 0.0)
-    return _scatter_add(np.stack(idx), weights, upstream, h * w).reshape(h, w, c)
+    s, _ = _bilinear_matrix((h, w), pts)
+    return (s.T @ np.asarray(upstream, dtype=np.float64).reshape(-1, c)).reshape(h, w, c)
 
 
-def _unproject_geometry(cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):
+def _unproject_geometry(fmap_shape, cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):
+    """Voxel centers, their camera depths and unproject's sampling matrix."""
     centers = voxel_centers(spec)
     uv, z, valid = project_points(centers, cam, pose)
-    return centers, uv, z, valid
+    s, _ = _bilinear_matrix(fmap_shape, uv, valid)
+    return centers, z, s
 
 
 def unproject(
@@ -140,11 +148,10 @@ def unproject(
     are filled for every voxel regardless of projection validity.
     """
     fmap = np.asarray(fmap, dtype=np.float64)
+    h, w, c = fmap.shape
     v = spec.resolution
-    centers, uv, z, valid = _unproject_geometry(cam, pose, spec)
-    vals, _ = bilinear_sample(fmap, uv)
-    vals[~valid] = 0.0
-    parts = [vals]
+    centers, z, s = _unproject_geometry(fmap.shape, cam, pose, spec)
+    parts = [s @ fmap.reshape(h * w, c)]
     if gcfg.append_depth:
         parts.append(z[:, None])
     if gcfg.append_ray_dir:
@@ -166,12 +173,10 @@ def unproject_vjp(
 
     Geometric channels do not touch fmap and contribute nothing.
     """
-    fmap = np.asarray(fmap)
-    c_in = fmap.shape[2]
-    _, uv, _, valid = _unproject_geometry(cam, pose, spec)
-    up = np.asarray(upstream, dtype=np.float64).reshape(-1, gcfg.out_channels(c_in))
-    up_feat = up[:, :c_in] * valid[:, None]
-    return bilinear_sample_vjp(fmap, uv, up_feat)
+    h, w, c = np.shape(fmap)
+    _, _, s = _unproject_geometry((h, w), cam, pose, spec)
+    up = np.asarray(upstream, dtype=np.float64).reshape(-1, gcfg.out_channels(c))
+    return (s.T @ up[:, :c]).reshape(h, w, c)
 
 
 def plane_depths(
@@ -183,33 +188,31 @@ def plane_depths(
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing
 
 
-def _project_geometry(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int,
-                      interp: str):
-    """Flat voxel indices and weights of the ray samples of project.
+def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int,
+                    interp: str):
+    """Sampling matrix (H * W * N_z, V^3) of project.
 
-    Samples run over (plane, row, column) of the pixel raster. Returns
-    (lin, weights), each (n_corners, N_z * H * W); out-of-grid corners carry
-    weight 0 and index 0.
+    Rows run over (row, column, plane) of the pixel raster and the depth
+    planes; a sample whose corner leaves the grid gives that corner weight 0.
     """
     z_values, _ = plane_depths(spec, cam, pose, n_planes)
-    points = backproject(pixel_grid(cam), z_values[:, None, None], cam, pose)
+    points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
     v = spec.resolution
     g = spec.world_to_grid(points.reshape(-1, 3))
     if interp == "nearest":
-        idx = np.floor(g + 0.5 - _TIE_EPS).astype(np.int64)[None]
-        weights = np.ones((1, len(g)))
+        idx = np.floor(g + 0.5 - _TIE_EPS).astype(np.int64)[:, None]
+        weights = np.ones((len(g), 1))
     elif interp == "trilinear":
         g0 = np.floor(g).astype(np.int64)
         frac = g - g0
         corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-        idx = g0[None] + corners[:, None, :]
-        w = np.where(corners[:, None, :] == 1, frac[None], 1.0 - frac[None])
-        weights = w.prod(axis=2)
+        idx = g0[:, None] + corners
+        weights = np.where(corners == 1, frac[:, None], 1.0 - frac[:, None]).prod(axis=2)
     else:
         raise ValueError(f"unknown interpolation {interp!r}")
     inside = ((idx >= 0) & (idx < v)).all(axis=2)
     lin = (idx[..., 0] * v + idx[..., 1]) * v + idx[..., 2]
-    return np.where(inside, lin, 0), np.where(inside, weights, 0.0)
+    return _sampling_matrix(np.where(inside, lin, 0), np.where(inside, weights, 0.0), v ** 3)
 
 
 def project(
@@ -227,12 +230,8 @@ def project(
     """
     grid = np.asarray(grid, dtype=np.float64)
     c = grid.shape[3]
-    lin, weights = _project_geometry(spec, cam, pose, n_planes, interp)
-    out = np.einsum("kn,knc->nc", weights, grid.reshape(-1, c)[lin])
-    # (N_z, H, W, C) -> (H, W, N_z * C)
-    return out.reshape(n_planes, cam.height, cam.width, c).transpose(1, 2, 0, 3).reshape(
-        cam.height, cam.width, n_planes * c
-    )
+    s = _project_matrix(spec, cam, pose, n_planes, interp)
+    return (s @ grid.reshape(-1, c)).reshape(cam.height, cam.width, n_planes * c)
 
 
 def project_vjp(
@@ -246,9 +245,6 @@ def project_vjp(
 ) -> np.ndarray:
     """Gradient of <project(grid, ...), upstream> w.r.t. grid values."""
     shape = np.shape(grid)
-    c = shape[3]
-    lin, weights = _project_geometry(spec, cam, pose, n_planes, interp)
-    up = np.asarray(upstream, dtype=np.float64).reshape(
-        cam.height, cam.width, n_planes, c
-    ).transpose(2, 0, 1, 3).reshape(-1, c)
-    return _scatter_add(lin, weights, up, spec.resolution ** 3).reshape(shape)
+    s = _project_matrix(spec, cam, pose, n_planes, interp)
+    up = np.asarray(upstream, dtype=np.float64).reshape(-1, shape[3])
+    return (s.T @ up).reshape(shape)

@@ -161,6 +161,14 @@ class TestPlaneSweep:
         with pytest.raises(ValueError, match="non-reference"):
             plane_sweep_depth(np.zeros((8, 8)), [], (cam, pose), [], PlaneSweepConfig())
 
+    def test_rejects_image_camera_count_mismatch(self):
+        cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
+        pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
+        images = list(np.random.default_rng(0).random((4, 8, 8)))
+        with pytest.raises(ValueError, match="3 other images for 1 other cameras"):
+            plane_sweep_depth(images[0], images[1:], (cam, pose), [(cam, pose)],
+                              PlaneSweepConfig(n_planes=4))
+
 
 SPHERE04 = SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=0.4))], family="sphere")
 

@@ -12,7 +12,7 @@ import pytest
 
 from voxelstereo.nnkit.model import ToyModelConfig, load_checkpoint, save_checkpoint
 from voxelstereo.nnkit.tape import backward
-from voxelstereo.nnkit.train import train_toy
+from voxelstereo.nnkit.train import dataset_loss, train_toy
 from voxelstereo.synthgen import generate_dataset
 from voxelstereo.tensorio import write_tensor
 
@@ -34,6 +34,13 @@ def dataset(tmp_path_factory):
 def trained(dataset):
     """One voxel/GRU model trained for two iterations."""
     return train_toy(tiny_config("voxel", "gru"), dataset, iters=2).model
+
+
+@pytest.fixture(scope="module")
+def depth_run(dataset, tmp_path_factory):
+    """One depth/mean run of two iterations that writes its outputs."""
+    out_dir = tmp_path_factory.mktemp("run")
+    return train_toy(tiny_config("depth", "mean"), dataset, iters=2, out_dir=out_dir), out_dir
 
 
 PARAMETER_GROUPS = {"encoder": ("enc",), "gru": ("gru.",), "reasoner": ("reason",),
@@ -146,3 +153,33 @@ def test_checkpoint_wrong_shape_rejected(trained, tmp_path):
     _edit_manifest(ckpt, lambda params: params["reason2.bias"].update(shape=[3]))
     with pytest.raises(ValueError, match="reason2.bias"):
         load_checkpoint(ckpt)
+
+
+def test_train_toy_writes_checkpoint_and_loss_curve(depth_run):
+    result, out_dir = depth_run
+    assert result.checkpoint_dir == out_dir / "checkpoint"
+    loaded = load_checkpoint(result.checkpoint_dir)
+    assert loaded.cfg == result.model.cfg
+    restored = {p.name: p.value for p in loaded.parameters()}
+    for p in result.model.parameters():
+        np.testing.assert_array_equal(restored[p.name],
+                                      p.value.astype(np.float32).astype(np.float64), p.name)
+    lines = (out_dir / "loss_curve.txt").read_text().splitlines()
+    assert len(result.losses) == 3
+    assert lines == [f"{i} {loss!r}" for i, loss in enumerate(result.losses)]
+
+
+def test_dataset_loss_is_the_mean_scene_loss_of_a_seeded_view_draw(depth_run, dataset):
+    model = depth_run[0].model
+    value = dataset_loss(model, dataset, seed=5)
+    assert np.isfinite(value)
+    assert dataset_loss(model, dataset, seed=5) == value
+    rng = np.random.default_rng([5, 2])
+    total = 0.0
+    scenes = dataset.load_all()
+    for scene in scenes:
+        order = rng.permutation(scene.n_views)[:model.cfg.views]
+        total += float(model.loss(scene.images[order], [scene.cameras[i] for i in order],
+                                  occupancy_gt=scene.occupancy,
+                                  depth_gt=[scene.depths[i] for i in order]).value)
+    assert value == total / len(scenes)
