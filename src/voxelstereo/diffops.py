@@ -127,6 +127,9 @@ def bilinear_sample_vjp(fmap: np.ndarray, pts: np.ndarray, upstream: np.ndarray)
 
 def _unproject_geometry(fmap_shape, cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):
     """Voxel centers, their camera depths and unproject's sampling matrix."""
+    if tuple(fmap_shape[:2]) != (cam.height, cam.width):
+        raise ValueError(f"map of (H, W) {tuple(fmap_shape[:2])} for a camera of "
+                         f"(H, W) {(cam.height, cam.width)}")
     centers = voxel_centers(spec)
     uv, z, valid = project_points(centers, cam, pose)
     s, _ = _bilinear_matrix(fmap_shape, uv, valid)

@@ -12,6 +12,15 @@ contiguous block of rows, and stride keeps every stride-th position of that
 stride-1 grid. The kernel gradient and the strided input gradient run the
 same loop over the taps.
 
+Each tap's GEMM adds its product straight into the output through BLAS
+dgemm with beta = 1, so no per-tap temporary is allocated and no second pass
+adds it in. BLAS is column-major, and the transpose of a row-major block is
+that same memory in column-major order, so the blocks are passed transposed
+and nothing is copied. Every conv GEMM, the kernel gradient included, goes
+through scipy's BLAS: numpy and scipy each bundle their own OpenBLAS with its
+own thread pool, whose threads keep spinning after a call returns, and
+alternating between the two makes the pools contend for the same cores.
+
 All arithmetic is float64. Taps are always accumulated in np.ndindex
 order, so outputs and gradients are bitwise reproducible run to run.
 """
@@ -19,6 +28,7 @@ order, so outputs and gradients are bitwise reproducible run to run.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 _EPS_NORM = 1e-5
 
@@ -51,6 +61,20 @@ def _tap_rows(x, pads, kspatial):
     return rows, padded, offsets, len(rows) - offsets[-1]
 
 
+def _gemm_acc(c, a, b):
+    """Add the matrix product a b to c in place; c must be Fortran-ordered.
+
+    A row-major operand is handed to BLAS as its transpose with the transpose
+    flag set, so no operand is copied either.
+    """
+    (a, trans_a), (b, trans_b) = (
+        (m, 0) if m.flags.f_contiguous else (m.T, 1) for m in (a, b))
+    out = dgemm(1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b, overwrite_c=True)
+    if out is not c:
+        # dgemm copied c (not Fortran-ordered), so the sum never reached it
+        raise ValueError(f"dgemm did not write in place: c has strides {c.strides}")
+
+
 def _output_slices(out, stride):
     """The output positions within the stride-1 grid over the padded input."""
     return tuple(slice(0, stride * (o - 1) + 1, stride) for o in out)
@@ -66,7 +90,7 @@ def conv_forward(x, kernel, bias=None, stride=1, padding="same"):
     rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
     y = np.zeros((len(rows), kernel.shape[-1]))
     for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
-        y[:m] += rows[off:off + m] @ k
+        _gemm_acc(y[:m].T, k.T, rows[off:off + m].T)
     y = np.ascontiguousarray(y.reshape(*padded, -1)[_output_slices(out, stride)])
     if bias is not None:
         y += np.asarray(bias, dtype=np.float64)
@@ -86,7 +110,10 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     up_rows[_output_slices(out, stride)] = upstream
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
-    grad_k = np.stack([rows[off:off + m].T @ up_rows for off in offsets]).reshape(kernel.shape)
+    grad_k = np.zeros((len(offsets), *kernel.shape[-2:]))
+    for off, g in zip(offsets, grad_k):
+        _gemm_acc(g.T, up_rows.T, rows[off:off + m])
+    grad_k = grad_k.reshape(kernel.shape)
     grad_b = upstream.reshape(-1, c_out).sum(axis=0)
 
     if stride == 1:
@@ -99,7 +126,7 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     else:
         grad_rows = np.zeros_like(rows)
         for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
-            grad_rows[off:off + m] += up_rows @ k.T
+            _gemm_acc(grad_rows[off:off + m].T, k, up_rows.T)
         grad_x = grad_rows.reshape(*padded, -1)[
             tuple(slice(p, s + p) for p, s in zip(pads, spatial))]
     return grad_x, grad_k, grad_b

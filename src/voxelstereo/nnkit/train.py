@@ -79,12 +79,19 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
 
 def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int | None = None,
                  seed: int = 0) -> float:
-    """Mean loss over all scenes with a fixed per-scene view draw."""
+    """Mean loss over all scenes with a fixed per-scene view draw.
+
+    views is the number of views drawn per scene, the config's count when None.
+    """
+    k = model.cfg.views if views is None else views
+    if k < 1:
+        raise ValueError(f"need at least one view, got {k}")
     rng = np.random.default_rng([seed, 2])
     total = 0.0
     scenes = dataset.load_all()
     for scene in scenes:
-        k = min(views or model.cfg.views, scene.n_views)
+        if k > scene.n_views:
+            raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {k}")
         order = rng.permutation(scene.n_views)[:k]
         loss = model.loss(
             scene.images[order], [scene.cameras[i] for i in order],

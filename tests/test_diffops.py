@@ -111,6 +111,15 @@ class TestBilinearVjp:
 
 
 class TestUnproject:
+    def test_map_not_of_the_camera_size_raises(self):
+        # a 32x32 map read through a 64x64 camera is sampled in the wrong frame
+        spec = VoxelGridSpec(resolution=8)
+        fmap = np.ones((32, 32, 1))
+        with pytest.raises(ValueError, match=r"\(32, 32\).*\(64, 64\)"):
+            unproject(fmap, CAM, POSE_Z2, spec, NO_GEOM)
+        with pytest.raises(ValueError, match=r"\(32, 32\).*\(64, 64\)"):
+            unproject_vjp(fmap, CAM, POSE_Z2, spec, NO_GEOM, np.ones((8, 8, 8, 1)))
+
     def test_constant_map_fills_grid(self):
         spec = VoxelGridSpec(resolution=8)
         fmap = np.full((64, 64, 2), 1.25)

@@ -169,6 +169,17 @@ def test_train_toy_writes_checkpoint_and_loss_curve(depth_run):
     assert lines == [f"{i} {loss!r}" for i, loss in enumerate(result.losses)]
 
 
+@pytest.mark.parametrize("views", [0, -1])
+def test_dataset_loss_rejects_fewer_than_one_view(depth_run, dataset, views):
+    with pytest.raises(ValueError, match="at least one view"):
+        dataset_loss(depth_run[0].model, dataset, views=views)
+
+
+def test_dataset_loss_rejects_more_views_than_a_scene_has(depth_run, dataset):
+    with pytest.raises(ValueError, match="has 3 views, asked for 4"):
+        dataset_loss(depth_run[0].model, dataset, views=4)
+
+
 def test_dataset_loss_is_the_mean_scene_loss_of_a_seeded_view_draw(depth_run, dataset):
     model = depth_run[0].model
     value = dataset_loss(model, dataset, seed=5)

@@ -7,6 +7,7 @@ from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error
 
 from voxelstereo.nnkit.adam import adam_step
 from voxelstereo.nnkit.layers import (
+    _gemm_acc,
     conv_forward,
     conv_vjp,
     instance_norm,
@@ -92,6 +93,52 @@ class TestConv:
         assert_vjp_matches_fd(
             lambda kk: conv_forward(x, kk),
             lambda kk, u: conv_vjp(x, kk, 1, "same", u)[1], kernel, up)
+
+
+def direct_conv(x, kernel, bias, stride, upstream):
+    """conv_forward and the three conv_vjp outputs with "same" padding, summed
+    directly at every output position."""
+    nd = x.ndim - 1
+    kspatial = kernel.shape[:nd]
+    pads = [k // 2 for k in kspatial]
+    xp = np.pad(x, [(p, p) for p in pads] + [(0, 0)])
+    out = [(n - k) // stride + 1 for n, k in zip(xp.shape[:nd], kspatial)]
+    y = np.zeros(out + [kernel.shape[-1]])
+    grad_xp = np.zeros_like(xp)
+    grad_k = np.zeros_like(kernel)
+    for pos in np.ndindex(*out):
+        window = tuple(slice(i * stride, i * stride + k) for i, k in zip(pos, kspatial))
+        y[pos] = np.tensordot(xp[window], kernel, axes=nd + 1) + bias
+        grad_xp[window] += np.tensordot(kernel, upstream[pos], axes=1)
+        grad_k += np.multiply.outer(xp[window], upstream[pos])
+    grad_x = grad_xp[tuple(slice(p, p + n) for p, n in zip(pads, x.shape[:nd]))]
+    return y, grad_x, grad_k, upstream.reshape(-1, kernel.shape[-1]).sum(axis=0)
+
+
+class TestConvAtModelChannelCounts:
+    @pytest.mark.parametrize("spatial,kernel_shape,stride", [
+        ((5, 4, 5), (3, 3, 3, 36, 16), 1),  # a GRU gate over [x, h]
+        ((7, 6), (3, 3, 3, 8), 2),          # the strided 2D encoder
+        ((4, 3), (1, 1, 256, 128), 1),      # ray_reduce0: one tap, long K
+        ((6, 5), (3, 3, 9, 1), 1),          # depth_refine: one output channel
+    ])
+    def test_forward_and_vjp_match_direct_sums(self, spatial, kernel_shape, stride):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(spatial + kernel_shape[-2:-1])
+        kernel = rng.standard_normal(kernel_shape)
+        bias = rng.standard_normal(kernel_shape[-1])
+        y = conv_forward(x, kernel, bias, stride)
+        up = rng.standard_normal(y.shape)
+        ref = direct_conv(x, kernel, bias, stride, up)
+        for got, want in zip((y, *conv_vjp(x, kernel, stride, "same", up)), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gemm_acc_raises_on_a_buffer_it_cannot_write_in_place(self):
+        c = np.zeros((3, 5))  # C-contiguous: dgemm would add into a copy
+        with pytest.raises(ValueError, match="in place"):
+            _gemm_acc(c, np.ones((3, 4)), np.ones((4, 5)))
+        assert not c.any()
 
 
 class TestInstanceNorm:
