@@ -1,7 +1,7 @@
 """Differentiable transfer of features between image space and the voxel grid.
 
-Three linear (in the feature values) operators, each with an explicit
-vector-Jacobian product:
+Three linear (in the feature values) operators; unproject and project each
+have an explicit vector-Jacobian product:
 
   bilinear_sample   gather from a 2D map at continuous pixel coordinates
   unproject         replicate image features along viewing rays into the grid
@@ -14,8 +14,9 @@ bilinear_sample is the package's one image sampler: unproject, and the
 classical visual_hull and plane_sweep_depth, all read images through it.
 Its edge rule: a sample is zero unless its point lies inside
 [0, W-1] x [0, H-1], and its valid flag marks exactly those points; a
-point only partly outside reads zero. plane_depths is likewise the one
-placement of depth planes, shared with the plane sweep.
+point only partly outside reads zero. The sampler has no public VJP: its
+adjoint is S.T, which unproject_vjp applies itself. plane_depths is
+likewise the one placement of depth planes, shared with the plane sweep.
 
 Feature maps are (H, W, C) arrays, feature grids (V, V, V, C) arrays indexed
 like voxel_centers (axis 0 = x). Samples that fall outside the image or the
@@ -116,13 +117,6 @@ def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.n
     h, w, c = fmap.shape
     s, valid = _bilinear_matrix(fmap.shape, pts)
     return s @ fmap.reshape(h * w, c), valid
-
-
-def bilinear_sample_vjp(fmap: np.ndarray, pts: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of <bilinear_sample(fmap, pts), upstream> w.r.t. fmap."""
-    h, w, c = np.shape(fmap)
-    s, _ = _bilinear_matrix((h, w), pts)
-    return (s.T @ np.asarray(upstream, dtype=np.float64).reshape(-1, c)).reshape(h, w, c)
 
 
 def _unproject_geometry(fmap_shape, cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):

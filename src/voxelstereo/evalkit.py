@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Intrinsics, Pose
+from .geometry import Pose
 
 DEPTH_HALF_RANGE = np.sqrt(3.0) / 2.0
 
@@ -177,10 +177,3 @@ def view_count_sweep(reconstruct, scenes, view_counts, threshold: float) -> dict
             entries.append((scene.name, scene.family, grid, scene.occupancy))
         table[n] = iou_report(entries, threshold).mean
     return table
-
-
-def format_table(table: dict, header: tuple[str, str]) -> str:
-    lines = [f"{header[0]:>10s} {header[1]:>10s}"]
-    for k, v in table.items():
-        lines.append(f"{k:>10} {v:>10.4f}")
-    return "\n".join(lines) + "\n"

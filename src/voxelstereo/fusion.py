@@ -1,7 +1,8 @@
 """Fusing per-view feature grids into a single grid.
 
 Two routes: exactly permutation-invariant pointwise pooling (max / mean),
-and a 3D convolutional gated recurrent unit that folds the views in
+which lives in tape.max_stack and tape.mean_stack, and the 3D
+convolutional gated recurrent unit here, which folds the views in
 sequence. GRU gates are same-padded 3x3x3 convolutions over the channel
 concatenation of input and state, with pre-activations layer-normalized
 over channels per voxel:
@@ -30,26 +31,6 @@ import numpy as np
 
 from .nnkit import tape
 from .nnkit.tape import Parameter, TapeNode
-
-
-def fuse_pointwise(grids, mode="max"):
-    """Elementwise max or mean over view grids; bitwise permutation-invariant.
-
-    The mean sorts the per-voxel summands before accumulating, so any input
-    ordering produces identical bits.
-    """
-    grids = list(grids)
-    if not grids:
-        raise ValueError("need at least one grid")
-    shapes = {g.shape for g in grids}
-    if len(shapes) > 1:
-        raise ValueError(f"grids disagree on shape: {shapes}")
-    stacked = np.stack([np.asarray(g, dtype=np.float64) for g in grids])
-    if mode == "max":
-        return stacked.max(axis=0)
-    if mode == "mean":
-        return np.sort(stacked, axis=0).sum(axis=0) / len(grids)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass

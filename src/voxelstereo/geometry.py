@@ -55,13 +55,6 @@ class Intrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"
             )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Pose:
@@ -131,10 +124,6 @@ class VoxelGridSpec:
         """Continuous grid coordinates: voxel center i maps exactly to i."""
         p = np.asarray(points, dtype=np.float64)
         return ((p - np.asarray(self.center)) / self.side + 0.5) * self.resolution - 0.5
-
-    def grid_to_world(self, coords: np.ndarray) -> np.ndarray:
-        c = np.asarray(coords, dtype=np.float64)
-        return ((c + 0.5) / self.resolution - 0.5) * self.side + np.asarray(self.center)
 
 
 def project_points(

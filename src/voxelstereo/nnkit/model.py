@@ -20,14 +20,14 @@ gives a mis-shaped one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from ..diffops import GeomFeatureConfig
 from ..fusion import GruCellParams, fuse_recurrent_node, init_gru_params
-from ..geometry import Intrinsics, Pose, VoxelGridSpec, scale_intrinsics
+from ..geometry import VoxelGridSpec, scale_intrinsics
 from ..tensorio import read_tensor, write_tensor
 from . import tape
 from .tape import Parameter

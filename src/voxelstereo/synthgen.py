@@ -14,7 +14,6 @@ matchers of signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 

@@ -1,4 +1,4 @@
-"""File formats: binary tensor container, camera text files, dataset layout, PLY.
+"""File formats: binary tensor container, camera text files, dataset layout.
 
 Tensor container (extension .lsmt), all integers and floats little-endian:
 
@@ -111,36 +111,15 @@ def load_cameras(path) -> list[tuple[Intrinsics, Pose]]:
         vals = [float(x) for x in line.split()]
         if len(vals) != 18:
             raise ValueError(f"{path}: line {lineno}: expected 18 values, got {len(vals)}")
+        if not (vals[4].is_integer() and vals[5].is_integer()):
+            raise ValueError(f"{path}: line {lineno}: width and height must be integers, "
+                             f"got {vals[4]!r} and {vals[5]!r}")
         cam = Intrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
                          width=int(vals[4]), height=int(vals[5]))
         pose = Pose(rotation=np.array(vals[6:15]).reshape(3, 3),
                     translation=np.array(vals[15:18]))
         cameras.append((cam, pose))
     return cameras
-
-
-def export_ply(points: np.ndarray, path, colors: np.ndarray | None = None) -> None:
-    """Write an ASCII PLY point cloud; colors are optional N x 3 uint8."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    bad = ~np.isfinite(points).all(axis=1)
-    if bad.any():
-        raise ValueError(f"non-finite coordinate at point index {int(np.argmax(bad))}")
-    header = ["ply", "format ascii 1.0", f"element vertex {len(points)}",
-              "property float x", "property float y", "property float z"]
-    if colors is not None:
-        colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
-        if len(colors) != len(points):
-            raise ValueError(f"{len(colors)} colors for {len(points)} points")
-        header += ["property uchar red", "property uchar green", "property uchar blue"]
-    header.append("end_header")
-    with open(path, "w") as f:
-        f.write("\n".join(header) + "\n")
-        for i, p in enumerate(points):
-            line = f"{p[0]:.8g} {p[1]:.8g} {p[2]:.8g}"
-            if colors is not None:
-                c = colors[i]
-                line += f" {c[0]} {c[1]} {c[2]}"
-            f.write(line + "\n")
 
 
 # --- dataset layout ---------------------------------------------------------

@@ -14,7 +14,6 @@ from helpers import assert_vjp_matches_fd, max_rel_error
 from voxelstereo.diffops import (
     GeomFeatureConfig,
     bilinear_sample,
-    bilinear_sample_vjp,
     plane_depths,
     project,
     project_vjp,
@@ -73,41 +72,6 @@ class TestBilinearSample:
         vals, valid = bilinear_sample(fmap, [[3.0, 3.0]])
         assert valid[0]
         assert vals[0, 0] == 15.0
-
-
-class TestBilinearVjp:
-    def test_zero_upstream(self):
-        fmap = np.random.default_rng(0).random((4, 4, 2))
-        grad = bilinear_sample_vjp(fmap, [[1.2, 2.7]], np.zeros((1, 2)))
-        np.testing.assert_array_equal(grad, 0.0)
-
-    def test_integer_point_delta(self):
-        fmap = np.zeros((5, 5, 1))
-        grad = bilinear_sample_vjp(fmap, [[2.0, 3.0]], np.ones((1, 1)))
-        expected = np.zeros((5, 5, 1))
-        expected[3, 2, 0] = 1.0  # (row v, col u)
-        np.testing.assert_array_equal(grad, expected)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(42)
-        fmap = rng.random((5, 4, 3))
-        pts = rng.uniform(-0.5, 4.5, (7, 2))
-        upstream = rng.standard_normal((7, 3))
-        assert_vjp_matches_fd(
-            lambda f: bilinear_sample(f, pts)[0],
-            lambda f, up: bilinear_sample_vjp(f, pts, up),
-            fmap, upstream,
-        )
-
-    def test_adjoint_dot_product(self):
-        rng = np.random.default_rng(3)
-        fmap = rng.random((6, 5, 2))
-        pts = rng.uniform(-1, 6, (11, 2))
-        up = rng.standard_normal((11, 2))
-        vals, _ = bilinear_sample(fmap, pts)
-        lhs = float(np.sum(vals * up))
-        rhs = float(np.sum(fmap * bilinear_sample_vjp(fmap, pts, up)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestUnproject:

@@ -8,7 +8,6 @@ from helpers import fd_gradient, max_rel_error
 from voxelstereo.diffops import GeomFeatureConfig
 from voxelstereo.fusion import (
     GruCellParams,
-    fuse_pointwise,
     fuse_recurrent_node,
     gru_step_node,
     init_gru_params,
@@ -26,34 +25,38 @@ def zeroed(params: GruCellParams) -> GruCellParams:
     return params
 
 
+def pool(grids, mode):
+    """Pointwise fusion as the model runs it: tape.max_stack or tape.mean_stack."""
+    return getattr(tape, f"{mode}_stack")(grids).value
+
+
 class TestFusePointwise:
     def test_single_grid_identity(self):
         g = np.random.default_rng(0).random((4, 4, 4, 2))
-        np.testing.assert_array_equal(fuse_pointwise([g], "max"), g)
-        np.testing.assert_array_equal(fuse_pointwise([g], "mean"), g)
+        np.testing.assert_array_equal(pool([g], "max"), g)
+        np.testing.assert_array_equal(pool([g], "mean"), g)
 
     @pytest.mark.parametrize("mode", ["max", "mean"])
     def test_bitwise_permutation_invariance(self, mode):
         rng = np.random.default_rng(1)
         grids = [rng.random((3, 3, 3, 2)) for _ in range(5)]
-        base = fuse_pointwise(grids, mode)
+        base = pool(grids, mode)
         for _ in range(10):
             perm = rng.permutation(5)
-            out = fuse_pointwise([grids[i] for i in perm], mode)
+            out = pool([grids[i] for i in perm], mode)
             assert out.tobytes() == base.tobytes()
 
     def test_mean_of_constants(self):
         a = np.full((2, 2, 2, 1), 1.0)
         b = np.full((2, 2, 2, 1), 3.0)
-        np.testing.assert_array_equal(fuse_pointwise([a, b], "mean"), 2.0)
+        np.testing.assert_array_equal(pool([a, b], "mean"), 2.0)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="at least one"):
-            fuse_pointwise([], "max")
-        with pytest.raises(ValueError, match="shape"):
-            fuse_pointwise([np.zeros((2, 2, 2, 1)), np.zeros((3, 3, 3, 1))], "max")
-        with pytest.raises(ValueError, match="mode"):
-            fuse_pointwise([np.zeros((2, 2, 2, 1))], "median")
+        for mode in ("max", "mean"):
+            with pytest.raises(ValueError, match="at least one"):
+                pool([], mode)
+            with pytest.raises(ValueError, match="same shape"):
+                pool([np.zeros((2, 2, 2, 1)), np.zeros((3, 3, 3, 1))], mode)
 
 
 class TestGruStep:
@@ -227,7 +230,9 @@ class TestTape:
         rng = np.random.default_rng(9)
         grids = [rng.random((2, 2, 2, 2)) for _ in range(4)]
         node = tape.mean_stack([tape.as_node(g) for g in grids])
-        assert node.value.tobytes() == fuse_pointwise(grids, "mean").tobytes()
+        # the sorted-summand mean, accumulated over the view axis
+        expected = np.sort(np.stack(grids), axis=0).sum(axis=0) / len(grids)
+        assert node.value.tobytes() == expected.tobytes()
 
     def test_max_stack_gradient_routes_to_winner(self):
         a = tape.Parameter(np.array([1.0, 5.0]), "a")

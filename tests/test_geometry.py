@@ -106,9 +106,11 @@ class TestVoxelCenters:
         np.testing.assert_allclose(np.diff(c[0, 0, :, 2]), spec.side / 8)
 
     def test_grid_world_round_trip(self):
+        # voxel center (i, j, k) maps exactly to grid coordinate (i, j, k)
         spec = VoxelGridSpec(resolution=16, center=(0.1, 0.2, -0.3), side=1.5)
-        pts = np.random.default_rng(1).uniform(-1, 1, (50, 3))
-        np.testing.assert_allclose(spec.grid_to_world(spec.world_to_grid(pts)), pts, atol=1e-12)
+        index = np.stack(np.meshgrid(*[np.arange(16)] * 3, indexing="ij"), axis=-1)
+        np.testing.assert_allclose(spec.world_to_grid(voxel_centers(spec)),
+                                   index.reshape(-1, 3), atol=1e-12)
 
 
 class TestRays:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from voxelstereo.diffops import (
     GeomFeatureConfig,
     bilinear_sample,
-    bilinear_sample_vjp,
     project,
     project_vjp,
     unproject,
@@ -63,14 +62,15 @@ def assert_adjoint(ax, y, x, aty):
 @PROPERTY
 @given(seed=seeds, h=st.integers(1, 8), w=st.integers(1, 8), c=st.integers(1, 3))
 def test_bilinear_sample_adjoint(seed, h, w, c):
+    # the sampler has no public VJP: its adjoint S.T runs inside
+    # unproject_vjp, checked by test_unproject_adjoint. This checks the
+    # sampler's edge rule on the same random maps and points.
     rng = np.random.default_rng(seed)
     fmap = rng.standard_normal((h, w, c))
     # a margin of two pixels puts some points outside, some on the border
     pts = rng.uniform([-2.0, -2.0], [w + 1.0, h + 1.0], (20, 2))
-    up = rng.standard_normal((20, c))
     vals, valid = bilinear_sample(fmap, pts)
     assert (vals[~valid] == 0).all()
-    assert_adjoint(vals, up, fmap, bilinear_sample_vjp(fmap, pts, up))
 
 
 @PROPERTY

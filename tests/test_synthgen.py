@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voxelstereo.geometry import Pose, VoxelGridSpec, look_at, voxel_centers
+from voxelstereo.geometry import Pose, VoxelGridSpec, backproject, look_at, voxel_centers
 from voxelstereo.synthgen import (
     Box,
     Cylinder,
@@ -91,8 +91,7 @@ class TestRender:
         scene = make_scene("composite", seed=5)
         _, depth, mask = render_view(scene, cam, pose)
         vs, us = np.nonzero(mask)
-        from voxelstereo.classical import depth_to_pointcloud
-        pts = depth_to_pointcloud(depth, cam, pose, mask.astype(bool))
+        pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
         assert (np.abs(sdf_eval(scene, pts)) < 1e-3).all()
 
     def test_depth_hits_match_mask(self):

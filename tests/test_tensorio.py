@@ -6,7 +6,6 @@ import pytest
 from voxelstereo.geometry import Intrinsics, Pose, look_at
 from voxelstereo.tensorio import (
     TensorFormatError,
-    export_ply,
     load_cameras,
     read_tensor,
     save_cameras,
@@ -119,31 +118,9 @@ class TestCameraFile:
         with pytest.raises(ValueError, match="18 values"):
             load_cameras(p)
 
-
-class TestPly:
-    def test_single_point(self, tmp_path):
-        p = tmp_path / "cloud.ply"
-        export_ply(np.array([[0.0, 0.0, 0.0]]), p)
-        text = p.read_text().splitlines()
-        assert "element vertex 1" in text
-        assert text[-1] == "0 0 0"
-
-    def test_empty_cloud(self, tmp_path):
-        p = tmp_path / "cloud.ply"
-        export_ply(np.zeros((0, 3)), p)
-        text = p.read_text()
-        assert "element vertex 0" in text
-        assert text.rstrip().endswith("end_header")
-
-    def test_nan_rejected_with_index(self, tmp_path):
-        pts = np.zeros((5, 3))
-        pts[3, 1] = np.nan
-        with pytest.raises(ValueError, match="index 3"):
-            export_ply(pts, tmp_path / "cloud.ply")
-
-    def test_colors_written(self, tmp_path):
-        p = tmp_path / "cloud.ply"
-        export_ply(np.array([[1.0, 2.0, 3.0]]), p, colors=np.array([[255, 0, 10]], dtype=np.uint8))
-        text = p.read_text()
-        assert "property uchar red" in text
-        assert text.splitlines()[-1] == "1 2 3 255 0 10"
+    def test_non_integral_size_rejected(self, tmp_path):
+        p = tmp_path / "cameras.txt"
+        nums = [100.0, 100.0, 16.0, 16.0, 32.9, 32] + [1, 0, 0, 0, 1, 0, 0, 0, 1] + [0, 0, 2]
+        p.write_text(" ".join(str(x) for x in nums) + "\n")
+        with pytest.raises(ValueError, match=r"cameras\.txt: line 1: width and height"):
+            load_cameras(p)
