@@ -20,10 +20,12 @@ are the ones the learned pipeline uses, and the visual hull reads its
 masks through diffops.unproject, so both baselines see the same geometry
 as the network.
 
-Validity: a window score requires every warped sample of the window to land
-inside the other view and both windows to carry variance above 1e-12; a
-pixel is invalid when no plane collects a valid view score. Textureless
-regions therefore drop out instead of producing arbitrary depths.
+Validity: a window score requires every warped sample of the window to be
+valid in the other view as project_points decides it (in front of the
+camera and inside the image) and both windows to carry variance above
+1e-12; a pixel is invalid when no plane collects a valid view score.
+Textureless regions therefore drop out instead of producing arbitrary
+depths.
 """
 
 from __future__ import annotations
@@ -130,12 +132,11 @@ def plane_sweep_depth(
         pts_world = backproject(pixels, z, cam, pose)
         view_scores = np.full((len(grays), h, w), -np.inf)
         for j, (gray, (ocam, opose)) in enumerate(zip(grays, other_cameras)):
-            uv, z_o, _ = project_points(pts_world, ocam, opose)
-            warped, sample_ok = bilinear_sample(gray[..., None], uv)
-            sample_ok = (sample_ok & (z_o > 0)).reshape(h, w)
+            uv, _, sample_ok = project_points(pts_world, ocam, opose)
+            warped, _ = bilinear_sample(gray[..., None], uv)
             # whole window must be sampled validly
-            window_ok = minimum_filter(sample_ok.astype(np.uint8), size=_WINDOW,
-                                       mode="constant") > 0
+            window_ok = minimum_filter(sample_ok.reshape(h, w).astype(np.uint8),
+                                       size=_WINDOW, mode="constant") > 0
             zncc, ok = score(warped.reshape(h, w))
             view_scores[j] = np.where(window_ok & ok, zncc, -np.inf)
         n_valid = np.isfinite(view_scores).sum(axis=0)

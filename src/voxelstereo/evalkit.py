@@ -148,7 +148,7 @@ def perturb_pose(pose: Pose, theta_max_deg: float, seed: int) -> Pose:
         # closest approach of the new optical axis to the origin
         t_close = -center @ new_axis
         miss = np.linalg.norm(center + t_close * new_axis)
-        if t_close > 0 and miss <= np.sqrt(3.0) / 2.0:
+        if t_close > 0 and miss <= DEPTH_HALF_RANGE:
             return Pose(rotation=new_r, translation=-new_r @ center)
     raise RuntimeError("could not find a perturbation that keeps the object in view")
 

@@ -48,6 +48,9 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -68,6 +71,9 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
+        for name, value in (("rotation", r), ("translation", t)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries: {value.tolist()}")
         if not np.allclose(r.T @ r, np.eye(3), atol=_ROT_TOL):
             raise ValueError("rotation is not orthonormal")
         if not np.isclose(np.linalg.det(r), 1.0, atol=_ROT_TOL):
@@ -147,17 +153,20 @@ def project_points(
     return np.stack([u, v], axis=1), z, valid
 
 
+def _camera_rays(uv: np.ndarray, cam: Intrinsics) -> np.ndarray:
+    """Camera-frame points ((u - cx) / fx, (v - cy) / fy, 1) for pixels uv (..., 2)."""
+    return np.stack([(uv[..., 0] - cam.cx) / cam.fx, (uv[..., 1] - cam.cy) / cam.fy,
+                     np.ones(uv.shape[:-1])], axis=-1)
+
+
 def backproject(uv: np.ndarray, z: np.ndarray, cam: Intrinsics, pose: Pose) -> np.ndarray:
     """World points at camera depth z on the rays through pixels uv.
 
     uv (..., 2) broadcasts against z (...); returns (..., 3). Inverse of
     project_points for z > Z_EPS.
     """
-    uv = np.asarray(uv, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    x = (uv[..., 0] - cam.cx) / cam.fx * z
-    y = (uv[..., 1] - cam.cy) / cam.fy * z
-    x_cam = np.stack([x, y, np.broadcast_to(z, x.shape)], axis=-1)
+    x_cam = _camera_rays(np.asarray(uv, dtype=np.float64), cam) * z[..., None]
     return (x_cam - pose.translation) @ pose.rotation  # R.T @ (x_cam - t), row form
 
 
@@ -185,15 +194,7 @@ def rays_through_pixels(
     Returns (origin (3,), directions (N, 3)); directions are unit length and
     the origin is the camera center shared by all rays.
     """
-    uv = np.atleast_2d(np.asarray(uv, dtype=np.float64))
-    d_cam = np.stack(
-        [
-            (uv[:, 0] - cam.cx) / cam.fx,
-            (uv[:, 1] - cam.cy) / cam.fy,
-            np.ones(len(uv)),
-        ],
-        axis=1,
-    )
+    d_cam = _camera_rays(np.atleast_2d(np.asarray(uv, dtype=np.float64)), cam)
     d_world = d_cam @ pose.rotation  # R.T applied to each row
     d_world /= np.linalg.norm(d_world, axis=1, keepdims=True)
     return pose.camera_center, d_world

@@ -9,12 +9,18 @@ Two variants share the encoder, unprojection and grid reasoning:
          chain of 1x1 convolutions halving channels to one, upsampled to
          image size and refined together with an encoder skip feature.
 
-Checkpoints are a directory with one tensor file per parameter plus a
-manifest of names and shapes. Values are stored as float32, so a loaded
-parameter equals value.astype(np.float32).astype(np.float64) of the saved
-one, not the float64 value itself. Loading rejects a checkpoint whose
-manifest lacks a model parameter, names one the model does not have, or
-gives a mis-shaped one.
+loss(scene, order) is the one entry from data to a loss: it takes the views
+`order` of one loaded scene, with their images, cameras and ground truth,
+and raises ValueError when the scene's image (H, W) is not cfg.image_hw.
+
+Every learnable parameter, the GRU gates included, lives in ToyModel.params
+under its checkpoint name. Checkpoints are a directory with one tensor file
+per parameter plus a manifest of names and shapes. Values are stored as
+float32, so a loaded parameter equals
+value.astype(np.float32).astype(np.float64) of the saved one, not the
+float64 value itself. Loading rejects a checkpoint whose manifest lacks a
+model parameter, names one the model does not have, or gives a mis-shaped
+one.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..diffops import GeomFeatureConfig
-from ..fusion import GruCellParams, fuse_recurrent_node, init_gru_params
+from ..fusion import fuse_recurrent_node, init_gru_params
 from ..geometry import VoxelGridSpec, scale_intrinsics
 from ..tensorio import read_tensor, write_tensor
 from . import tape
@@ -76,22 +82,34 @@ def _he(rng, shape):
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
+def _add(params, name, value):
+    params[name] = Parameter(value, name)
+
+
 def _conv_block(rng, params, name, kshape):
     c_out = kshape[-1]
-    params[f"{name}.kernel"] = Parameter(_he(rng, kshape), f"{name}.kernel")
-    params[f"{name}.bias"] = Parameter(np.zeros(c_out), f"{name}.bias")
-    params[f"{name}.gain"] = Parameter(np.ones(c_out), f"{name}.gain")
-    params[f"{name}.shift"] = Parameter(np.zeros(c_out), f"{name}.shift")
+    _add(params, f"{name}.kernel", _he(rng, kshape))
+    _add(params, f"{name}.bias", np.zeros(c_out))
+    _add(params, f"{name}.gain", np.ones(c_out))
+    _add(params, f"{name}.shift", np.zeros(c_out))
+
+
+def _ray_reduce_chain(cfg: ToyModelConfig) -> list[tuple[int, int]]:
+    """(C_in, C_out) of each ray_reduce conv: n_z * C ray channels halved to one."""
+    c = cfg.n_z * cfg.reasoner_channels[1]
+    chain = []
+    while c > 1:
+        chain.append((c, c // 2))
+        c //= 2
+    return chain
 
 
 class ToyModel:
-    """Parameter container plus the tape-composed forward passes."""
+    """One name-keyed parameter store plus the tape-composed forward passes."""
 
-    def __init__(self, cfg: ToyModelConfig, params: dict[str, Parameter],
-                 gru: GruCellParams | None):
+    def __init__(self, cfg: ToyModelConfig, params: dict[str, Parameter]):
         self.cfg = cfg
         self.params = params
-        self.gru = gru
 
     @classmethod
     def create(cls, cfg: ToyModelConfig) -> "ToyModel":
@@ -101,44 +119,30 @@ class ToyModel:
         _conv_block(rng, params, "enc1", (3, 3, 3, e1))
         _conv_block(rng, params, "enc2", (3, 3, e1, e2))
         _conv_block(rng, params, "enc3", (3, 3, e2, e3))
-
-        gru = None
-        unproj_c = cfg.geom_features.out_channels(e3)
         if cfg.fusion == "gru":
-            gru = init_gru_params(unproj_c, cfg.gru_hidden, rng=rng)
+            params.update(init_gru_params(cfg.geom_features.out_channels(e3), cfg.gru_hidden,
+                                          rng=rng))
         r1, r2 = cfg.reasoner_channels
         _conv_block(rng, params, "reason1", (3, 3, 3, cfg.fused_channels, r1))
         _conv_block(rng, params, "reason2", (3, 3, 3, r1, r2))
 
         if cfg.head == "voxel":
             # zero-init output head: the untrained model says exactly p = 0.5
-            params["voxel_head.kernel"] = Parameter(
-                np.zeros((1, 1, 1, r2, 2)), "voxel_head.kernel")
-            params["voxel_head.bias"] = Parameter(np.zeros(2), "voxel_head.bias")
+            _add(params, "voxel_head.kernel", np.zeros((1, 1, 1, r2, 2)))
+            _add(params, "voxel_head.bias", np.zeros(2))
         else:
-            c = cfg.n_z * r2
-            i = 0
-            while c > 1:
-                c_next = max(1, c // 2)
-                params[f"ray_reduce{i}.kernel"] = Parameter(
-                    _he(rng, (1, 1, c, c_next)), f"ray_reduce{i}.kernel")
-                params[f"ray_reduce{i}.bias"] = Parameter(
-                    np.zeros(c_next), f"ray_reduce{i}.bias")
-                c = c_next
-                i += 1
+            for i, (c_in, c_out) in enumerate(_ray_reduce_chain(cfg)):
+                _add(params, f"ray_reduce{i}.kernel", _he(rng, (1, 1, c_in, c_out)))
+                _add(params, f"ray_reduce{i}.bias", np.zeros(c_out))
             # zero-init output layer with the bias at the camera orbit radius:
             # the untrained model predicts a constant plausible depth and the
             # toy iteration budget goes into shape, not the global offset
-            params["depth_refine.kernel"] = Parameter(
-                np.zeros((3, 3, 1 + e1, 1)), "depth_refine.kernel")
-            params["depth_refine.bias"] = Parameter(np.array([2.0]), "depth_refine.bias")
-        return cls(cfg, params, gru)
+            _add(params, "depth_refine.kernel", np.zeros((3, 3, 1 + e1, 1)))
+            _add(params, "depth_refine.bias", np.array([2.0]))
+        return cls(cfg, params)
 
     def parameters(self) -> list[Parameter]:
-        out = list(self.params.values())
-        if self.gru is not None:
-            out += self.gru.parameters()
-        return out
+        return list(self.params.values())
 
     # --- forward pieces -------------------------------------------------
 
@@ -156,27 +160,30 @@ class ToyModel:
 
     def fuse(self, grids):
         if self.cfg.fusion == "gru":
-            return fuse_recurrent_node(grids, self.gru)
+            return fuse_recurrent_node(grids, self.params)
         if self.cfg.fusion == "mean":
             return tape.mean_stack(grids)
         return tape.max_stack(grids)
 
     def reasoned_grid(self, images, cameras):
-        """Images (K, H, W, 3), cameras [(Intrinsics, Pose)] -> grid node."""
+        """Images (K, H, W, 3), cameras [(Intrinsics, Pose)] -> grid node, views.
+
+        views holds one (skip feature, feature camera, pose) per image; the
+        feature camera is the image camera scaled to the encoder's output.
+        """
         cfg = self.cfg
-        spec = cfg.grid_spec
         grids = []
-        skips = []
+        views = []
         for image, (cam, pose) in zip(images, cameras):
             feat, skip = self.encode(np.asarray(image, dtype=np.float64))
             fh, fw = feat.value.shape[:2]
             feat_cam = scale_intrinsics(cam, fw, fh)
-            grids.append(tape.unproject(feat, feat_cam, pose, spec, cfg.geom_features))
-            skips.append(skip)
+            grids.append(tape.unproject(feat, feat_cam, pose, cfg.grid_spec, cfg.geom_features))
+            views.append((skip, feat_cam, pose))
         fused = self.fuse(grids)
         g = self._conv_in_relu(fused, "reason1")
         g = self._conv_in_relu(g, "reason2")
-        return g, skips
+        return g, views
 
     def occupancy(self, images, cameras):
         """Voxel pipeline output: (V, V, V) occupancy probability node."""
@@ -188,41 +195,39 @@ class ToyModel:
 
     def depth_maps(self, images, cameras):
         """Depth pipeline output: one (H, W) metric depth node per view."""
-        cfg = self.cfg
-        g, skips = self.reasoned_grid(images, cameras)
-        h, w = cfg.image_hw
+        cfg, p = self.cfg, self.params
+        g, views = self.reasoned_grid(images, cameras)
+        n_reduce = len(_ray_reduce_chain(cfg))
         out = []
-        for (cam, pose), skip in zip(cameras, skips):
-            feat_cam = scale_intrinsics(cam, w // 4, h // 4)
-            rays = tape.project(g, cfg.grid_spec, feat_cam, pose, cfg.n_z)
-            x = rays
-            i = 0
-            while f"ray_reduce{i}.kernel" in self.params:
-                x = tape.conv(x, self.params[f"ray_reduce{i}.kernel"],
-                              self.params[f"ray_reduce{i}.bias"])
-                i += 1
-                if f"ray_reduce{i}.kernel" in self.params:
+        for skip, feat_cam, pose in views:
+            x = tape.project(g, cfg.grid_spec, feat_cam, pose, cfg.n_z)
+            for i in range(n_reduce):
+                x = tape.conv(x, p[f"ray_reduce{i}.kernel"], p[f"ray_reduce{i}.bias"])
+                if i < n_reduce - 1:
                     x = tape.relu(x)
             coarse = tape.upsample_nearest(x, 4)
             skip_full = tape.upsample_nearest(skip, 2)
             stacked = tape.concat([coarse, skip_full], axis=-1)
-            depth = tape.conv(stacked, self.params["depth_refine.kernel"],
-                              self.params["depth_refine.bias"])
+            depth = tape.conv(stacked, p["depth_refine.kernel"], p["depth_refine.bias"])
             out.append(_take_channel(depth, 0))
         return out
 
-    def loss(self, scene_images, scene_cameras, occupancy_gt=None, depth_gt=None):
-        """Scalar loss node for one scene batch."""
+    def loss(self, scene, order):
+        """Scalar loss node for the views `order` of one scene (a tensorio.SceneData)."""
+        images = scene.images[order]
+        if images.shape[1:3] != tuple(self.cfg.image_hw):
+            raise ValueError(f"scene {scene.name} has images of (H, W) {images.shape[1:3]}, "
+                             f"the model takes {self.cfg.image_hw}")
+        cameras = [scene.cameras[i] for i in order]
         if self.cfg.head == "voxel":
-            probs = self.occupancy(scene_images, scene_cameras)
-            return tape.bce(probs, np.asarray(occupancy_gt, dtype=np.float64))
-        preds = self.depth_maps(scene_images, scene_cameras)
+            probs = self.occupancy(images, cameras)
+            return tape.bce(probs, np.asarray(scene.occupancy, dtype=np.float64))
         total = None
-        for pred, gt in zip(preds, depth_gt):
-            gt = np.asarray(gt, dtype=np.float64)
+        for pred, i in zip(self.depth_maps(images, cameras), order):
+            gt = np.asarray(scene.depths[i], dtype=np.float64)
             term = tape.l1_masked(pred, gt, gt > 0)
             total = term if total is None else tape.add(total, term)
-        return tape.scale(total, 1.0 / len(preds))
+        return tape.scale(total, 1.0 / len(order))
 
 
 def _take_channel(node, index):
@@ -254,13 +259,13 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
     for key in ("encoder_channels", "reasoner_channels", "image_hw"):
         cfg_dict[key] = tuple(cfg_dict[key])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
-    by_name = {p.name: p for p in model.parameters()}
-    missing = sorted(by_name.keys() - meta["parameters"].keys())
+    params = model.params
+    missing = sorted(params.keys() - meta["parameters"].keys())
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
     for name, entry in meta["parameters"].items():
         values = read_tensor(ckpt_dir / entry["file"]).astype(np.float64)
-        if name not in by_name or values.shape != by_name[name].value.shape:
+        if name not in params or values.shape != params[name].value.shape:
             raise ValueError(f"checkpoint entry {name} does not match the model")
-        by_name[name].value = values
+        params[name].value = values
     return model

@@ -48,13 +48,7 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
     opt = Adam(model.parameters(), lr=cfg.lr)
     losses: list[float] = []
     for t, (scene, order) in enumerate(_batches(scenes, cfg, iters)):
-        images = scene.images[order]
-        cameras = [scene.cameras[i] for i in order]
-        loss = model.loss(
-            images, cameras,
-            occupancy_gt=scene.occupancy,
-            depth_gt=[scene.depths[i] for i in order],
-        )
+        loss = model.loss(scene, order)
         losses.append(float(loss.value))
         if t == iters:
             break
@@ -93,10 +87,5 @@ def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int | None = 
         if k > scene.n_views:
             raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {k}")
         order = rng.permutation(scene.n_views)[:k]
-        loss = model.loss(
-            scene.images[order], [scene.cameras[i] for i in order],
-            occupancy_gt=scene.occupancy,
-            depth_gt=[scene.depths[i] for i in order],
-        )
-        total += float(loss.value)
+        total += float(model.loss(scene, order).value)
     return total / len(scenes)

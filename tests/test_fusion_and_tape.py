@@ -7,7 +7,6 @@ from helpers import fd_gradient, max_rel_error
 
 from voxelstereo.diffops import GeomFeatureConfig
 from voxelstereo.fusion import (
-    GruCellParams,
     fuse_recurrent_node,
     gru_step_node,
     init_gru_params,
@@ -17,11 +16,9 @@ from voxelstereo.geometry import Intrinsics, Pose, VoxelGridSpec, look_at
 from voxelstereo.nnkit import layers, tape
 
 
-def zeroed(params: GruCellParams) -> GruCellParams:
-    for p in params.parameters():
-        p.value[...] = 0.0
-    for gate in (params.update, params.reset, params.candidate):
-        gate.ln_gain.value[...] = 1.0
+def zeroed(params):
+    for name, p in params.items():
+        p.value[...] = 1.0 if name.endswith(".ln_gain") else 0.0
     return params
 
 
@@ -70,7 +67,7 @@ class TestGruStep:
 
     def test_closed_update_gate_freezes_state(self):
         params = zeroed(init_gru_params(2, 2, rng=np.random.default_rng(0)))
-        params.update.ln_shift.value[...] = -50.0  # z -> 0
+        params["gru.update.ln_shift"].value[...] = -50.0  # z -> 0
         h = np.random.default_rng(2).random((3, 3, 3, 2))
         x = np.random.default_rng(3).random((3, 3, 3, 2))
         np.testing.assert_allclose(gru_step_node(h, x, params).value, h, atol=1e-12)
@@ -78,8 +75,8 @@ class TestGruStep:
     def test_open_update_gate_overwrites_state(self):
         rng = np.random.default_rng(4)
         params = init_gru_params(2, 2, rng=rng)
-        params.update.ln_shift.value[...] = 50.0   # z -> 1: h' = candidate
-        params.reset.ln_shift.value[...] = -50.0   # r -> 0: candidate ignores h
+        params["gru.update.ln_shift"].value[...] = 50.0   # z -> 1: h' = candidate
+        params["gru.reset.ln_shift"].value[...] = -50.0   # r -> 0: candidate ignores h
         grids = [rng.random((3, 3, 3, 2)) for _ in range(3)]
         out = fuse_recurrent_node(grids, params).value
         # full overwrite: result depends only on the last view
@@ -117,7 +114,7 @@ class TestGruStep:
         tape.backward(loss)
         # layer norm over 2 channels has strong curvature; step 1e-4 keeps
         # the O(h^2) truncation below the 1e-3 tolerance
-        for p in params.parameters():
+        for p in params.values():
             def f(v, p=p):
                 old = p.value.copy()
                 p.value = v
@@ -137,20 +134,21 @@ class TestGruStep:
         rng = np.random.default_rng(10)
         c_in, c_h = 3, 2
         params = init_gru_params(c_in, c_h, rng=rng)
-        for p in params.parameters():
+        for p in params.values():
             p.value = p.value + 0.3 * rng.standard_normal(p.value.shape)
         h = rng.standard_normal((4, 4, 4, c_h))
         x = rng.standard_normal((4, 4, 4, c_in))
 
         def preact(gate, state):
-            k = gate.kernel.value
-            pre = (layers.conv_forward(x, k[..., :c_in, :], gate.bias.value)
+            k, b, gain, shift = (params[f"gru.{gate}.{name}"].value
+                                 for name in ("kernel", "bias", "ln_gain", "ln_shift"))
+            pre = (layers.conv_forward(x, k[..., :c_in, :], b)
                    + layers.conv_forward(state, k[..., c_in:, :]))
-            return layers.layer_norm_channels(pre, gate.ln_gain.value, gate.ln_shift.value)
+            return layers.layer_norm_channels(pre, gain, shift)
 
-        z = layers.sigmoid(preact(params.update, h))
-        r = layers.sigmoid(preact(params.reset, h))
-        c = np.tanh(preact(params.candidate, r * h))
+        z = layers.sigmoid(preact("update", h))
+        r = layers.sigmoid(preact("reset", h))
+        c = np.tanh(preact("candidate", r * h))
         expected = (1.0 - z) * h + z * c
         out = gru_step_node(h, x, params).value
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)

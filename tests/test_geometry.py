@@ -180,6 +180,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_intrinsics_rejected(self, field, value):
+        kwargs = dict(fx=100.0, fy=100.0, cx=16.0, cy=16.0, width=32, height=32)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Intrinsics(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rotation", "translation"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_pose_rejected(self, field, value):
+        kwargs = dict(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
+        kwargs[field].flat[0] = value
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries"):
+            Pose(**kwargs)
+
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             VoxelGridSpec(resolution=0)

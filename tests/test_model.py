@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxelstereo.nnkit.model import ToyModelConfig, load_checkpoint, save_checkpoint
+from voxelstereo.nnkit.model import ToyModel, ToyModelConfig, load_checkpoint, save_checkpoint
 from voxelstereo.nnkit.tape import backward
 from voxelstereo.nnkit.train import dataset_loss, train_toy
 from voxelstereo.synthgen import generate_dataset
@@ -57,9 +57,7 @@ def test_tape_gradient_matches_central_difference(dataset, head, fusion):
     views = [0, 1]
 
     def loss():
-        return model.loss(scene.images[views], [scene.cameras[i] for i in views],
-                          occupancy_gt=scene.occupancy,
-                          depth_gt=[scene.depths[i] for i in views])
+        return model.loss(scene, views)
 
     for p in model.parameters():
         p.zero_grad()
@@ -86,6 +84,40 @@ def test_tape_gradient_matches_central_difference(dataset, head, fusion):
             p.value = x
         numeric = (ends[0] - ends[1]) / (2 * step)
         assert abs(numeric - analytic) <= 1e-5 * abs(analytic), (name, analytic, numeric)
+
+
+def conv_block(name):
+    return {f"{name}.{p}" for p in ("kernel", "bias", "gain", "shift")}
+
+
+ENCODER_AND_REASONER = set().union(*map(conv_block, ["enc1", "enc2", "enc3", "reason1",
+                                                     "reason2"]))
+GRU = {f"gru.{gate}.{p}" for gate in ("update", "reset", "candidate")
+       for p in ("kernel", "bias", "ln_gain", "ln_shift")}
+# n_z * reasoner_channels[1] = 32 * 8 ray channels, halved eight times to one
+RAY_REDUCE = {f"ray_reduce{i}.{p}" for i in range(8) for p in ("kernel", "bias")}
+CHECKPOINT_NAMES = {
+    ("voxel", "gru"): ENCODER_AND_REASONER | GRU | {"voxel_head.kernel", "voxel_head.bias"},
+    ("depth", "mean"): ENCODER_AND_REASONER | RAY_REDUCE
+    | {"depth_refine.kernel", "depth_refine.bias"},
+}
+
+
+@pytest.mark.parametrize("head,fusion", PIPELINES)
+def test_parameter_store_holds_exactly_the_checkpoint_names(head, fusion):
+    model = ToyModel.create(tiny_config(head, fusion))
+    assert set(model.params) == CHECKPOINT_NAMES[head, fusion]
+    assert all(p.name == key for key, p in model.params.items())
+    assert model.parameters() == list(model.params.values())
+
+
+@pytest.mark.parametrize("head", ["voxel", "depth"])
+def test_loss_rejects_images_of_another_size(dataset, head):
+    # the dataset's images are 16 x 16
+    model = ToyModel.create(replace(tiny_config(head, "mean"), image_hw=(8, 8)))
+    scene = dataset.load_all()[0]
+    with pytest.raises(ValueError, match=r"\(16, 16\).*\(8, 8\)"):
+        model.loss(scene, [0, 1])
 
 
 @pytest.mark.parametrize("head,fusion", PIPELINES)
@@ -190,7 +222,5 @@ def test_dataset_loss_is_the_mean_scene_loss_of_a_seeded_view_draw(depth_run, da
     scenes = dataset.load_all()
     for scene in scenes:
         order = rng.permutation(scene.n_views)[:model.cfg.views]
-        total += float(model.loss(scene.images[order], [scene.cameras[i] for i in order],
-                                  occupancy_gt=scene.occupancy,
-                                  depth_gt=[scene.depths[i] for i in order]).value)
+        total += float(model.loss(scene, order).value)
     assert value == total / len(scenes)

@@ -124,3 +124,12 @@ class TestCameraFile:
         p.write_text(" ".join(str(x) for x in nums) + "\n")
         with pytest.raises(ValueError, match=r"cameras\.txt: line 1: width and height"):
             load_cameras(p)
+
+    def test_non_finite_camera_rejected(self, tmp_path):
+        p = tmp_path / "cameras.txt"
+        p.write_text("inf 100 16 16 32 32 1 0 0 0 1 0 0 0 1 nan 0 2\n")
+        with pytest.raises(ValueError, match="fx must be finite"):
+            load_cameras(p)
+        p.write_text("100 100 16 16 32 32 1 0 0 0 1 0 0 0 1 nan 0 2\n")
+        with pytest.raises(ValueError, match="translation has non-finite entries"):
+            load_cameras(p)
