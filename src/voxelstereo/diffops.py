@@ -54,13 +54,13 @@ _TIE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class GeomFeatureConfig:
-    """Geometric channels appended during unprojection."""
+    """Whether unprojection appends, as LSM does, each voxel's camera depth
+    and unit world viewing-ray direction (four channels, in that order)."""
 
-    append_depth: bool = False
-    append_ray_dir: bool = False
+    geometric: bool = False
 
     def out_channels(self, c_in: int) -> int:
-        return c_in + int(self.append_depth) + 3 * int(self.append_ray_dir)
+        return c_in + 4 * self.geometric
 
 
 def _sampling_matrix(lin, weights, n_cols):
@@ -149,12 +149,10 @@ def unproject(
     v = spec.resolution
     centers, z, s = _unproject_geometry(fmap.shape, cam, pose, spec)
     parts = [s @ fmap.reshape(h * w, c)]
-    if gcfg.append_depth:
-        parts.append(z[:, None])
-    if gcfg.append_ray_dir:
+    if gcfg.geometric:
         rays = centers - pose.camera_center
         norms = np.linalg.norm(rays, axis=1, keepdims=True)
-        parts.append(np.divide(rays, norms, out=np.zeros_like(rays), where=norms > 0))
+        parts += [z[:, None], np.divide(rays, norms, out=np.zeros_like(rays), where=norms > 0)]
     return np.concatenate(parts, axis=1).reshape(v, v, v, -1)
 
 
@@ -180,6 +178,8 @@ def plane_depths(
     spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int
 ) -> tuple[np.ndarray, float]:
     """Midpoint depth samples of [z_near, z_far] and their spacing."""
+    if n_planes < 1:
+        raise ValueError(f"n_planes must be >= 1, got {n_planes}")
     z_near, z_far = camera_z_range(spec, cam, pose)
     spacing = (z_far - z_near) / n_planes
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing

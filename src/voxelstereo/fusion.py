@@ -33,13 +33,12 @@ from .nnkit import tape
 from .nnkit.tape import Parameter, TapeNode
 
 
-def init_gru_params(c_in, c_hidden, rng=None) -> dict[str, Parameter]:
+def init_gru_params(c_in, c_hidden, rng) -> dict[str, Parameter]:
     """{gru.<gate>.<kernel|bias|ln_gain|ln_shift>: Parameter} of one cell.
 
     He-initialized kernels, zero biases, unit layer-norm gains; each gate's
     x rows and h rows are He-scaled by their own fan-in.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     values = {}
     for gate in ("update", "reset", "candidate"):
         w_x = rng.standard_normal((3, 3, 3, c_in, c_hidden)) * np.sqrt(2.0 / (27 * c_in))

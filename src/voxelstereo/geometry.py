@@ -48,6 +48,11 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        if not (float(self.width).is_integer() and float(self.height).is_integer()):
+            raise ValueError(f"width and height must be integers, "
+                             f"got {self.width!r} and {self.height!r}")
+        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "height", int(self.height))
         for name in ("fx", "fy", "cx", "cy"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -104,11 +109,15 @@ class VoxelGridSpec:
     side: float = 1.0
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if self.side <= 0:
-            raise ValueError(f"side must be positive, got {self.side}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not (float(self.resolution).is_integer() and self.resolution >= 1):
+            raise ValueError(f"resolution must be an integer >= 1, got {self.resolution!r}")
+        if not (np.isfinite(self.side) and self.side > 0):
+            raise ValueError(f"side must be positive and finite, got {self.side}")
+        center = tuple(float(c) for c in self.center)
+        if not np.isfinite(center).all():
+            raise ValueError(f"center must be finite, got {center}")
+        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "center", center)
 
     @property
     def voxel_size(self) -> float:

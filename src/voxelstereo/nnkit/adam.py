@@ -1,30 +1,31 @@
-"""Bias-corrected Adam."""
+"""Bias-corrected Adam with the constants of Kingma & Ba (arXiv 1412.6980)."""
 
 from __future__ import annotations
 
 import numpy as np
 
+LR = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-def adam_step(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+
+def adam_step(value, grad, m, v, t, lr):
     """One Adam update; returns (new_value, new_m, new_v). t is 1-based."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + EPS), m, v
 
 
 class Adam:
-    """Keeps per-parameter moments for a list of tape Parameters."""
+    """Keeps per-parameter moments for a list of tape Parameters; steps by LR."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -34,9 +35,7 @@ class Adam:
         for i, p in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.value)
             p.value, self._m[i], self._v[i] = adam_step(
-                p.value, grad, self._m[i], self._v[i], self.t,
-                self.lr, self.beta1, self.beta2, self.eps,
-            )
+                p.value, grad, self._m[i], self._v[i], self.t, LR)
 
     def zero_grad(self):
         for p in self.params:

@@ -132,19 +132,19 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     return grad_x, grad_k, grad_b
 
 
-def _norm_forward(x, gain, shift, axes, eps):
+def _norm_forward(x, gain, shift, axes):
     mu = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
+    xhat = (x - mu) / np.sqrt(var + _EPS_NORM)
     return gain * xhat + shift, xhat, var
 
 
-def _norm_vjp(gain, xhat, var, axes, param_axes, eps, upstream):
+def _norm_vjp(gain, xhat, var, axes, param_axes, upstream):
     # axes: normalization axes; param_axes: broadcast axes of gain/shift
     grad_gain = (upstream * xhat).sum(axis=param_axes)
     grad_shift = upstream.sum(axis=param_axes)
     g = upstream * gain
-    inv_s = 1.0 / np.sqrt(var + eps)
+    inv_s = 1.0 / np.sqrt(var + _EPS_NORM)
     grad_x = inv_s * (
         g
         - g.mean(axis=axes, keepdims=True)
@@ -153,34 +153,34 @@ def _norm_vjp(gain, xhat, var, axes, param_axes, eps, upstream):
     return grad_x, grad_gain, grad_shift
 
 
-def instance_norm(x, gain, shift, eps=_EPS_NORM):
+def instance_norm(x, gain, shift):
     """Zero mean / unit variance per channel over the spatial axes, then affine."""
     x = np.asarray(x, dtype=np.float64)
     axes = tuple(range(x.ndim - 1))
-    out, _, _ = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes, eps)
+    out, _, _ = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes)
     return out
 
 
-def instance_norm_vjp(x, gain, shift, upstream, eps=_EPS_NORM):
+def instance_norm_vjp(x, gain, shift, upstream):
     x = np.asarray(x, dtype=np.float64)
     axes = tuple(range(x.ndim - 1))
-    _, xhat, var = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes, eps)
-    return _norm_vjp(np.asarray(gain), xhat, var, axes, axes, eps, np.asarray(upstream))
+    _, xhat, var = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes)
+    return _norm_vjp(np.asarray(gain), xhat, var, axes, axes, np.asarray(upstream))
 
 
-def layer_norm_channels(x, gain, shift, eps=_EPS_NORM):
+def layer_norm_channels(x, gain, shift):
     """Zero mean / unit variance over the channel axis per position, then affine."""
     x = np.asarray(x, dtype=np.float64)
-    out, _, _ = _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,), eps)
+    out, _, _ = _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,))
     return out
 
 
-def layer_norm_channels_vjp(x, gain, shift, upstream, eps=_EPS_NORM):
+def layer_norm_channels_vjp(x, gain, shift, upstream):
     x = np.asarray(x, dtype=np.float64)
     axes = (x.ndim - 1,)
     param_axes = tuple(range(x.ndim - 1))  # gain/shift are per channel
-    _, xhat, var = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes, eps)
-    return _norm_vjp(np.asarray(gain), xhat, var, axes, param_axes, eps, np.asarray(upstream))
+    _, xhat, var = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes)
+    return _norm_vjp(np.asarray(gain), xhat, var, axes, param_axes, np.asarray(upstream))
 
 
 def relu(x):

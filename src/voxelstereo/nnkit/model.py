@@ -13,20 +13,24 @@ loss(scene, order) is the one entry from data to a loss: it takes the views
 `order` of one loaded scene, with their images, cameras and ground truth,
 and raises ValueError when the scene's image (H, W) is not cfg.image_hw.
 
+Layer widths are the constants ENCODER_CHANNELS, REASONER_CHANNELS and
+GRU_HIDDEN, and unprojection always appends each voxel's depth and ray
+direction (GEOM_FEATURES); ToyModelConfig holds what runs vary.
+
 Every learnable parameter, the GRU gates included, lives in ToyModel.params
 under its checkpoint name. Checkpoints are a directory with one tensor file
 per parameter plus a manifest of names and shapes. Values are stored as
 float32, so a loaded parameter equals
 value.astype(np.float32).astype(np.float64) of the saved one, not the
-float64 value itself. Loading rejects a checkpoint whose manifest lacks a
-model parameter, names one the model does not have, or gives a mis-shaped
-one.
+float64 value itself. Loading rejects a checkpoint whose config names a
+field ToyModelConfig does not take, or whose manifest lacks a model
+parameter, names one the model does not have, or gives a mis-shaped one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,23 +43,26 @@ from . import tape
 from .tape import Parameter
 
 
+ENCODER_CHANNELS = (8, 16, 16)
+REASONER_CHANNELS = (16, 8)
+GRU_HIDDEN = 16
+GEOM_FEATURES = GeomFeatureConfig(geometric=True)
+
+
 @dataclass
 class ToyModelConfig:
-    encoder_channels: tuple[int, int, int] = (8, 16, 16)
-    reasoner_channels: tuple[int, int] = (16, 8)
     fusion: str = "gru"                    # "gru" | "mean" | "max"
     head: str = "voxel"                    # "voxel" | "depth"
     n_z: int = 32
     image_hw: tuple[int, int] = (64, 64)
     grid_resolution: int = 32
     views: int = 4
-    lr: float = 1e-3
     seed: int = 0
-    gru_hidden: int = 16
 
     def __post_init__(self):
-        if self.views < 1:
-            raise ValueError("views must be >= 1")
+        for name in ("views", "n_z", "grid_resolution"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fusion not in ("gru", "mean", "max"):
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if self.head not in ("voxel", "depth"):
@@ -68,13 +75,9 @@ class ToyModelConfig:
         return VoxelGridSpec(resolution=self.grid_resolution)
 
     @property
-    def geom_features(self) -> GeomFeatureConfig:
-        return GeomFeatureConfig(append_depth=True, append_ray_dir=True)
-
-    @property
     def fused_channels(self) -> int:
-        unproj = self.geom_features.out_channels(self.encoder_channels[2])
-        return self.gru_hidden if self.fusion == "gru" else unproj
+        unproj = GEOM_FEATURES.out_channels(ENCODER_CHANNELS[2])
+        return GRU_HIDDEN if self.fusion == "gru" else unproj
 
 
 def _he(rng, shape):
@@ -96,7 +99,7 @@ def _conv_block(rng, params, name, kshape):
 
 def _ray_reduce_chain(cfg: ToyModelConfig) -> list[tuple[int, int]]:
     """(C_in, C_out) of each ray_reduce conv: n_z * C ray channels halved to one."""
-    c = cfg.n_z * cfg.reasoner_channels[1]
+    c = cfg.n_z * REASONER_CHANNELS[1]
     chain = []
     while c > 1:
         chain.append((c, c // 2))
@@ -115,14 +118,13 @@ class ToyModel:
     def create(cls, cfg: ToyModelConfig) -> "ToyModel":
         rng = np.random.default_rng([cfg.seed, 0])
         params: dict[str, Parameter] = {}
-        e1, e2, e3 = cfg.encoder_channels
+        e1, e2, e3 = ENCODER_CHANNELS
         _conv_block(rng, params, "enc1", (3, 3, 3, e1))
         _conv_block(rng, params, "enc2", (3, 3, e1, e2))
         _conv_block(rng, params, "enc3", (3, 3, e2, e3))
         if cfg.fusion == "gru":
-            params.update(init_gru_params(cfg.geom_features.out_channels(e3), cfg.gru_hidden,
-                                          rng=rng))
-        r1, r2 = cfg.reasoner_channels
+            params.update(init_gru_params(GEOM_FEATURES.out_channels(e3), GRU_HIDDEN, rng))
+        r1, r2 = REASONER_CHANNELS
         _conv_block(rng, params, "reason1", (3, 3, 3, cfg.fused_channels, r1))
         _conv_block(rng, params, "reason2", (3, 3, 3, r1, r2))
 
@@ -178,7 +180,7 @@ class ToyModel:
             feat, skip = self.encode(np.asarray(image, dtype=np.float64))
             fh, fw = feat.value.shape[:2]
             feat_cam = scale_intrinsics(cam, fw, fh)
-            grids.append(tape.unproject(feat, feat_cam, pose, cfg.grid_spec, cfg.geom_features))
+            grids.append(tape.unproject(feat, feat_cam, pose, cfg.grid_spec, GEOM_FEATURES))
             views.append((skip, feat_cam, pose))
         fused = self.fuse(grids)
         g = self._conv_in_relu(fused, "reason1")
@@ -256,8 +258,10 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
     ckpt_dir = Path(ckpt_dir)
     meta = json.loads((ckpt_dir / "manifest.json").read_text())
     cfg_dict = meta["config"]
-    for key in ("encoder_channels", "reasoner_channels", "image_hw"):
-        cfg_dict[key] = tuple(cfg_dict[key])
+    unknown = sorted(cfg_dict.keys() - {f.name for f in fields(ToyModelConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint config has unknown fields: {', '.join(unknown)}")
+    cfg_dict["image_hw"] = tuple(cfg_dict["image_hw"])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
     params = model.params
     missing = sorted(params.keys() - meta["parameters"].keys())

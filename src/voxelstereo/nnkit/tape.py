@@ -163,15 +163,12 @@ def softmax_channels(a):
 
 # --- convolutions and resampling ---------------------------------------------
 
-def conv(x, kernel, bias=None, stride=1, padding="same"):
-    x, kernel = as_node(x), as_node(kernel)
+def conv(x, kernel, bias, stride=1):
+    """Same-padded convolution plus bias."""
+    x, kernel, bias = as_node(x), as_node(kernel), as_node(bias)
     xv, kv = x.value, kernel.value
-    parents = (x, kernel) if bias is None else (x, kernel, as_node(bias))
-    out = layers.conv_forward(xv, kv, None if bias is None else parents[2].value,
-                              stride, padding)
-    # without a bias parent, the bias cotangent is dropped
-    return TapeNode(out, parents,
-                    lambda g: layers.conv_vjp(xv, kv, stride, padding, g)[:len(parents)])
+    return TapeNode(layers.conv_forward(xv, kv, bias.value, stride), (x, kernel, bias),
+                    lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
 
 
 def upsample_nearest(x, factor):
@@ -191,12 +188,13 @@ def unproject(fmap, cam, pose, spec, gcfg):
                     lambda g: (diffops.unproject_vjp(fv, cam, pose, spec, gcfg, g),))
 
 
-def project(grid, spec, cam, pose, n_planes, interp="nearest"):
+def project(grid, spec, cam, pose, n_planes):
+    """Nearest-neighbor ray samples of the grid on n_planes depth planes."""
     grid = as_node(grid)
     gv = grid.value
-    out = diffops.project(gv, spec, cam, pose, n_planes, interp)
+    out = diffops.project(gv, spec, cam, pose, n_planes, "nearest")
     return TapeNode(out, (grid,),
-                    lambda g: (diffops.project_vjp(gv, spec, cam, pose, n_planes, interp, g),))
+                    lambda g: (diffops.project_vjp(gv, spec, cam, pose, n_planes, "nearest", g),))
 
 
 # --- reductions over view stacks ----------------------------------------------

@@ -2,14 +2,13 @@
 
 One scene per iteration, a freshly shuffled view subset each time (the
 recurrent fusion must not overfit one ordering), Adam updates, a two-column
-loss curve and a checkpoint directory as outputs. Fixed seeds reproduce the
-run bitwise.
+loss curve and a checkpoint directory, whose manifest holds the run's
+config, as outputs. Fixed seeds reproduce the run bitwise.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
         raise ValueError("iters must be >= 0")
     scenes = dataset.load_all()
     model = ToyModel.create(cfg)
-    opt = Adam(model.parameters(), lr=cfg.lr)
+    opt = Adam(model.parameters())
     losses: list[float] = []
     for t, (scene, order) in enumerate(_batches(scenes, cfg, iters)):
         loss = model.loss(scene, order)
@@ -66,8 +65,6 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
         save_checkpoint(model, ckpt)
         curve = "".join(f"{i} {v!r}\n" for i, v in enumerate(losses))
         (out_dir / "loss_curve.txt").write_text(curve)
-        (out_dir / "train_config.json").write_text(
-            json.dumps(asdict(cfg), sort_keys=True, indent=1) + "\n")
     return TrainResult(model=model, losses=losses, checkpoint_dir=ckpt)
 
 

@@ -7,14 +7,15 @@ unit cube centered at the origin.
 
 Rendering sphere-traces each pixel ray (max 256 steps, hit tolerance 1e-5)
 and returns the textured Lambertian-shaded image, the exact camera-frame
-depth (0 at misses) and the hit mask. The textureless variant renders flat
-albedo with no shading, which deliberately starves window-based stereo
-matchers of signal.
+depth (0 at misses) and the hit mask. A textureless scene
+(make_scene(..., textureless=True)) is flat and unshaded: one albedo and no
+shading, which deliberately starves window-based stereo matchers of signal.
+Datasets hold textured scenes only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,14 @@ from .tensorio import DatasetManifest, write_scene
 MAX_MARCH_STEPS = 256
 HIT_TOL = 1e-5
 _LIGHT_DIR = np.array([0.45, 0.8, -0.4]) / np.linalg.norm([0.45, 0.8, -0.4])
+
+# Texture: a 3D checker modulated by aperiodic value noise, since a bare periodic checker
+# repeats correlation peaks along epipolar lines. In the near-isoluminant palette the
+# checker stays visible in color while grayscale matching sees mostly the noise.
+_CHECKER_CELL = 0.125
+_NOISE_SCALE = 14.0
+_COLOR_A = np.array([0.9, 0.35, 0.25])
+_COLOR_B = np.array([0.25, 0.5, 0.95])
 
 
 @dataclass(frozen=True)
@@ -67,24 +76,6 @@ class Cylinder:
         return np.minimum(q.max(axis=-1), 0.0) + np.linalg.norm(np.maximum(q, 0.0), axis=-1)
 
 
-@dataclass(frozen=True)
-class TextureSpec:
-    """3D checker modulated by aperiodic value noise, or flat albedo.
-
-    The noise keeps patch matching unambiguous: a bare periodic checker
-    produces repeated correlation peaks along epipolar lines.
-    """
-
-    kind: str = "checker"          # "checker" | "flat"
-    cell: float = 0.125
-    noise_scale: float = 14.0
-    # near-isoluminant palettes: the checker stays visible in color while
-    # grayscale matching sees mostly the aperiodic noise, which keeps
-    # correlation peaks unambiguous (a periodic pattern repeats them)
-    color_a: tuple[float, float, float] = (0.9, 0.35, 0.25)
-    color_b: tuple[float, float, float] = (0.25, 0.5, 0.95)
-
-
 def _lattice_hash(ix, iy, iz, seed):
     """Deterministic pseudo-random [0, 1) value per integer lattice point."""
     seed_mix = np.uint64((int(seed) * 0xD6E8FEB86659FD93) & 0xFFFFFFFFFFFFFFFF)
@@ -118,10 +109,13 @@ def value_noise(pts, scale, seed):
 
 @dataclass
 class SceneSpec:
-    """Primitives combined left to right; ops are "union" or "subtract"."""
+    """Primitives combined left to right; ops are "union" or "subtract".
+
+    An untextured scene renders flat _COLOR_A albedo with no shading.
+    """
 
     nodes: list[tuple[str, object]]
-    texture: TextureSpec = field(default_factory=TextureSpec)
+    textured: bool = True
     family: str = "composite"
     seed: int = 0
 
@@ -149,34 +143,34 @@ def sdf_eval(scene: SceneSpec, pts) -> np.ndarray:
     return d
 
 
-def sdf_normal(scene: SceneSpec, pts, eps=1e-5) -> np.ndarray:
+def sdf_normal(scene: SceneSpec, pts) -> np.ndarray:
+    """Unit SDF gradient by central differences of step 1e-5."""
     pts = np.asarray(pts, dtype=np.float64)
     n = np.empty_like(pts)
     for a in range(3):
         off = np.zeros(3)
-        off[a] = eps
+        off[a] = 1e-5
         n[..., a] = sdf_eval(scene, pts + off) - sdf_eval(scene, pts - off)
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
     return np.divide(n, norm, out=np.zeros_like(n), where=norm > 0)
 
 
 def texture_color(scene: SceneSpec, pts) -> np.ndarray:
-    tex = scene.texture
     pts = np.asarray(pts, dtype=np.float64)
-    if tex.kind == "flat":
-        return np.broadcast_to(np.asarray(tex.color_a), pts.shape).copy()
-    parity = np.floor(pts / tex.cell).sum(axis=-1) % 2
-    base = np.where(parity[..., None] > 0.5, np.asarray(tex.color_b), np.asarray(tex.color_a))
+    if not scene.textured:
+        return np.broadcast_to(_COLOR_A, pts.shape).copy()
+    parity = np.floor(pts / _CHECKER_CELL).sum(axis=-1) % 2
+    base = np.where(parity[..., None] > 0.5, _COLOR_B, _COLOR_A)
     # three noise octaves: coarse disambiguates globally, fine sharpens peaks
-    n = (0.35 * value_noise(pts + 17.3, 0.4 * tex.noise_scale, scene.seed + 2)
-         + 0.45 * value_noise(pts, tex.noise_scale, scene.seed)
-         + 0.20 * value_noise(pts + 31.7, 2.6 * tex.noise_scale, scene.seed + 1))
+    n = (0.35 * value_noise(pts + 17.3, 0.4 * _NOISE_SCALE, scene.seed + 2)
+         + 0.45 * value_noise(pts, _NOISE_SCALE, scene.seed)
+         + 0.20 * value_noise(pts + 31.7, 2.6 * _NOISE_SCALE, scene.seed + 1))
     return np.clip(base * (0.35 + 0.75 * n)[..., None], 0.0, 1.0)
 
 
-def assert_inside_unit_cube(scene: SceneSpec, samples_per_face=33) -> None:
-    """The shape may not poke through the faces of the unit cube."""
-    lin = np.linspace(-0.5, 0.5, samples_per_face)
+def assert_inside_unit_cube(scene: SceneSpec) -> None:
+    """The shape may not poke through the faces of the unit cube (33^2 samples each)."""
+    lin = np.linspace(-0.5, 0.5, 33)
     a, b = np.meshgrid(lin, lin)
     for axis in range(3):
         for sign in (-0.5, 0.5):
@@ -188,10 +182,11 @@ def assert_inside_unit_cube(scene: SceneSpec, samples_per_face=33) -> None:
                 raise ValueError(f"scene escapes the unit cube through face {axis}/{sign}")
 
 
-def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose, shaded: bool = True):
+def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose):
     """Sphere-trace one view; returns (image HxWx3, depth HxW, mask HxW).
 
     Depth is camera-frame z at the hit, 0 at misses; the background is white.
+    Textured scenes are Lambertian-shaded, untextured ones show flat albedo.
     """
     h, w = cam.height, cam.width
     origin, dirs = rays_through_pixels(pixel_grid(cam).reshape(-1, 2), cam, pose)
@@ -220,13 +215,11 @@ def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose, shaded: bool = Tr
     image = np.ones((n, 3))
     if hit.any():
         albedo = texture_color(scene, points[hit])
-        if shaded:
+        if scene.textured:
             normals = sdf_normal(scene, points[hit])
             lambert = np.clip(normals @ _LIGHT_DIR, 0.0, 1.0)
-            shade = 0.25 + 0.75 * lambert
-            image[hit] = np.clip(albedo * shade[:, None], 0.0, 1.0)
-        else:
-            image[hit] = albedo
+            albedo = np.clip(albedo * (0.25 + 0.75 * lambert)[:, None], 0.0, 1.0)
+        image[hit] = albedo
     return image.reshape(h, w, 3), depth, mask
 
 
@@ -271,15 +264,15 @@ def default_intrinsics(width: int, height: int) -> Intrinsics:
 # --- scene families -----------------------------------------------------------
 
 
-def make_sphere_scene(rng: np.random.Generator, texture=None) -> SceneSpec:
+def make_sphere_scene(rng: np.random.Generator) -> SceneSpec:
     r = rng.uniform(0.3, 0.45)
     c = rng.uniform(-0.04, 0.04, 3)
     c = np.clip(c, -(0.49 - r), 0.49 - r)
     return SceneSpec(nodes=[("union", Sphere(center=tuple(c), radius=float(r)))],
-                     texture=texture or TextureSpec(), family="sphere")
+                     family="sphere")
 
 
-def make_box_scene(rng: np.random.Generator, texture=None) -> SceneSpec:
+def make_box_scene(rng: np.random.Generator) -> SceneSpec:
     he = rng.uniform(0.18, 0.42, 3)
     nodes = [("union", Box(center=(0.0, 0.0, 0.0), half_extents=tuple(he)))]
     if rng.random() < 0.5:
@@ -287,10 +280,10 @@ def make_box_scene(rng: np.random.Generator, texture=None) -> SceneSpec:
         nodes.append(("union", Cylinder(center=(0.0, 0.0, 0.0), axis=axis,
                                         radius=float(rng.uniform(0.08, 0.18)),
                                         height=float(rng.uniform(0.5, 0.9)))))
-    return SceneSpec(nodes=nodes, texture=texture or TextureSpec(), family="box")
+    return SceneSpec(nodes=nodes, family="box")
 
 
-def make_composite_scene(rng: np.random.Generator, texture=None) -> SceneSpec:
+def make_composite_scene(rng: np.random.Generator) -> SceneSpec:
     """Concave shapes a silhouette hull cannot represent."""
     he = rng.uniform(0.3, 0.42, 3)
     nodes = [("union", Box(center=(0.0, 0.0, 0.0), half_extents=tuple(he)))]
@@ -305,7 +298,7 @@ def make_composite_scene(rng: np.random.Generator, texture=None) -> SceneSpec:
         nodes.append(("subtract", Cylinder(center=tuple(hole), axis=axis2,
                                            radius=float(rng.uniform(0.4, 0.7) * bite_r),
                                            height=2.0)))
-    return SceneSpec(nodes=nodes, texture=texture or TextureSpec(), family="composite")
+    return SceneSpec(nodes=nodes, family="composite")
 
 
 _FAMILIES = {
@@ -316,10 +309,8 @@ _FAMILIES = {
 
 
 def make_scene(family: str, seed: int, textureless: bool = False) -> SceneSpec:
-    rng = np.random.default_rng(seed)
-    texture = TextureSpec(kind="flat") if textureless else TextureSpec()
-    scene = _FAMILIES[family](rng, texture=texture)
-    scene.seed = seed
+    scene = replace(_FAMILIES[family](np.random.default_rng(seed)),
+                    textured=not textureless, seed=seed)
     assert_inside_unit_cube(scene)
     return scene
 
@@ -336,7 +327,7 @@ def _scene_meta(scene: SceneSpec, sampler: ViewSampler, cam: Intrinsics,
         "family": scene.family,
         "seed": seed,
         "primitives": prims,
-        "texture": {"kind": scene.texture.kind, "cell": scene.texture.cell},
+        "texture": {"kind": "checker" if scene.textured else "flat", "cell": _CHECKER_CELL},
         "view_sampler": {"radius": sampler.radius,
                          "azimuth_range": list(sampler.azimuth_range),
                          "elevation_range": list(sampler.elevation_range)},
@@ -352,10 +343,8 @@ def generate_dataset(
     seed: int,
     resolution: int = 32,
     image_size: tuple[int, int] = (64, 64),
-    textureless: bool = False,
-    families: tuple[str, ...] = ("sphere", "box", "composite"),
 ) -> DatasetManifest:
-    """Write a reproducible dataset; identical seeds give identical bytes."""
+    """Write a reproducible dataset of textured scenes; identical seeds give identical bytes."""
     if n_scenes < 1 or views_per_scene < 1:
         raise ValueError("need at least one scene and one view")
     out_dir = Path(out_dir)
@@ -364,13 +353,13 @@ def generate_dataset(
     sampler = ViewSampler()
     spec = VoxelGridSpec(resolution=resolution)
     for i in range(n_scenes):
-        family = families[i % len(families)]
+        family = list(_FAMILIES)[i % len(_FAMILIES)]
         scene_seed = int(np.random.default_rng([seed, i]).integers(0, 2**31))
-        scene = make_scene(family, scene_seed, textureless)
+        scene = make_scene(family, scene_seed)
         poses = sampler.sample(views_per_scene, np.random.default_rng([seed, i, 1]))
         images, depths, masks = [], [], []
         for pose in poses:
-            img, depth, mask = render_view(scene, cam, pose, shaded=not textureless)
+            img, depth, mask = render_view(scene, cam, pose)
             images.append(img.astype(np.float32))
             depths.append(depth.astype(np.float32))
             masks.append(mask)

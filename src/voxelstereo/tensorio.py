@@ -46,7 +46,7 @@ class TensorFormatError(ValueError):
 
 
 def write_tensor(path, values: np.ndarray, dtype: str | None = None) -> None:
-    """Write an array as a tensor file; dtype "f32" or "u8" (inferred if None)."""
+    """Write an array as "f32" or "u8" (inferred if None); u8 takes integers in [0, 255]."""
     values = np.asarray(values)
     if dtype is None:
         dtype = "u8" if values.dtype == np.uint8 else "f32"
@@ -56,6 +56,8 @@ def write_tensor(path, values: np.ndarray, dtype: str | None = None) -> None:
         raise ValueError("rank must be >= 1")
     if values.ndim > MAX_RANK:
         raise ValueError(f"rank {values.ndim} exceeds maximum {MAX_RANK}")
+    if dtype == "u8" and not np.isin(values, np.arange(256)).all():
+        raise ValueError("u8 values must be integers in [0, 255]")
     payload = np.ascontiguousarray(values, dtype=_CODE_TO_NP[DTYPE_CODES[dtype]])
     header = MAGIC + struct.pack(
         "<HBB", VERSION, DTYPE_CODES[dtype], values.ndim
@@ -111,13 +113,13 @@ def load_cameras(path) -> list[tuple[Intrinsics, Pose]]:
         vals = [float(x) for x in line.split()]
         if len(vals) != 18:
             raise ValueError(f"{path}: line {lineno}: expected 18 values, got {len(vals)}")
-        if not (vals[4].is_integer() and vals[5].is_integer()):
-            raise ValueError(f"{path}: line {lineno}: width and height must be integers, "
-                             f"got {vals[4]!r} and {vals[5]!r}")
-        cam = Intrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
-                         width=int(vals[4]), height=int(vals[5]))
-        pose = Pose(rotation=np.array(vals[6:15]).reshape(3, 3),
-                    translation=np.array(vals[15:18]))
+        try:
+            cam = Intrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
+                             width=vals[4], height=vals[5])
+            pose = Pose(rotation=np.array(vals[6:15]).reshape(3, 3),
+                        translation=np.array(vals[15:18]))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from e
         cameras.append((cam, pose))
     return cameras
 

@@ -32,7 +32,7 @@ from voxelstereo.geometry import (
 CAM = Intrinsics(fx=100.0, fy=100.0, cx=31.5, cy=31.5, width=64, height=64)
 POSE_Z2 = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
 NO_GEOM = GeomFeatureConfig()
-FULL_GEOM = GeomFeatureConfig(append_depth=True, append_ray_dir=True)
+FULL_GEOM = GeomFeatureConfig(geometric=True)
 
 
 class TestBilinearSample:
@@ -373,3 +373,11 @@ class TestPlaneDepths:
     def test_ascending(self):
         z, _ = plane_depths(VoxelGridSpec(), CAM, look_at([1.5, 1.0, -0.5], [0, 0, 0]), 32)
         assert (np.diff(z) > 0).all()
+
+    @pytest.mark.parametrize("n_planes", [0, -2])
+    def test_fewer_than_one_plane_rejected(self, n_planes):
+        with pytest.raises(ValueError, match="n_planes must be >= 1"):
+            plane_depths(VoxelGridSpec(), CAM, POSE_Z2, n_planes)
+        # project places its planes through plane_depths
+        with pytest.raises(ValueError, match="n_planes must be >= 1"):
+            project(np.ones((4, 4, 4, 1)), VoxelGridSpec(resolution=4), CAM, POSE_Z2, n_planes)

@@ -198,7 +198,7 @@ class TestTape:
         cam = Intrinsics(fx=12.0, fy=12.0, cx=3.5, cy=3.5, width=8, height=8)
         pose = look_at([0.4, 0.7, -1.9], [0, 0, 0])
         spec = VoxelGridSpec(resolution=4)
-        gcfg = GeomFeatureConfig(append_depth=True, append_ray_dir=True)
+        gcfg = GeomFeatureConfig(geometric=True)
         image = rng.random((8, 8, 3))
         k1 = tape.Parameter(rng.standard_normal((3, 3, 3, 4)) * 0.2, "k1")
         b1 = tape.Parameter(np.zeros(4), "b1")

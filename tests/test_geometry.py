@@ -14,6 +14,7 @@ from voxelstereo.geometry import (
     Z_EPS,
     camera_z_range,
     look_at,
+    pixel_grid,
     project_points,
     rays_through_pixels,
     scale_intrinsics,
@@ -201,6 +202,30 @@ class TestValidation:
             VoxelGridSpec(resolution=0)
         with pytest.raises(ValueError):
             VoxelGridSpec(side=-1.0)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(side=np.nan), "side"), (dict(side=np.inf), "side"),
+        (dict(center=(0.0, np.nan, 0.0)), "center"), (dict(center=(np.inf, 0.0, 0.0)), "center"),
+        (dict(resolution=2.5), "resolution"), (dict(resolution=np.nan), "resolution"),
+    ])
+    def test_grid_spec_rejects_non_finite_and_non_integral(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            VoxelGridSpec(**kwargs)
+
+    def test_grid_spec_stores_an_integral_resolution_as_int(self):
+        spec = VoxelGridSpec(resolution=4.0)
+        assert type(spec.resolution) is int and len(voxel_centers(spec)) == 64
+
+    @pytest.mark.parametrize("size", [dict(width=8.5), dict(height=7.25)])
+    def test_intrinsics_reject_non_integral_size(self, size):
+        kwargs = dict(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8) | size
+        with pytest.raises(ValueError, match="width and height must be integers"):
+            Intrinsics(**kwargs)
+
+    def test_intrinsics_store_integral_sizes_as_int(self):
+        cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8.0, height=np.int64(6))
+        assert (type(cam.width), type(cam.height)) == (int, int)
+        assert pixel_grid(cam).shape == (6, 8, 2)
 
 
 class TestHelpers:

@@ -94,7 +94,7 @@ ENCODER_AND_REASONER = set().union(*map(conv_block, ["enc1", "enc2", "enc3", "re
                                                      "reason2"]))
 GRU = {f"gru.{gate}.{p}" for gate in ("update", "reset", "candidate")
        for p in ("kernel", "bias", "ln_gain", "ln_shift")}
-# n_z * reasoner_channels[1] = 32 * 8 ray channels, halved eight times to one
+# n_z * REASONER_CHANNELS[1] = 32 * 8 ray channels, halved eight times to one
 RAY_REDUCE = {f"ray_reduce{i}.{p}" for i in range(8) for p in ("kernel", "bias")}
 CHECKPOINT_NAMES = {
     ("voxel", "gru"): ENCODER_AND_REASONER | GRU | {"voxel_head.kernel", "voxel_head.bias"},
@@ -177,6 +177,24 @@ def test_checkpoint_missing_parameters_rejected(trained, tmp_path):
         load_checkpoint(ckpt)
 
 
+def test_checkpoint_config_field_the_model_does_not_take_rejected(trained, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(trained, ckpt)
+    path = ckpt / "manifest.json"
+    meta = json.loads(path.read_text())
+    meta["config"]["encoder_channels"] = [8, 16, 16]
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="encoder_channels"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("field", ["views", "n_z", "grid_resolution"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        replace(tiny_config("depth", "mean"), **{field: value})
+
+
 def test_checkpoint_wrong_shape_rejected(trained, tmp_path):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(trained, ckpt)
@@ -189,6 +207,8 @@ def test_checkpoint_wrong_shape_rejected(trained, tmp_path):
 
 def test_train_toy_writes_checkpoint_and_loss_curve(depth_run):
     result, out_dir = depth_run
+    # the checkpoint manifest is the run's one copy of its config
+    assert {p.name for p in out_dir.iterdir()} == {"checkpoint", "loss_curve.txt"}
     assert result.checkpoint_dir == out_dir / "checkpoint"
     loaded = load_checkpoint(result.checkpoint_dir)
     assert loaded.cfg == result.model.cfg

@@ -78,7 +78,7 @@ def test_bilinear_sample_adjoint(seed, h, w, c):
 def test_unproject_adjoint(seed, camera, v, geom):
     cam, pose = camera
     spec = VoxelGridSpec(resolution=v)
-    gcfg = GeomFeatureConfig(append_depth=geom, append_ray_dir=geom)
+    gcfg = GeomFeatureConfig(geometric=geom)
     rng = np.random.default_rng(seed)
     fmap = rng.standard_normal((cam.height, cam.width, 2))
     grid = unproject(fmap, cam, pose, spec, gcfg)

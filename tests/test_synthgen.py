@@ -9,7 +9,6 @@ from voxelstereo.synthgen import (
     Cylinder,
     SceneSpec,
     Sphere,
-    TextureSpec,
     ViewSampler,
     assert_inside_unit_cube,
     default_intrinsics,
@@ -104,7 +103,7 @@ class TestRender:
         cam = default_intrinsics(32, 32)
         pose = look_at([0.0, 0.3, -2.0], [0, 0, 0])
         scene = make_scene("sphere", seed=1, textureless=True)
-        img, _, mask = render_view(scene, cam, pose, shaded=False)
+        img, _, mask = render_view(scene, cam, pose)
         fg = img[mask.astype(bool)]
         assert np.ptp(fg, axis=0).max() == 0.0  # constant albedo
 

@@ -76,6 +76,15 @@ class TestTensorErrors:
         with pytest.raises(TensorFormatError, match="dtype"):
             read_tensor(p)
 
+    @pytest.mark.parametrize("values", [[0.5, 200.7], [0.9], [-1.0], [256.0], [np.nan]])
+    def test_u8_rejects_values_that_are_not_bytes(self, tmp_path, values):
+        with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+            write_tensor(tmp_path / "t.lsmt", np.array(values), "u8")
+
+    def test_u8_takes_integral_floats_exactly(self, tmp_path):
+        write_tensor(tmp_path / "t.lsmt", np.array([0.0, 1.0, 255.0]), "u8")
+        np.testing.assert_array_equal(read_tensor(tmp_path / "t.lsmt"), [0, 1, 255])
+
     def test_rank_zero_write_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rank"):
             write_tensor(tmp_path / "t.lsmt", np.float32(3.0))
@@ -123,6 +132,17 @@ class TestCameraFile:
         nums = [100.0, 100.0, 16.0, 16.0, 32.9, 32] + [1, 0, 0, 0, 1, 0, 0, 0, 1] + [0, 0, 2]
         p.write_text(" ".join(str(x) for x in nums) + "\n")
         with pytest.raises(ValueError, match=r"cameras\.txt: line 1: width and height"):
+            load_cameras(p)
+
+    def test_camera_errors_name_the_file_and_line(self, tmp_path):
+        p = tmp_path / "cameras.txt"
+        good = "100 100 16 16 32 32 1 0 0 0 1 0 0 0 1 0 0 2"
+        p.write_text(f"{good}\n{good.replace('100 100', 'inf 100', 1)}\n")
+        with pytest.raises(ValueError, match=r"cameras\.txt: line 2: fx must be finite"):
+            load_cameras(p)
+        p.write_text(f"{good}\n\n{good[:-1]}nan\n")
+        with pytest.raises(ValueError,
+                           match=r"cameras\.txt: line 3: translation has non-finite"):
             load_cameras(p)
 
     def test_non_finite_camera_rejected(self, tmp_path):
