@@ -20,9 +20,25 @@ gru.<gate>.kernel, .bias, .ln_gain and .ln_shift for gate in update, reset
 and candidate; the separate w_x / w_h entries of older checkpoints are
 rejected as missing that kernel.
 
+The initial hidden state is zeros, and the first step runs none of the
+work that multiplies it. With h = 0 the rows [C_in:] of every kernel meet
+only zeros and r * h = 0, so the reset gate is dead and the step is
+
+    h1 = z * c,  z = sigmoid(LN_z(conv(x, W_z[..., :C_in, :]) + b_z)),
+                 c = tanh(LN_c(conv(x, W_c[..., :C_in, :]) + b_c))
+
+gru_step_node computes this when given h = None, which is how
+fuse_recurrent_node starts: a K-view fold runs 3K - 1 gate convolutions and
+layer norms, not 3K. The kernel rows are taken by tape.take, whose VJP
+gives the unused h rows zero gradient, and the reset gate of a one-view
+fold gets no gradient at all (None, which Adam reads as zeros). The terms
+dropped are products with exact zeros, so at the model's widths the result
+and every gradient are bitwise those of the fold from an explicit zero
+state; a test pins this, since BLAS may sum a narrower GEMM in another order.
+
 Note the layer norm removes any constant shift of its input, so a gate is
 forced open/closed through the LN shift parameter, not the convolution
-bias. The initial hidden state is zeros.
+bias.
 """
 
 from __future__ import annotations
@@ -50,15 +66,29 @@ def init_gru_params(c_in, c_hidden, rng) -> dict[str, Parameter]:
     return {name: Parameter(value, name) for name, value in values.items()}
 
 
-def _gate_preact(xh, params, gate):
+def _gate_preact(xh, params, gate, rows=None):
+    """LN(conv(xh, W) + b) of one gate; `rows` keeps only W[..., :rows, :]."""
     p = f"gru.{gate}."
-    return tape.layer_norm_channels(tape.conv(xh, params[p + "kernel"], params[p + "bias"]),
+    kernel = params[p + "kernel"]
+    if rows is not None:
+        kernel = tape.take(kernel, slice(0, rows), axis=3)
+    return tape.layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"]),
                                     params[p + "ln_gain"], params[p + "ln_shift"])
 
 
 def gru_step_node(h, x, params) -> TapeNode:
-    """One recurrent update on tape nodes; params maps gru.<gate>.* names."""
-    h, x = tape.as_node(h), tape.as_node(x)
+    """One recurrent update on tape nodes; params maps gru.<gate>.* names.
+
+    h None is the zero state, from which the update is z * c with the gates
+    convolving x alone.
+    """
+    x = tape.as_node(x)
+    if h is None:
+        c_in = x.value.shape[-1]
+        z = tape.sigmoid(_gate_preact(x, params, "update", rows=c_in))
+        c = tape.tanh(_gate_preact(x, params, "candidate", rows=c_in))
+        return tape.mul(z, c)
+    h = tape.as_node(h)
     xh = tape.concat([x, h])
     z = tape.sigmoid(_gate_preact(xh, params, "update"))
     r = tape.sigmoid(_gate_preact(xh, params, "reset"))
@@ -67,13 +97,11 @@ def gru_step_node(h, x, params) -> TapeNode:
 
 
 def fuse_recurrent_node(grids, params) -> TapeNode:
-    """Fold gru_step_node over the views in the given order from a zero state."""
+    """Fold gru_step_node over the views in the given order from the zero state."""
     grids = list(grids)
     if not grids:
         raise ValueError("need at least one grid")
-    v = tape.as_node(grids[0]).value.shape[0]
-    c_hidden = params["gru.update.kernel"].value.shape[4]
-    h = tape.as_node(np.zeros((v, v, v, c_hidden)))
+    h = None
     for g in grids:
         h = gru_step_node(h, g, params)
     return h

@@ -21,6 +21,16 @@ through scipy's BLAS: numpy and scipy each bundle their own OpenBLAS with its
 own thread pool, whose threads keep spinning after a call returns, and
 alternating between the two makes the pools contend for the same cores.
 
+The norms compute their statistics in one helper with out= buffers: the
+forward allocates two full-size arrays (the normalized input, and the
+squared deviations, which become the output) and the VJP three. The VJP
+recomputes xhat and the variance from x rather than have the forward keep
+xhat alive in its tape closure: one cached array per norm node would add
+about 50 MB to the 32^3 voxel/GRU training peak, while the recompute costs a
+mean, a subtract and a square. sigmoid evaluates both of its branches as
+e' / (1 + e) over the whole array, with e = exp(-|x|), instead of gathering
+and scattering by a boolean mask, which gives the same bits.
+
 All arithmetic is float64. Taps are always accumulated in np.ndindex
 order, so outputs and gradients are bitwise reproducible run to run.
 """
@@ -132,55 +142,58 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     return grad_x, grad_k, grad_b
 
 
+def _norm_stats(x, axes):
+    """(xhat, var, spare): x normalized over `axes`, its variance there, and a
+    free full-size buffer that held the squared deviations."""
+    xhat = np.subtract(x, x.mean(axis=axes, keepdims=True))
+    spare = np.square(xhat)
+    var = spare.mean(axis=axes, keepdims=True)
+    xhat /= np.sqrt(var + _EPS_NORM)
+    return xhat, var, spare
+
+
 def _norm_forward(x, gain, shift, axes):
-    mu = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + _EPS_NORM)
-    return gain * xhat + shift, xhat, var
+    xhat, _, out = _norm_stats(x, axes)
+    np.multiply(gain, xhat, out=out)
+    out += shift
+    return out
 
 
-def _norm_vjp(gain, xhat, var, axes, param_axes, upstream):
+def _norm_vjp(x, gain, axes, param_axes, upstream):
     # axes: normalization axes; param_axes: broadcast axes of gain/shift
-    grad_gain = (upstream * xhat).sum(axis=param_axes)
+    xhat, var, buf = _norm_stats(x, axes)
+    grad_gain = np.multiply(upstream, xhat, out=buf).sum(axis=param_axes)
     grad_shift = upstream.sum(axis=param_axes)
-    g = upstream * gain
-    inv_s = 1.0 / np.sqrt(var + _EPS_NORM)
-    grad_x = inv_s * (
-        g
-        - g.mean(axis=axes, keepdims=True)
-        - xhat * (g * xhat).mean(axis=axes, keepdims=True)
-    )
+    grad_x = upstream * gain
+    proj = np.multiply(grad_x, xhat, out=buf).mean(axis=axes, keepdims=True)
+    grad_x -= grad_x.mean(axis=axes, keepdims=True)
+    grad_x -= np.multiply(xhat, proj, out=xhat)
+    grad_x *= 1.0 / np.sqrt(var + _EPS_NORM)
     return grad_x, grad_gain, grad_shift
 
 
 def instance_norm(x, gain, shift):
     """Zero mean / unit variance per channel over the spatial axes, then affine."""
     x = np.asarray(x, dtype=np.float64)
-    axes = tuple(range(x.ndim - 1))
-    out, _, _ = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes)
-    return out
+    return _norm_forward(x, np.asarray(gain), np.asarray(shift), tuple(range(x.ndim - 1)))
 
 
 def instance_norm_vjp(x, gain, shift, upstream):
     x = np.asarray(x, dtype=np.float64)
     axes = tuple(range(x.ndim - 1))
-    _, xhat, var = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes)
-    return _norm_vjp(np.asarray(gain), xhat, var, axes, axes, np.asarray(upstream))
+    return _norm_vjp(x, np.asarray(gain), axes, axes, np.asarray(upstream))
 
 
 def layer_norm_channels(x, gain, shift):
     """Zero mean / unit variance over the channel axis per position, then affine."""
     x = np.asarray(x, dtype=np.float64)
-    out, _, _ = _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,))
-    return out
+    return _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,))
 
 
 def layer_norm_channels_vjp(x, gain, shift, upstream):
     x = np.asarray(x, dtype=np.float64)
-    axes = (x.ndim - 1,)
     param_axes = tuple(range(x.ndim - 1))  # gain/shift are per channel
-    _, xhat, var = _norm_forward(x, np.asarray(gain), np.asarray(shift), axes)
-    return _norm_vjp(np.asarray(gain), xhat, var, axes, param_axes, np.asarray(upstream))
+    return _norm_vjp(x, np.asarray(gain), (x.ndim - 1,), param_axes, np.asarray(upstream))
 
 
 def relu(x):
@@ -192,12 +205,14 @@ def relu_vjp(x, upstream):
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    never overflows: both are e' / (1 + e) with e = exp(-|x|), where e' is 1
+    for x >= 0 and e below."""
+    e = np.abs(x, dtype=np.float64)
+    np.exp(np.negative(e, out=e), out=e)
+    out = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, out, out=out)
 
 
 def softmax_channels(x):

@@ -23,8 +23,9 @@ per parameter plus a manifest of names and shapes. Values are stored as
 float32, so a loaded parameter equals
 value.astype(np.float32).astype(np.float64) of the saved one, not the
 float64 value itself. Loading rejects a checkpoint whose config names a
-field ToyModelConfig does not take, or whose manifest lacks a model
-parameter, names one the model does not have, or gives a mis-shaped one.
+field ToyModelConfig does not take or lacks one it has (no default fills a
+missing field in), or whose manifest lacks a model parameter, names one the
+model does not have, or gives a mis-shaped one.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class ToyModel:
         logits = tape.conv(g, self.params["voxel_head.kernel"],
                            self.params["voxel_head.bias"])
         probs = tape.softmax_channels(logits)
-        return _take_channel(probs, 1)
+        return tape.take(probs, 1, axis=-1)
 
     def depth_maps(self, images, cameras):
         """Depth pipeline output: one (H, W) metric depth node per view."""
@@ -211,7 +212,7 @@ class ToyModel:
             skip_full = tape.upsample_nearest(skip, 2)
             stacked = tape.concat([coarse, skip_full], axis=-1)
             depth = tape.conv(stacked, p["depth_refine.kernel"], p["depth_refine.bias"])
-            out.append(_take_channel(depth, 0))
+            out.append(tape.take(depth, 0, axis=-1))
         return out
 
     def loss(self, scene, order):
@@ -232,15 +233,6 @@ class ToyModel:
         return tape.scale(total, 1.0 / len(order))
 
 
-def _take_channel(node, index):
-    def vjp(g):
-        out = np.zeros(node.value.shape)
-        out[..., index] = g
-        return (out,)
-
-    return tape.TapeNode(node.value[..., index], (node,), vjp)
-
-
 def save_checkpoint(model: ToyModel, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,9 +250,13 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
     ckpt_dir = Path(ckpt_dir)
     meta = json.loads((ckpt_dir / "manifest.json").read_text())
     cfg_dict = meta["config"]
-    unknown = sorted(cfg_dict.keys() - {f.name for f in fields(ToyModelConfig)})
+    names = {f.name for f in fields(ToyModelConfig)}
+    unknown = sorted(cfg_dict.keys() - names)
     if unknown:
         raise ValueError(f"checkpoint config has unknown fields: {', '.join(unknown)}")
+    lacking = sorted(names - cfg_dict.keys())
+    if lacking:
+        raise ValueError(f"checkpoint config is missing fields: {', '.join(lacking)}")
     cfg_dict["image_hw"] = tuple(cfg_dict["image_hw"])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
     params = model.params

@@ -121,6 +121,21 @@ def concat(nodes, axis=-1):
                     lambda g: np.split(g, splits, axis=axis))
 
 
+def take(a, index, axis):
+    """a's entries at `index` (an int or a slice) along `axis`; the VJP puts
+    the cotangent there and zeros everywhere else."""
+    a = as_node(a)
+    shape = a.value.shape
+    key = (slice(None),) * (axis % len(shape)) + (index,)
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[key] = g
+        return (out,)
+
+    return TapeNode(a.value[key], (a,), vjp)
+
+
 # --- activations and norms ---------------------------------------------------
 
 def relu(a):

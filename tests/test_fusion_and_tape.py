@@ -161,6 +161,53 @@ class TestGruStep:
         assert dev >= 0.0 and np.isfinite(dev)
 
 
+class TestZeroStateFold:
+    """The fold starts from h = None, whose step skips the reset gate and h rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_bitwise_equal_to_the_fold_from_explicit_zeros(self, k):
+        # the model's widths (20 -> 16 channels); with a 1-channel input BLAS
+        # takes another GEMM path for the narrower kernel and the sums differ
+        def run(explicit):
+            params = init_gru_params(20, 16, rng=np.random.default_rng(11))
+            rng = np.random.default_rng(12)
+            grids = [tape.Parameter(rng.standard_normal((6, 6, 6, 20)), f"grid{i}")
+                     for i in range(k)]
+            if explicit:
+                h = np.zeros((6, 6, 6, 16))
+                for g in grids:
+                    h = gru_step_node(h, g, params)
+            else:
+                h = fuse_recurrent_node(grids, params)
+            tape.backward(h, seed=rng.standard_normal(h.value.shape))
+            # Adam reads a missing gradient (the unused reset gate at k = 1) as zeros
+            grads = {name: np.zeros_like(p.value) if p.grad is None else p.grad
+                     for name, p in params.items()}
+            return h.value, grads, [g.grad for g in grids]
+
+        h, grads, grid_grads = run(explicit=False)
+        h_ref, grads_ref, grid_grads_ref = run(explicit=True)
+        assert h.tobytes() == h_ref.tobytes()
+        assert len(grads) == 12
+        for name in grads_ref:
+            assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+        for g, g_ref in zip(grid_grads, grid_grads_ref, strict=True):
+            assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_k_view_fold_runs_3k_minus_1_gate_convs_and_norms(self, k, monkeypatch):
+        calls = {"conv_forward": 0, "layer_norm_channels": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(layers, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(layers, name, counted)
+        rng = np.random.default_rng(13)
+        params = init_gru_params(3, 2, rng=rng)
+        fuse_recurrent_node([rng.standard_normal((3, 3, 3, 3)) for _ in range(k)], params)
+        assert calls == {"conv_forward": 3 * k - 1, "layer_norm_channels": 3 * k - 1}
+
+
 def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
     return tape.TapeNode(node.value.sum(), (node,),
@@ -231,6 +278,22 @@ class TestTape:
         # the sorted-summand mean, accumulated over the view axis
         expected = np.sort(np.stack(grids), axis=0).sum(axis=0) / len(grids)
         assert node.value.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("index,axis", [(slice(1, 4), 3), (2, -1)])
+    def test_take_adjoint_identity(self, index, axis):
+        rng = np.random.default_rng(14)
+        a = tape.Parameter(rng.standard_normal((2, 3, 2, 5, 4)), "a")
+        out = tape.take(a, index, axis)
+        key = (slice(None),) * (axis % 5) + (index,)
+        assert out.value.tobytes() == a.value[key].tobytes()
+        u = rng.standard_normal(out.value.shape)
+        tape.backward(out, seed=u)
+        # <take(a), u> = <a, take^T(u)>, and take^T(u) is zero off the taken entries
+        np.testing.assert_allclose((out.value * u).sum(), (a.value * a.grad).sum(), rtol=1e-13)
+        rest = a.grad.copy()
+        rest[key] = 0.0
+        assert not rest.any()
+        np.testing.assert_array_equal(a.grad[key], u)
 
     def test_max_stack_gradient_routes_to_winner(self):
         a = tape.Parameter(np.array([1.0, 5.0]), "a")

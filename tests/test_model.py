@@ -188,6 +188,20 @@ def test_checkpoint_config_field_the_model_does_not_take_rejected(trained, tmp_p
         load_checkpoint(ckpt)
 
 
+def test_checkpoint_config_missing_fields_rejected(tmp_path):
+    # a 3-view depth run with n_z=8: the defaults (views=4, n_z=32) must not fill in
+    cfg = replace(tiny_config("depth", "mean"), views=3, n_z=8, seed=5)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ToyModel.create(cfg), ckpt)
+    path = ckpt / "manifest.json"
+    meta = json.loads(path.read_text())
+    for name in ("views", "seed", "n_z"):
+        del meta["config"][name]
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="^checkpoint config is missing fields: n_z, seed, views$"):
+        load_checkpoint(ckpt)
+
+
 @pytest.mark.parametrize("field", ["views", "n_z", "grid_resolution"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_config_rejects_counts_below_one(field, value):

@@ -1,5 +1,7 @@
 """Layer semantics and gradient checks against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,102 @@ class TestPointwise:
         assert_vjp_matches_fd(
             lambda xx: upsample_nearest(xx, 2),
             lambda xx, u: upsample_nearest_vjp(xx.shape, 2, u), x, up)
+
+
+def reference_norm_forward(x, gain, shift, axes):
+    """The norm forward as first written, with full-size temporaries."""
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    xhat = (x - mu) / np.sqrt(var + 1e-5)
+    return gain * xhat + shift, xhat, var
+
+
+def reference_norm_vjp(x, gain, shift, axes, param_axes, upstream):
+    _, xhat, var = reference_norm_forward(x, gain, shift, axes)
+    grad_gain = (upstream * xhat).sum(axis=param_axes)
+    grad_shift = upstream.sum(axis=param_axes)
+    g = upstream * gain
+    inv_s = 1.0 / np.sqrt(var + 1e-5)
+    grad_x = inv_s * (
+        g
+        - g.mean(axis=axes, keepdims=True)
+        - xhat * (g * xhat).mean(axis=axes, keepdims=True)
+    )
+    return grad_x, grad_gain, grad_shift
+
+
+def reference_sigmoid(x):
+    """The sigmoid as first written, by boolean-mask gather and scatter."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def norm_axes(name, ndim):
+    """(normalization axes, gain/shift broadcast axes) of a norm."""
+    spatial = tuple(range(ndim - 1))
+    return (spatial, spatial) if name == "instance_norm" else ((ndim - 1,), spatial)
+
+
+NORMS = {"instance_norm": (instance_norm, instance_norm_vjp),
+         "layer_norm_channels": (layer_norm_channels, layer_norm_channels_vjp)}
+
+
+def traced_peak(func):
+    """Peak bytes func() allocates on top of what is live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        func()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeanKernels:
+    """Norms and sigmoid with out= buffers are bitwise the plain formulas."""
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    @pytest.mark.parametrize("shape", [(32, 32, 32, 16), (32, 32, 8)])  # GRU gate, encoder
+    def test_norm_bitwise_equal_to_reference(self, name, shape):
+        forward, vjp = NORMS[name]
+        rng = np.random.default_rng(20)
+        x = 3.0 * rng.standard_normal(shape) + 1.0
+        gain, shift = rng.standard_normal((2, shape[-1]))
+        up = rng.standard_normal(shape)
+        axes, param_axes = norm_axes(name, len(shape))
+        expected, _, _ = reference_norm_forward(x, gain, shift, axes)
+        assert forward(x, gain, shift).tobytes() == expected.tobytes()
+        got = vjp(x, gain, shift, up)
+        ref = reference_norm_vjp(x, gain, shift, axes, param_axes, up)
+        for a, b, part in zip(got, ref, ("x", "gain", "shift"), strict=True):
+            assert a.tobytes() == b.tobytes(), part
+
+    def test_sigmoid_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(21)
+        special = np.array([0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, 745.5, -745.5])
+        x = np.concatenate([30.0 * rng.standard_normal(4096), special])
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+        # NaN stays NaN; only its sign bit may change
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_norm_peak_memory(self, name):
+        forward, vjp = NORMS[name]
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((16, 16, 16, 16))
+        up = rng.standard_normal(x.shape)
+        gain, shift = rng.standard_normal((2, 16))
+        assert traced_peak(lambda: forward(x, gain, shift)) <= 2.5 * x.nbytes
+        assert traced_peak(lambda: vjp(x, gain, shift, up)) <= 4.0 * x.nbytes
+
+    def test_sigmoid_peak_memory(self):
+        x = np.random.default_rng(23).standard_normal((16, 16, 16, 16))
+        assert traced_peak(lambda: sigmoid(x)) <= 2.5 * x.nbytes
 
 
 class TestLosses:
