@@ -6,9 +6,9 @@ have an explicit vector-Jacobian product:
   bilinear_sample   gather from a 2D map at continuous pixel coordinates
   unproject         replicate image features along viewing rays into the grid
                     by projecting every voxel center into the image
-  project           sample the grid on equally spaced depth planes along each
-                    pixel's ray and stack the samples in ascending-z channel
-                    blocks
+  project           sample the grid's nearest voxel on equally spaced depth
+                    planes along each pixel's ray and stack the samples in
+                    ascending-z channel blocks
 
 bilinear_sample is the package's one image sampler: unproject, and the
 classical visual_hull and plane_sweep_depth, all read images through it.
@@ -24,14 +24,14 @@ grid cube contribute zeros; gradients are taken with respect to feature
 values only, never camera parameters or sample coordinates.
 
 Each operator is one sparse sampling matrix S (scipy CSR), with one row per
-sample and one column per map pixel or grid voxel; a row holds the
-sample's interpolation weights and an invalid sample is a zero row. The
-forward is S @ values.reshape(-1, C) and the VJP is S.T @ upstream, so the
-adjoint identity holds by construction. CSR products add each output's
-terms in a fixed order, so forwards and gradients repeat bitwise. project's
-rows run over (pixel row, pixel column, plane), so its (H, W, N_z * C)
-output is a plain reshape of S @ grid, and its VJP's upstream a plain
-reshape to (H * W * N_z, C).
+sample and one column per map pixel or grid voxel; a row holds the sample's
+bilinear weights, or project's one nearest voxel, and an invalid sample is a
+zero row. The forward is S @ values.reshape(-1, C) and the VJP is S.T @
+upstream, so the adjoint identity holds by construction. CSR products add
+each output's terms in a fixed order, so forwards and gradients repeat
+bitwise. project's rows run over (pixel row, pixel column, plane), so its
+(H, W, N_z * C) output is a plain reshape of S @ grid, and its VJP's
+upstream a plain reshape to (H * W * N_z, C).
 
 Nearest-neighbor grid lookup rounds half-down (floor(x + 0.5 - eps)) so that
 tie-breaking is identical on every platform.
@@ -185,31 +185,20 @@ def plane_depths(
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing
 
 
-def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int,
-                    interp: str):
+def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int):
     """Sampling matrix (H * W * N_z, V^3) of project.
 
     Rows run over (row, column, plane) of the pixel raster and the depth
-    planes; a sample whose corner leaves the grid gives that corner weight 0.
+    planes; each holds a 1 at the sample's nearest voxel if that is in the grid.
     """
     z_values, _ = plane_depths(spec, cam, pose, n_planes)
     points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
     v = spec.resolution
     g = spec.world_to_grid(points.reshape(-1, 3))
-    if interp == "nearest":
-        idx = np.floor(g + 0.5 - _TIE_EPS).astype(np.int64)[:, None]
-        weights = np.ones((len(g), 1))
-    elif interp == "trilinear":
-        g0 = np.floor(g).astype(np.int64)
-        frac = g - g0
-        corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-        idx = g0[:, None] + corners
-        weights = np.where(corners == 1, frac[:, None], 1.0 - frac[:, None]).prod(axis=2)
-    else:
-        raise ValueError(f"unknown interpolation {interp!r}")
-    inside = ((idx >= 0) & (idx < v)).all(axis=2)
-    lin = (idx[..., 0] * v + idx[..., 1]) * v + idx[..., 2]
-    return _sampling_matrix(np.where(inside, lin, 0), np.where(inside, weights, 0.0), v ** 3)
+    idx = np.floor(g + 0.5 - _TIE_EPS).astype(np.int64)
+    inside = ((idx >= 0) & (idx < v)).all(axis=1, keepdims=True)
+    lin = (idx[:, :1] * v + idx[:, 1:2]) * v + idx[:, 2:]
+    return _sampling_matrix(np.where(inside, lin, 0), inside.astype(np.float64), v ** 3)
 
 
 def project(
@@ -217,8 +206,7 @@ def project(
     spec: VoxelGridSpec,
     cam: Intrinsics,
     pose: Pose,
-    n_planes: int = 32,
-    interp: str = "nearest",
+    n_planes: int,
 ) -> np.ndarray:
     """Sample a (V, V, V, C) grid along each pixel's ray at n_planes depths.
 
@@ -227,7 +215,7 @@ def project(
     """
     grid = np.asarray(grid, dtype=np.float64)
     c = grid.shape[3]
-    s = _project_matrix(spec, cam, pose, n_planes, interp)
+    s = _project_matrix(spec, cam, pose, n_planes)
     return (s @ grid.reshape(-1, c)).reshape(cam.height, cam.width, n_planes * c)
 
 
@@ -237,11 +225,10 @@ def project_vjp(
     cam: Intrinsics,
     pose: Pose,
     n_planes: int,
-    interp: str,
     upstream: np.ndarray,
 ) -> np.ndarray:
     """Gradient of <project(grid, ...), upstream> w.r.t. grid values."""
     shape = np.shape(grid)
-    s = _project_matrix(spec, cam, pose, n_planes, interp)
+    s = _project_matrix(spec, cam, pose, n_planes)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1, shape[3])
     return (s.T @ up).reshape(shape)

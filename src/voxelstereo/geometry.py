@@ -119,10 +119,6 @@ class VoxelGridSpec:
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "center", center)
 
-    @property
-    def voxel_size(self) -> float:
-        return self.side / self.resolution
-
     def axis_centers(self, axis: int) -> np.ndarray:
         v = self.resolution
         return self.center[axis] + self.side * ((np.arange(v) + 0.5) / v - 0.5)

@@ -2,8 +2,10 @@
 
 Layout conventions: feature maps are channels-last, (H, W, C) in 2D and
 (D, H, W, C) in 3D. Convolution kernels are (*kspatial, C_in, C_out) and
-implement cross-correlation. "same" padding requires odd kernels and pads
-symmetrically; stride subsamples the output grid.
+implement cross-correlation, always same-padded: kernels must be odd and the
+input is zero-padded by k // 2 per side; stride subsamples the output grid.
+conv_vjp's padding must be "same": it stays only because the benchmark's
+tracer reads conv_vjp's upstream as its fifth positional argument.
 
 Convolution pads the input once and reads it as rows of a row-major
 (rows, C_in) matrix: the stride-1 output at padded position r reads row
@@ -43,21 +45,14 @@ from scipy.linalg.blas import dgemm
 _EPS_NORM = 1e-5
 
 
-def _conv_geometry(x_shape, k_shape, stride, padding):
+def _conv_geometry(x_shape, k_shape, stride):
     nd = len(k_shape) - 2
     spatial = x_shape[:nd]
     kspatial = k_shape[:nd]
-    if padding == "same":
-        if any(k % 2 == 0 for k in kspatial):
-            raise ValueError("same padding requires odd kernels")
-        pads = tuple(k // 2 for k in kspatial)
-    elif padding == "valid":
-        pads = (0,) * nd
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    out = tuple((s + 2 * p - k) // stride + 1 for s, p, k in zip(spatial, pads, kspatial))
-    if any(o < 1 for o in out):
-        raise ValueError(f"kernel {kspatial} does not fit input {spatial}")
+    if any(k % 2 == 0 for k in kspatial):
+        raise ValueError(f"same padding requires odd kernels, got {kspatial}")
+    pads = tuple(k // 2 for k in kspatial)
+    out = tuple((s - 1) // stride + 1 for s in spatial)
     return nd, spatial, kspatial, pads, out
 
 
@@ -90,11 +85,11 @@ def _output_slices(out, stride):
     return tuple(slice(0, stride * (o - 1) + 1, stride) for o in out)
 
 
-def conv_forward(x, kernel, bias=None, stride=1, padding="same"):
-    """N-dimensional cross-correlation; x (*spatial, C_in), kernel (*k, C_in, C_out)."""
+def conv_forward(x, kernel, bias=None, stride=1):
+    """Same-padded N-d cross-correlation; x (*spatial, C_in), kernel (*k, C_in, C_out)."""
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    nd, _, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride, padding)
+    nd, _, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride)
     if x.shape[nd] != kernel.shape[nd]:
         raise ValueError(f"channel mismatch: input {x.shape[nd]}, kernel {kernel.shape[nd]}")
     rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
@@ -108,11 +103,13 @@ def conv_forward(x, kernel, bias=None, stride=1, padding="same"):
 
 
 def conv_vjp(x, kernel, stride, padding, upstream):
-    """Gradients of <conv_forward(x, kernel, bias), upstream> w.r.t. (x, kernel, bias)."""
+    """Gradients of <conv_forward(x, kernel, bias, stride), upstream> w.r.t. (x, kernel, bias)."""
+    if padding != "same":
+        raise ValueError(f"only same padding is supported, got {padding!r}")
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    nd, spatial, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride, padding)
+    nd, spatial, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride)
     c_out = kernel.shape[-1]
     rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
     # upstream on the stride-1 grid of conv_forward, zero where no output is
@@ -127,12 +124,9 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     grad_b = upstream.reshape(-1, c_out).sum(axis=0)
 
     if stride == 1:
-        # transposed convolution: correlate upstream with the flipped kernel
+        # transposed conv: same-padded (k - 1 - p = p) correlation with the flipped kernel
         k_t = np.flip(kernel, axis=tuple(range(nd))).swapaxes(nd, nd + 1)
-        up_padded = np.pad(
-            upstream, [(k - 1 - p, k - 1 - p) for k, p in zip(kspatial, pads)] + [(0, 0)]
-        )
-        grad_x = conv_forward(up_padded, k_t, None, stride=1, padding="valid")
+        grad_x = conv_forward(upstream, k_t)
     else:
         grad_rows = np.zeros_like(rows)
         for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
@@ -178,7 +172,7 @@ def instance_norm(x, gain, shift):
     return _norm_forward(x, np.asarray(gain), np.asarray(shift), tuple(range(x.ndim - 1)))
 
 
-def instance_norm_vjp(x, gain, shift, upstream):
+def instance_norm_vjp(x, gain, upstream):
     x = np.asarray(x, dtype=np.float64)
     axes = tuple(range(x.ndim - 1))
     return _norm_vjp(x, np.asarray(gain), axes, axes, np.asarray(upstream))
@@ -190,7 +184,7 @@ def layer_norm_channels(x, gain, shift):
     return _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,))
 
 
-def layer_norm_channels_vjp(x, gain, shift, upstream):
+def layer_norm_channels_vjp(x, gain, upstream):
     x = np.asarray(x, dtype=np.float64)
     param_axes = tuple(range(x.ndim - 1))  # gain/shift are per channel
     return _norm_vjp(x, np.asarray(gain), (x.ndim - 1,), param_axes, np.asarray(upstream))

@@ -223,6 +223,10 @@ class ToyModel:
                              f"the model takes {self.cfg.image_hw}")
         cameras = [scene.cameras[i] for i in order]
         if self.cfg.head == "voxel":
+            v = self.cfg.grid_resolution
+            if scene.occupancy.shape != (v, v, v):
+                raise ValueError(f"scene {scene.name} has occupancy of shape "
+                                 f"{scene.occupancy.shape}, the model's grid is {(v, v, v)}")
             probs = self.occupancy(images, cameras)
             return tape.bce(probs, np.asarray(scene.occupancy, dtype=np.float64))
         total = None

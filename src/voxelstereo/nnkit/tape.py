@@ -7,7 +7,8 @@ record; backward() walks the recorded graph once in anti-topological order,
 runs each node's VJP once and accumulates gradients additively at fan-out.
 
 This is not a general autodiff system: only the operators defined here are
-composable, which is all the toy pipelines need.
+composable, which is all the toy pipelines need: conv is same-padded and
+project samples the nearest voxel.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ def add(a, b):
     return TapeNode(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def sub(a, b):
-    a, b = as_node(a), as_node(b)
-    return TapeNode(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b):
     a, b = as_node(a), as_node(b)
     av, bv = a.value, b.value
@@ -158,16 +154,16 @@ def tanh(a):
 
 def instance_norm(x, gain, shift):
     x, gain, shift = as_node(x), as_node(gain), as_node(shift)
-    xv, gv, sv = x.value, gain.value, shift.value
-    return TapeNode(layers.instance_norm(xv, gv, sv), (x, gain, shift),
-                    lambda g: layers.instance_norm_vjp(xv, gv, sv, g))
+    xv, gv = x.value, gain.value
+    return TapeNode(layers.instance_norm(xv, gv, shift.value), (x, gain, shift),
+                    lambda g: layers.instance_norm_vjp(xv, gv, g))
 
 
 def layer_norm_channels(x, gain, shift):
     x, gain, shift = as_node(x), as_node(gain), as_node(shift)
-    xv, gv, sv = x.value, gain.value, shift.value
-    return TapeNode(layers.layer_norm_channels(xv, gv, sv), (x, gain, shift),
-                    lambda g: layers.layer_norm_channels_vjp(xv, gv, sv, g))
+    xv, gv = x.value, gain.value
+    return TapeNode(layers.layer_norm_channels(xv, gv, shift.value), (x, gain, shift),
+                    lambda g: layers.layer_norm_channels_vjp(xv, gv, g))
 
 
 def softmax_channels(a):
@@ -207,9 +203,9 @@ def project(grid, spec, cam, pose, n_planes):
     """Nearest-neighbor ray samples of the grid on n_planes depth planes."""
     grid = as_node(grid)
     gv = grid.value
-    out = diffops.project(gv, spec, cam, pose, n_planes, "nearest")
+    out = diffops.project(gv, spec, cam, pose, n_planes)
     return TapeNode(out, (grid,),
-                    lambda g: (diffops.project_vjp(gv, spec, cam, pose, n_planes, "nearest", g),))
+                    lambda g: (diffops.project_vjp(gv, spec, cam, pose, n_planes, g),))
 
 
 # --- reductions over view stacks ----------------------------------------------

@@ -110,10 +110,10 @@ def load_cameras(path) -> list[tuple[Intrinsics, Pose]]:
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        vals = [float(x) for x in line.split()]
-        if len(vals) != 18:
-            raise ValueError(f"{path}: line {lineno}: expected 18 values, got {len(vals)}")
         try:
+            vals = [float(x) for x in line.split()]
+            if len(vals) != 18:
+                raise ValueError(f"expected 18 values, got {len(vals)}")
             cam = Intrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
                              width=vals[4], height=vals[5])
             pose = Pose(rotation=np.array(vals[6:15]).reshape(3, 3),
@@ -170,6 +170,14 @@ def load_scene(scene_dir) -> SceneData:
     shapes = {img.shape for img in images}
     if len(shapes) > 1:
         raise ValueError(f"{scene_dir}: views disagree on image shape: {shapes}")
+    for i, (img, depth, mask) in enumerate(zip(images, depths, masks)):
+        for kind, a in (("depth", depth), ("mask", mask)):
+            if a.shape != img.shape[:2]:
+                raise ValueError(f"{scene_dir}: view {i}: {kind} of shape {a.shape}, "
+                                 f"its image is {img.shape[:2]}")
+    occupancy = read_tensor(scene_dir / "occupancy.lsmt")
+    if occupancy.ndim != 3 or len(set(occupancy.shape)) != 1:
+        raise ValueError(f"{scene_dir}: occupancy of shape {occupancy.shape} is not a cube")
     meta = json.loads((scene_dir / "scene.json").read_text())
     return SceneData(
         name=scene_dir.name,
@@ -177,7 +185,7 @@ def load_scene(scene_dir) -> SceneData:
         depths=np.stack(depths),
         masks=np.stack(masks),
         cameras=cameras,
-        occupancy=read_tensor(scene_dir / "occupancy.lsmt"),
+        occupancy=occupancy,
         meta=meta,
     )
 

@@ -260,21 +260,6 @@ class TestProject:
         assert (vals[inside, 0] > 0).all()
         assert (vals[~inside, 0] == 0).all()
 
-    def test_trilinear_at_voxel_center_equals_value(self):
-        spec = VoxelGridSpec(resolution=8)
-        rng = np.random.default_rng(2)
-        grid = rng.random((8, 8, 8, 1))
-        # aim the principal ray at an exact voxel center
-        target = voxel_centers(spec).reshape(8, 8, 8, 3)[4, 3, 5]
-        pose = look_at(target + np.array([0.0, 0.0, -2.0]), target)
-        out_tri = project(grid, spec, CAM, pose, n_planes=64, interp="trilinear")
-        out_near = project(grid, spec, CAM, pose, n_planes=64, interp="nearest")
-        z_values, spacing = plane_depths(spec, CAM, pose, 64)
-        k = int(np.argmin(np.abs(z_values - 2.0 + spec.side / 16)))
-        # center pixel is (31.5, 31.5); probe the 4 enclosing pixels' blocks
-        probe = out_tri[31:33, 31:33, :].reshape(4, 64)
-        assert probe.max() > 0
-
     def test_linearity(self):
         spec = VoxelGridSpec(resolution=6)
         rng = np.random.default_rng(9)
@@ -289,8 +274,7 @@ class TestProjectVjp:
     def test_zero_upstream(self):
         spec = VoxelGridSpec(resolution=4)
         grid = np.ones((4, 4, 4, 1))
-        grad = project_vjp(grid, spec, CAM, POSE_Z2, 4, "nearest",
-                           np.zeros((64, 64, 4)))
+        grad = project_vjp(grid, spec, CAM, POSE_Z2, 4, np.zeros((64, 64, 4)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_nearest_scatter_counts(self):
@@ -300,7 +284,7 @@ class TestProjectVjp:
         cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
         grid = np.zeros((4, 4, 4, 1))
         up = np.ones((8, 8, 4))
-        grad = project_vjp(grid, spec, cam, POSE_Z2, 4, "nearest", up)
+        grad = project_vjp(grid, spec, cam, POSE_Z2, 4, up)
         total = 0
         for u in range(8):
             for v in range(8):
@@ -309,29 +293,15 @@ class TestProjectVjp:
                 total += samples.sum()
         assert grad.sum() == pytest.approx(total)
 
-    def test_trilinear_matches_finite_differences(self):
-        spec = VoxelGridSpec(resolution=4)
-        cam = Intrinsics(fx=12.0, fy=12.0, cx=4.5, cy=4.5, width=10, height=10)
-        pose = look_at([0.5, 0.7, -1.9], [0, 0, 0])
-        rng = np.random.default_rng(13)
-        grid = rng.random((4, 4, 4, 2))
-        upstream = rng.standard_normal((10, 10, 6 * 2))
-        assert_vjp_matches_fd(
-            lambda g: project(g, spec, cam, pose, 6, "trilinear"),
-            lambda g, up: project_vjp(g, spec, cam, pose, 6, "trilinear", up),
-            grid, upstream,
-        )
-
-    @pytest.mark.parametrize("interp", ["nearest", "trilinear"])
-    def test_adjoint_dot_product(self, interp):
+    def test_adjoint_dot_product(self):
         spec = VoxelGridSpec(resolution=16)
         rng = np.random.default_rng(21)
         grid = rng.random((16, 16, 16, 8))
         cam = Intrinsics(fx=40.0, fy=40.0, cx=15.5, cy=15.5, width=32, height=32)
         pose = look_at([-1.2, 0.9, 1.4], [0, 0, 0])
         up = rng.standard_normal((32, 32, 16 * 8))
-        lhs = float(np.sum(project(grid, spec, cam, pose, 16, interp) * up))
-        rhs = float(np.sum(grid * project_vjp(grid, spec, cam, pose, 16, interp, up)))
+        lhs = float(np.sum(project(grid, spec, cam, pose, 16) * up))
+        rhs = float(np.sum(grid * project_vjp(grid, spec, cam, pose, 16, up)))
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))
 
 

@@ -106,7 +106,7 @@ class TestGruStep:
         def loss_value():
             h_node = tape.as_node(h)
             out = gru_step_node(h_node, tape.as_node(x), params)
-            diff = tape.sub(out, target)
+            diff = tape.add(out, -target)
             return tape.mul(diff, diff), h_node
 
         sq, h_node = loss_value()

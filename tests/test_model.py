@@ -120,6 +120,15 @@ def test_loss_rejects_images_of_another_size(dataset, head):
         model.loss(scene, [0, 1])
 
 
+def test_voxel_loss_rejects_occupancy_of_another_grid(dataset):
+    model = ToyModel.create(tiny_config("voxel", "mean"))
+    scene = dataset.load_all()[0]
+    scene = replace(scene, occupancy=scene.occupancy[:, :, :4])
+    with pytest.raises(ValueError, match=rf"scene {scene.name} has occupancy of shape "
+                                         r"\(8, 8, 4\), the model's grid is \(8, 8, 8\)"):
+        model.loss(scene, [0, 1])
+
+
 @pytest.mark.parametrize("head,fusion", PIPELINES)
 def test_same_seed_gives_bitwise_identical_losses(dataset, head, fusion):
     cfg = tiny_config(head, fusion)

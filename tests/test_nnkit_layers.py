@@ -35,7 +35,7 @@ class TestConv:
     def test_3x3_average_on_constant_interior(self):
         x = np.full((6, 6, 1), 2.0)
         kernel = np.full((3, 3, 1, 1), 1.0 / 9.0)
-        y = conv_forward(x, kernel, padding="same")
+        y = conv_forward(x, kernel)
         np.testing.assert_allclose(y[1:-1, 1:-1], 2.0)
         assert y[0, 0, 0] == pytest.approx(2.0 * 4 / 9)  # zero padding at the corner
 
@@ -49,40 +49,46 @@ class TestConv:
         y = conv_forward(np.zeros((8, 8, 2)), np.zeros((3, 3, 2, 4)), stride=2)
         assert y.shape == (4, 4, 4)
 
-    def test_valid_padding_shape(self):
-        y = conv_forward(np.zeros((8, 8, 2)), np.zeros((3, 3, 2, 4)), padding="valid")
-        assert y.shape == (6, 6, 4)
-
     def test_hand_computed_entry(self):
-        # valid conv of a 3x3 single-channel input with a 2x2 kernel is not
-        # supported by "same" (even), so check one valid-mode output by hand
         x = np.arange(9.0).reshape(3, 3, 1)
-        k = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1, 1)
-        y = conv_forward(x, k, padding="valid")
-        # window [[0,1],[3,4]] . [[1,2],[3,4]] = 0 + 2 + 9 + 16 = 27
-        assert y[0, 0, 0] == pytest.approx(27.0)
+        k = np.arange(1.0, 10.0).reshape(3, 3, 1, 1)
+        y = conv_forward(x, k)
+        # the corner window is x[:2, :2] = [[0,1],[3,4]] under k[1:, 1:] =
+        # [[5,6],[8,9]], the rest zero padding: 0 + 6 + 24 + 36 = 66
+        assert y[0, 0, 0] == 66.0
+        # the center window is all of x under all of k: sum i * (i + 1) = 240
+        assert y[1, 1, 0] == 240.0
+
+    def test_even_kernel_raises(self):
+        with pytest.raises(ValueError, match="odd kernels"):
+            conv_forward(np.zeros((4, 4, 1)), np.zeros((2, 2, 1, 1)))
+
+    def test_vjp_rejects_padding_other_than_same(self):
+        x = np.zeros((4, 4, 1))
+        with pytest.raises(ValueError, match="same padding"):
+            conv_vjp(x, np.zeros((3, 3, 1, 1)), 1, "valid", x)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel mismatch"):
             conv_forward(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 1)))
 
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (1, "valid"), (2, "same")])
-    def test_conv2d_gradcheck(self, stride, padding):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_gradcheck(self, stride):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 5, 2))
         kernel = rng.standard_normal((3, 3, 2, 3))
         bias = rng.standard_normal(3)
-        up = rng.standard_normal(conv_forward(x, kernel, bias, stride, padding).shape)
+        up = rng.standard_normal(conv_forward(x, kernel, bias, stride).shape)
 
         assert_vjp_matches_fd(
-            lambda xx: conv_forward(xx, kernel, bias, stride, padding),
-            lambda xx, u: conv_vjp(xx, kernel, stride, padding, u)[0], x, up)
+            lambda xx: conv_forward(xx, kernel, bias, stride),
+            lambda xx, u: conv_vjp(xx, kernel, stride, "same", u)[0], x, up)
         assert_vjp_matches_fd(
-            lambda kk: conv_forward(x, kk, bias, stride, padding),
-            lambda kk, u: conv_vjp(x, kk, stride, padding, u)[1], kernel, up)
+            lambda kk: conv_forward(x, kk, bias, stride),
+            lambda kk, u: conv_vjp(x, kk, stride, "same", u)[1], kernel, up)
         assert_vjp_matches_fd(
-            lambda bb: conv_forward(x, kernel, bb, stride, padding),
-            lambda bb, u: conv_vjp(x, kernel, stride, padding, u)[2], bias, up)
+            lambda bb: conv_forward(x, kernel, bb, stride),
+            lambda bb, u: conv_vjp(x, kernel, stride, "same", u)[2], bias, up)
 
     def test_conv3d_gradcheck(self):
         rng = np.random.default_rng(2)
@@ -167,13 +173,13 @@ class TestInstanceNorm:
         up = rng.standard_normal((4, 5, 2))
         assert_vjp_matches_fd(
             lambda xx: instance_norm(xx, gain, shift),
-            lambda xx, u: instance_norm_vjp(xx, gain, shift, u)[0], x, up)
+            lambda xx, u: instance_norm_vjp(xx, gain, u)[0], x, up)
         assert_vjp_matches_fd(
             lambda gg: instance_norm(x, gg, shift),
-            lambda gg, u: instance_norm_vjp(x, gg, shift, u)[1], gain, up)
+            lambda gg, u: instance_norm_vjp(x, gg, u)[1], gain, up)
         assert_vjp_matches_fd(
             lambda ss: instance_norm(x, gain, ss),
-            lambda ss, u: instance_norm_vjp(x, gain, ss, u)[2], shift, up)
+            lambda ss, u: instance_norm_vjp(x, gain, u)[2], shift, up)
 
     def test_layer_norm_gradcheck(self):
         rng = np.random.default_rng(5)
@@ -183,7 +189,7 @@ class TestInstanceNorm:
         up = rng.standard_normal(x.shape)
         assert_vjp_matches_fd(
             lambda xx: layer_norm_channels(xx, gain, shift),
-            lambda xx, u: layer_norm_channels_vjp(xx, gain, shift, u)[0], x, up)
+            lambda xx, u: layer_norm_channels_vjp(xx, gain, u)[0], x, up)
 
 
 class TestPointwise:
@@ -289,7 +295,7 @@ class TestLeanKernels:
         axes, param_axes = norm_axes(name, len(shape))
         expected, _, _ = reference_norm_forward(x, gain, shift, axes)
         assert forward(x, gain, shift).tobytes() == expected.tobytes()
-        got = vjp(x, gain, shift, up)
+        got = vjp(x, gain, up)
         ref = reference_norm_vjp(x, gain, shift, axes, param_axes, up)
         for a, b, part in zip(got, ref, ("x", "gain", "shift"), strict=True):
             assert a.tobytes() == b.tobytes(), part
@@ -310,7 +316,15 @@ class TestLeanKernels:
         up = rng.standard_normal(x.shape)
         gain, shift = rng.standard_normal((2, 16))
         assert traced_peak(lambda: forward(x, gain, shift)) <= 2.5 * x.nbytes
-        assert traced_peak(lambda: vjp(x, gain, shift, up)) <= 4.0 * x.nbytes
+        assert traced_peak(lambda: vjp(x, gain, up)) <= 4.0 * x.nbytes
+
+    def test_conv_vjp_peak_memory(self):
+        # the stride-1 input gradient pads the upstream once, inside conv_forward
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((16, 16, 16, 16))
+        kernel = rng.standard_normal((3, 3, 3, 16, 16))
+        up = rng.standard_normal(x.shape)
+        assert traced_peak(lambda: conv_vjp(x, kernel, 1, "same", up)) <= 7.5 * x.nbytes
 
     def test_sigmoid_peak_memory(self):
         x = np.random.default_rng(23).standard_normal((16, 16, 16, 16))

@@ -122,7 +122,7 @@ class TestVoxelize:
 
     def test_translation_by_one_voxel_shifts_occupancy(self):
         spec = VoxelGridSpec(resolution=32)
-        step = spec.voxel_size
+        step = spec.side / spec.resolution
         a = voxelize(SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=0.3))]), spec)
         b = voxelize(SceneSpec(nodes=[("union", Sphere(center=(step, 0, 0), radius=0.3))]), spec)
         np.testing.assert_array_equal(b[1:], a[:-1])

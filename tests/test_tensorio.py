@@ -1,12 +1,17 @@
 """Round-trip and error-path tests for the file formats."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 
 from voxelstereo.geometry import Intrinsics, Pose, look_at
+from voxelstereo.synthgen import generate_dataset
 from voxelstereo.tensorio import (
     TensorFormatError,
     load_cameras,
+    load_scene,
     read_tensor,
     save_cameras,
     write_tensor,
@@ -145,6 +150,13 @@ class TestCameraFile:
                            match=r"cameras\.txt: line 3: translation has non-finite"):
             load_cameras(p)
 
+    def test_non_numeric_token_names_the_file_and_line(self, tmp_path):
+        p = tmp_path / "cameras.txt"
+        good = "100 100 16 16 32 32 1 0 0 0 1 0 0 0 1 0 0 2"
+        p.write_text(f"{good}\n{good.replace('16 16', '16 abc', 1)}\n")
+        with pytest.raises(ValueError, match=r"cameras\.txt: line 2: .*'abc'"):
+            load_cameras(p)
+
     def test_non_finite_camera_rejected(self, tmp_path):
         p = tmp_path / "cameras.txt"
         p.write_text("inf 100 16 16 32 32 1 0 0 0 1 0 0 0 1 nan 0 2\n")
@@ -153,3 +165,28 @@ class TestCameraFile:
         p.write_text("100 100 16 16 32 32 1 0 0 0 1 0 0 0 1 nan 0 2\n")
         with pytest.raises(ValueError, match="translation has non-finite entries"):
             load_cameras(p)
+
+
+@pytest.fixture(scope="module")
+def scene_source(tmp_path_factory):
+    """One generated scene: 2 views of 16 x 16 pixels over an 8^3 grid."""
+    manifest = generate_dataset(1, 2, tmp_path_factory.mktemp("data"), seed=0, resolution=8,
+                                image_size=(16, 16))
+    return manifest.root / manifest.scenes[0]
+
+
+class TestSceneLayout:
+    @pytest.mark.parametrize("kind,values", [("depth", np.zeros((8, 8))),
+                                             ("mask", np.zeros((16, 8), np.uint8))])
+    def test_view_map_of_another_size_rejected(self, scene_source, tmp_path, kind, values):
+        scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
+        write_tensor(scene_dir / f"view_0001.{kind}.lsmt", values)
+        with pytest.raises(ValueError, match=re.escape(f"scene: view 1: {kind} of shape "
+                                                       f"{values.shape}, its image is (16, 16)")):
+            load_scene(scene_dir)
+
+    def test_occupancy_that_is_not_a_cube_rejected(self, scene_source, tmp_path):
+        scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
+        write_tensor(scene_dir / "occupancy.lsmt", np.zeros((8, 8, 4), np.uint8))
+        with pytest.raises(ValueError, match=r"scene: occupancy of shape \(8, 8, 4\) is not"):
+            load_scene(scene_dir)
