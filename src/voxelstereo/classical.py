@@ -1,24 +1,23 @@
 """Non-learned baselines: silhouette carving and ZNCC plane-sweep stereo.
 
 The plane sweep scores fronto-parallel depth hypotheses (equally spaced in
-reference-camera z, placed at bin midpoints of the depth range the unit
-cube spans in the reference camera) by warping each other view onto the
-reference via the plane-induced point transfer and correlating square
-5 x 5 windows with zero-mean normalized cross correlation. Depth is
-winner-take-all over planes with a single parabolic refinement across the
-argmax neighborhood.
+reference-camera z, placed at bin midpoints of the depth range that the
+unit cube at the origin, the one voxel grid, spans in the reference
+camera) by warping each other view onto the reference via the
+plane-induced point transfer and correlating square 5 x 5 windows with
+zero-mean normalized cross correlation. Depth is winner-take-all over
+planes with a single parabolic refinement across the argmax neighborhood.
 
 window_zncc is the package's one ZNCC: the sweep builds it once per
 reference view and scores every warped other view through it. The sweep's
-window, its best-3-views averaging, its one-valid-view minimum and the
-cross-check's 3-plane tolerance are module constants; only the number of
-planes is an argument.
+5 x 5 window, its best-3-views averaging and the cross-check's 3-plane
+tolerance are module constants; only the number of planes is an argument.
 
 Image sampling (diffops.bilinear_sample), depth-plane placement
-(diffops.plane_depths) and pixel back-projection (geometry.backproject)
-are the ones the learned pipeline uses, and the visual hull reads its
-masks through diffops.unproject, so both baselines see the same geometry
-as the network.
+(diffops.plane_depths), nearest-pixel rounding (diffops.nearest_index) and
+pixel back-projection (geometry.backproject) are the ones the learned
+pipeline uses, and the visual hull reads its masks through
+diffops.unproject, so both baselines see the same geometry as the network.
 
 Validity: a window score requires every warped sample of the window to be
 valid in the other view as project_points decides it (in front of the
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import minimum_filter, uniform_filter
 
-from .diffops import bilinear_sample, plane_depths, unproject
+from .diffops import bilinear_sample, nearest_index, plane_depths, unproject
 from .geometry import Intrinsics, Pose, VoxelGridSpec, backproject, pixel_grid, project_points
 
 _VAR_EPS = 1e-12
@@ -56,36 +55,35 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 # averaging those in drowns the true peak; best-k averaging is the standard
 # occlusion-robust variant. k is capped at the number of other views.
 _WINDOW = 5
-_MIN_VIEWS_FOR_SCORE = 1
 _TOP_K_VIEWS = 3
 _TOL_PLANES = 3.0
 
 
-def _window_stats(img, window):
-    mean = uniform_filter(img, size=window, mode="constant")
-    sq = uniform_filter(img * img, size=window, mode="constant")
+def _window_stats(img):
+    mean = uniform_filter(img, size=_WINDOW, mode="constant")
+    sq = uniform_filter(img * img, size=_WINDOW, mode="constant")
     return mean, sq - mean * mean
 
 
-def window_zncc(ref: np.ndarray, window: int):
+def window_zncc(ref: np.ndarray):
     """Windowed zero-mean normalized cross correlation against one image.
 
     Returns score(other) -> (zncc, ok), each the shape of ref: zncc[i, j]
-    correlates the window x window windows centred at (i, j) in ref and
+    correlates the 5 x 5 windows centred at (i, j) in ref and
     other, clipped to [-1, 1]; ok is False, and zncc 0, where either window
     has variance below 1e-12. Windows past the border read zeros. The
     reference's window statistics are computed once, here.
     """
     ref = np.asarray(ref, dtype=np.float64)
-    ref_mean, ref_var = _window_stats(ref, window)
+    ref_mean, ref_var = _window_stats(ref)
     ref_textured = ref_var >= _VAR_EPS
 
     def score(other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         other = np.asarray(other, dtype=np.float64)
         if other.shape != ref.shape:
             raise ValueError(f"image shapes differ: {ref.shape} vs {other.shape}")
-        w_mean, w_var = _window_stats(other, window)
-        cross = uniform_filter(ref * other, size=window, mode="constant")
+        w_mean, w_var = _window_stats(other)
+        cross = uniform_filter(ref * other, size=_WINDOW, mode="constant")
         cov = cross - ref_mean * w_mean
         ok = ref_textured & (w_var >= _VAR_EPS)
         denom = np.sqrt(np.where(ok, ref_var * w_var, 1.0))
@@ -124,7 +122,7 @@ def plane_sweep_depth(
                              f"{(ocam.height, ocam.width)}")
 
     z_planes, spacing = plane_depths(VoxelGridSpec(), cam, pose, n_planes)
-    score = window_zncc(ref, _WINDOW)
+    score = window_zncc(ref)
     pixels = pixel_grid(cam).reshape(-1, 2)
     score_volume = np.full((n_planes, h, w), -np.inf)
 
@@ -139,15 +137,14 @@ def plane_sweep_depth(
                                        size=_WINDOW, mode="constant") > 0
             zncc, ok = score(warped.reshape(h, w))
             view_scores[j] = np.where(window_ok & ok, zncc, -np.inf)
-        n_valid = np.isfinite(view_scores).sum(axis=0)
-        enough = n_valid >= _MIN_VIEWS_FOR_SCORE
         # sum of the k best valid view scores over a fixed denominator k:
         # a plane seen validly by fewer views cannot outscore one with full
-        # support on a single chance correlation
+        # support on a single chance correlation; with no valid view (the
+        # best is -inf) the plane gets no score
         k = min(_TOP_K_VIEWS, len(grays))
         ranked = -np.sort(-view_scores, axis=0)[:k]
         top_sum = np.where(np.isfinite(ranked), ranked, 0.0).sum(axis=0)
-        score_volume[k_plane] = np.where(enough, top_sum / k, -np.inf)
+        score_volume[k_plane] = np.where(np.isfinite(ranked[0]), top_sum / k, -np.inf)
 
     valid = np.isfinite(score_volume).any(axis=0)
     best_k = np.argmax(score_volume, axis=0)
@@ -210,8 +207,8 @@ def cross_checked_sweep(
     vs, us = np.nonzero(valid)
     pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
     uv, z_partner, ok = project_points(pts, pcam, ppose)
-    ui = np.clip(np.round(uv[:, 0]).astype(np.int64), 0, pcam.width - 1)
-    vi = np.clip(np.round(uv[:, 1]).astype(np.int64), 0, pcam.height - 1)
+    ui = np.clip(nearest_index(uv[:, 0]), 0, pcam.width - 1)
+    vi = np.clip(nearest_index(uv[:, 1]), 0, pcam.height - 1)
     consistent = ok & pvalid[vi, ui] & (np.abs(pdepth[vi, ui] - z_partner) <= _TOL_PLANES * spacing)
     checked = np.zeros_like(valid)
     checked[vs[consistent], us[consistent]] = True

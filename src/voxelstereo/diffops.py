@@ -10,13 +10,15 @@ have an explicit vector-Jacobian product:
                     planes along each pixel's ray and stack the samples in
                     ascending-z channel blocks
 
-bilinear_sample is the package's one image sampler: unproject, and the
-classical visual_hull and plane_sweep_depth, all read images through it.
-Its edge rule: a sample is zero unless its point lies inside
-[0, W-1] x [0, H-1], and its valid flag marks exactly those points; a
-point only partly outside reads zero. The sampler has no public VJP: its
-adjoint is S.T, which unproject_vjp applies itself. plane_depths is
-likewise the one placement of depth planes, shared with the plane sweep.
+_bilinear_matrix is the package's one image-sampling rule:
+bilinear_sample (through which the classical plane_sweep_depth reads
+images) and unproject (through which the classical visual_hull reads
+masks) both build their sampling matrix with it. Its edge rule: a sample
+is zero unless its point lies inside [0, W-1] x [0, H-1], and its valid
+flag marks exactly those points; a point only partly outside reads zero.
+bilinear_sample has no public VJP: its adjoint is S.T, which
+unproject_vjp applies itself. plane_depths is likewise the one placement
+of depth planes, shared with the plane sweep.
 
 Feature maps are (H, W, C) arrays, feature grids (V, V, V, C) arrays indexed
 like voxel_centers (axis 0 = x). Samples that fall outside the image or the
@@ -33,8 +35,10 @@ bitwise. project's rows run over (pixel row, pixel column, plane), so its
 (H, W, N_z * C) output is a plain reshape of S @ grid, and its VJP's
 upstream a plain reshape to (H * W * N_z, C).
 
-Nearest-neighbor grid lookup rounds half-down (floor(x + 0.5 - eps)) so that
-tie-breaking is identical on every platform.
+nearest_index is the one nearest-neighbor rounding, used by project's grid
+lookup and the classical cross-checked sweep's pixel lookup: it rounds
+half down (floor(x + 0.5 - eps)), so that ties break the same way on every
+platform, where np.round would round half to even.
 """
 
 from __future__ import annotations
@@ -61,6 +65,11 @@ class GeomFeatureConfig:
 
     def out_channels(self, c_in: int) -> int:
         return c_in + 4 * self.geometric
+
+
+def nearest_index(x: np.ndarray) -> np.ndarray:
+    """Nearest integer to each coordinate as int64; half-integers round down."""
+    return np.floor(x + 0.5 - _TIE_EPS).astype(np.int64)
 
 
 def _sampling_matrix(lin, weights, n_cols):
@@ -195,7 +204,7 @@ def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: 
     points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
     v = spec.resolution
     g = spec.world_to_grid(points.reshape(-1, 3))
-    idx = np.floor(g + 0.5 - _TIE_EPS).astype(np.int64)
+    idx = nearest_index(g)
     inside = ((idx >= 0) & (idx < v)).all(axis=1, keepdims=True)
     lin = (idx[:, :1] * v + idx[:, 1:2]) * v + idx[:, 2:]
     return _sampling_matrix(np.where(inside, lin, 0), inside.astype(np.float64), v ** 3)

@@ -1,11 +1,10 @@
 """Fusing per-view feature grids into a single grid.
 
-Two routes: exactly permutation-invariant pointwise pooling (max / mean),
-which lives in tape.max_stack and tape.mean_stack, and the 3D
-convolutional gated recurrent unit here, which folds the views in
-sequence. GRU gates are same-padded 3x3x3 convolutions over the channel
-concatenation of input and state, with pre-activations layer-normalized
-over channels per voxel:
+Two routes: the exactly permutation-invariant pointwise mean, which lives
+in tape.mean_stack, and the 3D convolutional gated recurrent unit here,
+which folds the views in sequence. GRU gates are same-padded 3x3x3
+convolutions over the channel concatenation of input and state, with
+pre-activations layer-normalized over channels per voxel:
 
     z  = sigmoid(LN_z(conv([x, h], W_z) + b_z))
     r  = sigmoid(LN_r(conv([x, h], W_r) + b_r))

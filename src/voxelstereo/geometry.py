@@ -21,6 +21,12 @@ Pixels:
 
 Depth is camera-frame z in world length units. Points with z <= Z_EPS are
 behind (or numerically on) the camera plane and project invalidly.
+
+Voxel grid:
+  - Scenes live in the unit cube [-0.5, 0.5]^3 centred at the world origin,
+    and every voxel grid splits exactly that cube; only its resolution
+    varies. The plane sweep's depth range, evalkit's depth window (sqrt(3)/2
+    about the origin) and synthgen's scene bounds all rely on this.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ Z_EPS = 1e-6
 
 # Orthonormality tolerance for rotation matrices.
 _ROT_TOL = 1e-9
+
+# World "up" of look_at's images.
+_UP = np.array([0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -98,43 +107,31 @@ class Pose:
 
 @dataclass(frozen=True, eq=False)
 class VoxelGridSpec:
-    """Axis-aligned cube of resolution^3 voxels.
+    """The unit cube at the origin split into resolution^3 voxels.
 
     Voxel (i, j, k) indexes (x, y, z); its center is
-    center + side * ((index + 0.5) / resolution - 0.5) per axis.
+    (index + 0.5) / resolution - 0.5 per axis.
     """
 
     resolution: int = 32
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    side: float = 1.0
 
     def __post_init__(self):
         if not (float(self.resolution).is_integer() and self.resolution >= 1):
             raise ValueError(f"resolution must be an integer >= 1, got {self.resolution!r}")
-        if not (np.isfinite(self.side) and self.side > 0):
-            raise ValueError(f"side must be positive and finite, got {self.side}")
-        center = tuple(float(c) for c in self.center)
-        if not np.isfinite(center).all():
-            raise ValueError(f"center must be finite, got {center}")
         object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "center", center)
 
-    def axis_centers(self, axis: int) -> np.ndarray:
+    def axis_centers(self) -> np.ndarray:
+        """Voxel center coordinates along any one axis."""
         v = self.resolution
-        return self.center[axis] + self.side * ((np.arange(v) + 0.5) / v - 0.5)
+        return (np.arange(v) + 0.5) / v - 0.5
 
     def corners(self) -> np.ndarray:
         """The 8 cube corners, shape (8, 3)."""
-        h = 0.5 * self.side
-        offs = np.array(
-            [[sx, sy, sz] for sx in (-h, h) for sy in (-h, h) for sz in (-h, h)]
-        )
-        return np.asarray(self.center) + offs
+        return np.array([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
 
     def world_to_grid(self, points: np.ndarray) -> np.ndarray:
         """Continuous grid coordinates: voxel center i maps exactly to i."""
-        p = np.asarray(points, dtype=np.float64)
-        return ((p - np.asarray(self.center)) / self.side + 0.5) * self.resolution - 0.5
+        return (np.asarray(points, dtype=np.float64) + 0.5) * self.resolution - 0.5
 
 
 def project_points(
@@ -184,10 +181,8 @@ def pixel_grid(cam: Intrinsics) -> np.ndarray:
 
 def voxel_centers(spec: VoxelGridSpec) -> np.ndarray:
     """Centers of all voxels, shape (V^3, 3), index i slowest (row-major)."""
-    xs = spec.axis_centers(0)
-    ys = spec.axis_centers(1)
-    zs = spec.axis_centers(2)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+    c = spec.axis_centers()
+    gx, gy, gz = np.meshgrid(c, c, c, indexing="ij")
     return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
 
 
@@ -217,12 +212,12 @@ def camera_z_range(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose) -> tuple[fl
     return z_near, z_far
 
 
-def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
+def look_at(position, target) -> Pose:
     """Pose of a camera at `position` looking toward `target`.
 
-    Uses the y-down camera convention above; `up` picks the image's "up"
-    in world space, with an automatic fallback when it is parallel to the
-    viewing direction.
+    Uses the y-down camera convention above with world +y as the image's
+    "up", falling back to +z (or +x) when the viewing direction is parallel
+    to +y.
     """
     position = np.asarray(position, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - position
@@ -230,8 +225,7 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
     if n == 0:
         raise ValueError("camera position coincides with target")
     z_c = forward / n
-    up = np.asarray(up, dtype=np.float64)
-    x_c = np.cross(z_c, up)
+    x_c = np.cross(z_c, _UP)
     if np.linalg.norm(x_c) < 1e-8:  # looking straight along up
         up = np.array([0.0, 0.0, 1.0]) if abs(z_c[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
         x_c = np.cross(z_c, up)

@@ -20,12 +20,12 @@ direction (GEOM_FEATURES); ToyModelConfig holds what runs vary.
 Every learnable parameter, the GRU gates included, lives in ToyModel.params
 under its checkpoint name. Checkpoints are a directory with one tensor file
 per parameter plus a manifest of names and shapes. Values are stored as
-float32, so a loaded parameter equals
-value.astype(np.float32).astype(np.float64) of the saved one, not the
-float64 value itself. Loading rejects a checkpoint whose config names a
-field ToyModelConfig does not take or lacks one it has (no default fills a
-missing field in), or whose manifest lacks a model parameter, names one the
-model does not have, or gives a mis-shaped one.
+float64, so a loaded parameter equals the saved one bitwise; a checkpoint
+whose tensors are float32 still loads, widened to float64. Loading rejects
+a checkpoint whose config names a field ToyModelConfig does not take or
+lacks one it has (no default fills a missing field in), or whose manifest
+lacks a model parameter, names one the model does not have, or gives a
+mis-shaped one.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ GEOM_FEATURES = GeomFeatureConfig(geometric=True)
 
 @dataclass
 class ToyModelConfig:
-    fusion: str = "gru"                    # "gru" | "mean" | "max"
+    fusion: str = "gru"                    # "gru" | "mean"
     head: str = "voxel"                    # "voxel" | "depth"
     n_z: int = 32
     image_hw: tuple[int, int] = (64, 64)
@@ -64,7 +64,7 @@ class ToyModelConfig:
         for name in ("views", "n_z", "grid_resolution"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.fusion not in ("gru", "mean", "max"):
+        if self.fusion not in ("gru", "mean"):
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if self.head not in ("voxel", "depth"):
             raise ValueError(f"unknown head {self.head!r}")
@@ -164,9 +164,7 @@ class ToyModel:
     def fuse(self, grids):
         if self.cfg.fusion == "gru":
             return fuse_recurrent_node(grids, self.params)
-        if self.cfg.fusion == "mean":
-            return tape.mean_stack(grids)
-        return tape.max_stack(grids)
+        return tape.mean_stack(grids)
 
     def reasoned_grid(self, images, cameras):
         """Images (K, H, W, 3), cameras [(Intrinsics, Pose)] -> grid node, views.
@@ -210,7 +208,7 @@ class ToyModel:
                     x = tape.relu(x)
             coarse = tape.upsample_nearest(x, 4)
             skip_full = tape.upsample_nearest(skip, 2)
-            stacked = tape.concat([coarse, skip_full], axis=-1)
+            stacked = tape.concat([coarse, skip_full])
             depth = tape.conv(stacked, p["depth_refine.kernel"], p["depth_refine.bias"])
             out.append(tape.take(depth, 0, axis=-1))
         return out
@@ -243,7 +241,7 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
     manifest = {}
     for p in model.parameters():
         fname = p.name.replace("/", "_") + ".lsmt"
-        write_tensor(out_dir / fname, p.value.astype(np.float32), "f32")
+        write_tensor(out_dir / fname, p.value, "f64")
         manifest[p.name] = {"file": fname, "shape": list(p.value.shape)}
     (out_dir / "manifest.json").write_text(
         json.dumps({"config": asdict(model.cfg), "parameters": manifest},

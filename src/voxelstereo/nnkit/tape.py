@@ -34,22 +34,16 @@ class TapeNode:
         self.vjp = vjp
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 class Parameter(TapeNode):
-    """Leaf node with a stable name; gradients persist until zeroed."""
+    """Leaf node with a stable name; gradients accumulate until the
+    optimizer's zero_grad clears them."""
 
     __slots__ = ("name",)
 
     def __init__(self, value, name):
         super().__init__(np.array(value, dtype=np.float64))
         self.name = name
-
-    def zero_grad(self):
-        self.grad = None
 
 
 def as_node(x) -> TapeNode:
@@ -109,12 +103,12 @@ def one_minus(a):
     return TapeNode(1.0 - a.value, (a,), lambda g: (-g,))
 
 
-def concat(nodes, axis=-1):
+def concat(nodes):
+    """Concatenation along the last (channel) axis."""
     nodes = [as_node(n) for n in nodes]
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
-    return TapeNode(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes),
-                    lambda g: np.split(g, splits, axis=axis))
+    splits = np.cumsum([n.value.shape[-1] for n in nodes])[:-1]
+    return TapeNode(np.concatenate([n.value for n in nodes], axis=-1), tuple(nodes),
+                    lambda g: np.split(g, splits, axis=-1))
 
 
 def take(a, index, axis):
@@ -217,15 +211,6 @@ def mean_stack(nodes):
     value = stacked.sum(axis=0) / len(nodes)
     inv_n = 1.0 / len(nodes)
     return TapeNode(value, tuple(nodes), lambda g: (g * inv_n,) * len(nodes))
-
-
-def max_stack(nodes):
-    """Elementwise max; ties route the gradient to the earliest input."""
-    nodes = [as_node(n) for n in nodes]
-    stacked = np.stack([n.value for n in nodes])
-    winner = np.argmax(stacked, axis=0)
-    return TapeNode(stacked.max(axis=0), tuple(nodes),
-                    lambda g: tuple(np.where(winner == i, g, 0.0) for i in range(len(nodes))))
 
 
 # --- losses --------------------------------------------------------------------

@@ -4,7 +4,7 @@ Tensor container (extension .lsmt), all integers and floats little-endian:
 
     bytes 0-3   magic "LSMT"
     bytes 4-5   version, u16, currently 1
-    byte  6     dtype, u8: 1 = float32, 2 = uint8
+    byte  6     dtype, u8: 1 = float32, 2 = uint8, 3 = float64
     byte  7     rank, u8, 1..8
     then        rank x u32 dims
     then        row-major payload, prod(dims) * itemsize bytes
@@ -31,8 +31,8 @@ from .geometry import Intrinsics, Pose
 
 MAGIC = b"LSMT"
 VERSION = 1
-DTYPE_CODES = {"f32": 1, "u8": 2}
-_CODE_TO_NP = {1: np.dtype("<f4"), 2: np.dtype("u1")}
+DTYPE_CODES = {"f32": 1, "u8": 2, "f64": 3}
+_CODE_TO_NP = {1: np.dtype("<f4"), 2: np.dtype("u1"), 3: np.dtype("<f8")}
 MAX_RANK = 8
 
 
@@ -45,11 +45,9 @@ class TensorFormatError(ValueError):
         self.offset = offset
 
 
-def write_tensor(path, values: np.ndarray, dtype: str | None = None) -> None:
-    """Write an array as "f32" or "u8" (inferred if None); u8 takes integers in [0, 255]."""
+def write_tensor(path, values: np.ndarray, dtype: str) -> None:
+    """Write an array as "f32", "f64" or "u8"; u8 takes integers in [0, 255]."""
     values = np.asarray(values)
-    if dtype is None:
-        dtype = "u8" if values.dtype == np.uint8 else "f32"
     if dtype not in DTYPE_CODES:
         raise ValueError(f"unsupported dtype {dtype!r}")
     if values.ndim == 0:
@@ -68,7 +66,7 @@ def write_tensor(path, values: np.ndarray, dtype: str | None = None) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file back as a float32 or uint8 array."""
+    """Read a tensor file back as a float32, float64 or uint8 array."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
@@ -206,9 +204,7 @@ class DatasetManifest:
             raise FileNotFoundError(f"no scenes found under {root}")
         return cls(root=root, scenes=scenes)
 
-    def load(self, name_or_index) -> SceneData:
-        name = (self.scenes[name_or_index] if isinstance(name_or_index, int)
-                else name_or_index)
+    def load(self, name: str) -> SceneData:
         return load_scene(self.root / name)
 
     def load_all(self) -> list[SceneData]:

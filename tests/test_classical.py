@@ -36,7 +36,6 @@ from voxelstereo.synthgen import (
 )
 
 
-WINDOW = 5
 INNER = np.s_[2:-2, 2:-2]  # pixels whose 5 x 5 window lies inside the image
 
 
@@ -54,47 +53,47 @@ def zncc_reference(a, b):
 class TestZncc:
     def test_identical_patches(self):
         a = np.random.default_rng(0).random((12, 12))
-        score, ok = window_zncc(a, WINDOW)(a)
+        score, ok = window_zncc(a)(a)
         assert ok.all()
         np.testing.assert_allclose(score, 1.0, atol=1e-12)
 
     def test_anticorrelated(self):
         a = np.random.default_rng(1).random((12, 12))
-        score, ok = window_zncc(a, WINDOW)(-a + 3.7)
+        score, ok = window_zncc(a)(-a + 3.7)
         assert ok[INNER].all()
         np.testing.assert_allclose(score[INNER], -1.0, atol=1e-12)
 
     def test_constant_patch_invalid(self):
         a = np.full((12, 12), 2.0)
         b = np.random.default_rng(2).random((12, 12))
-        score, ok = window_zncc(a, WINDOW)(b)
+        score, ok = window_zncc(a)(b)
         assert not ok[INNER].any()
         assert (score[INNER] == 0).all()
 
     def test_brightness_and_contrast_invariance(self):
         a = np.random.default_rng(3).random((14, 14))
         b = np.random.default_rng(4).random((14, 14))
-        base, _ = window_zncc(a, WINDOW)(b)
-        shifted, _ = window_zncc(a + 5.0, WINDOW)(2.0 * b - 1.0)
+        base, _ = window_zncc(a)(b)
+        shifted, _ = window_zncc(a + 5.0)(2.0 * b - 1.0)
         np.testing.assert_allclose(shifted[INNER], base[INNER], atol=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            score, ok = window_zncc(rng.random((12, 12)), WINDOW)(rng.random((12, 12)))
+            score, ok = window_zncc(rng.random((12, 12)))(rng.random((12, 12)))
             assert ok.any()
             assert (score[ok] >= -1.0).all() and (score[ok] <= 1.0).all()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            window_zncc(np.zeros((3, 3)), WINDOW)(np.zeros((5, 5)))
+            window_zncc(np.zeros((3, 3)))(np.zeros((5, 5)))
 
     def test_matches_direct_formula_on_interior_windows(self):
         rng = np.random.default_rng(6)
         a = rng.random((16, 16))
         b = 0.5 * a + rng.random((16, 16))
         a[4:10, 4:10] = 0.3  # a flat patch: windows inside it are invalid
-        score, ok = window_zncc(a, WINDOW)(b)
+        score, ok = window_zncc(a)(b)
         for i in range(2, 14):
             for j in range(2, 14):
                 expected, valid = zncc_reference(a[i - 2:i + 3, j - 2:j + 3],

@@ -14,6 +14,7 @@ from helpers import assert_vjp_matches_fd, max_rel_error
 from voxelstereo.diffops import (
     GeomFeatureConfig,
     bilinear_sample,
+    nearest_index,
     plane_depths,
     project,
     project_vjp,
@@ -96,7 +97,7 @@ class TestUnproject:
     def test_same_ray_voxels_share_features(self):
         spec = VoxelGridSpec(resolution=8)
         # camera sits on the line of centers with x/y index (2, 5)
-        cx, cy = spec.axis_centers(0)[2], spec.axis_centers(1)[5]
+        cx, cy = spec.axis_centers()[2], spec.axis_centers()[5]
         center = np.array([cx, cy, -2.0])
         pose = Pose(rotation=np.eye(3), translation=-center)
         fmap = np.random.default_rng(0).random((64, 64, 3))
@@ -209,6 +210,15 @@ def ray_march_oracle(grid, spec, cam, pose, n_planes, u, v):
     return np.concatenate(out)
 
 
+def test_nearest_index_rounds_ties_down():
+    ties = np.array([0.5, 1.5, 2.5])
+    np.testing.assert_array_equal(nearest_index(ties), [0, 1, 2])
+    np.testing.assert_array_equal(np.round(ties), [0, 2, 2])  # half to even
+    out = nearest_index(np.array([-0.5, -0.4, 0.4999, 0.5001, 3.0, 6.7]))
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, [-1, 0, 0, 1, 3, 7])
+
+
 class TestProject:
     def test_constant_grid(self):
         spec = VoxelGridSpec(resolution=8)
@@ -234,7 +244,7 @@ class TestProject:
             np.testing.assert_array_equal(out[v, u], expected)
         # the principal pixel's ray passes through that voxel; its response
         # sits in the channel block whose z_k is nearest the voxel depth
-        center_voxel_depth = 2.0 + spec.axis_centers(2)[15]
+        center_voxel_depth = 2.0 + spec.axis_centers()[15]
         z_values, spacing = plane_depths(spec, CAM, POSE_Z2, 32)
         hit_blocks = np.nonzero(out[31, 31])[0]
         assert len(hit_blocks) >= 1
@@ -245,8 +255,8 @@ class TestProject:
         # passes exactly through voxel centers
         spec = VoxelGridSpec(resolution=16)
         cam = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
-        col_x = spec.axis_centers(0)[6]
-        col_y = spec.axis_centers(1)[9]
+        col_x = spec.axis_centers()[6]
+        col_y = spec.axis_centers()[9]
         pose = Pose(rotation=np.eye(3), translation=-np.array([col_x, col_y, -2.0]))
         fmap = np.zeros((64, 64, 1))
         fmap[32, 32, 0] = 1.0  # the principal pixel

@@ -93,22 +93,20 @@ class TestVoxelCenters:
         c = voxel_centers(spec)
         # index (i, j, k) -> flat i*V*V + j*V + k, i indexes x
         i, j, k = 1, 2, 3
-        expected = [spec.axis_centers(0)[i], spec.axis_centers(1)[j], spec.axis_centers(2)[k]]
+        expected = [spec.axis_centers()[i], spec.axis_centers()[j], spec.axis_centers()[k]]
         np.testing.assert_allclose(c[i * 16 + j * 4 + k], expected)
 
     def test_centers_inside_cube_and_evenly_spaced(self):
-        spec = VoxelGridSpec(resolution=8, center=(0.3, -0.1, 0.0), side=2.0)
+        spec = VoxelGridSpec(resolution=8)
         c = voxel_centers(spec).reshape(8, 8, 8, 3)
-        lo = np.asarray(spec.center) - spec.side / 2
-        hi = np.asarray(spec.center) + spec.side / 2
-        assert (c > lo).all() and (c < hi).all()
-        np.testing.assert_allclose(np.diff(c[:, 0, 0, 0]), spec.side / 8)
-        np.testing.assert_allclose(np.diff(c[0, :, 0, 1]), spec.side / 8)
-        np.testing.assert_allclose(np.diff(c[0, 0, :, 2]), spec.side / 8)
+        assert (c > -0.5).all() and (c < 0.5).all()
+        np.testing.assert_allclose(np.diff(c[:, 0, 0, 0]), 1 / 8)
+        np.testing.assert_allclose(np.diff(c[0, :, 0, 1]), 1 / 8)
+        np.testing.assert_allclose(np.diff(c[0, 0, :, 2]), 1 / 8)
 
     def test_grid_world_round_trip(self):
         # voxel center (i, j, k) maps exactly to grid coordinate (i, j, k)
-        spec = VoxelGridSpec(resolution=16, center=(0.1, 0.2, -0.3), side=1.5)
+        spec = VoxelGridSpec(resolution=16)
         index = np.stack(np.meshgrid(*[np.arange(16)] * 3, indexing="ij"), axis=-1)
         np.testing.assert_allclose(spec.world_to_grid(voxel_centers(spec)),
                                    index.reshape(-1, 3), atol=1e-12)
@@ -200,12 +198,13 @@ class TestValidation:
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             VoxelGridSpec(resolution=0)
-        with pytest.raises(ValueError):
-            VoxelGridSpec(side=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(side=2.0), dict(center=(0.3, 0.0, 0.0))])
+    def test_grid_spec_is_only_the_unit_cube_at_the_origin(self, kwargs):
+        with pytest.raises(TypeError):
+            VoxelGridSpec(**kwargs)
 
     @pytest.mark.parametrize("kwargs,field", [
-        (dict(side=np.nan), "side"), (dict(side=np.inf), "side"),
-        (dict(center=(0.0, np.nan, 0.0)), "center"), (dict(center=(np.inf, 0.0, 0.0)), "center"),
         (dict(resolution=2.5), "resolution"), (dict(resolution=np.nan), "resolution"),
     ])
     def test_grid_spec_rejects_non_finite_and_non_integral(self, kwargs, field):

@@ -122,7 +122,7 @@ class TestVoxelize:
 
     def test_translation_by_one_voxel_shifts_occupancy(self):
         spec = VoxelGridSpec(resolution=32)
-        step = spec.side / spec.resolution
+        step = 1.0 / spec.resolution
         a = voxelize(SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=0.3))]), spec)
         b = voxelize(SceneSpec(nodes=[("union", Sphere(center=(step, 0, 0), radius=0.3))]), spec)
         np.testing.assert_array_equal(b[1:], a[:-1])
@@ -182,6 +182,6 @@ class TestGenerateDataset:
     def test_depth_mask_consistency(self, tmp_path):
         manifest = generate_dataset(1, 2, tmp_path / "d", seed=3, resolution=8,
                                     image_size=(24, 24))
-        scene = manifest.load(0)
+        scene = manifest.load(manifest.scenes[0])
         for k in range(scene.n_views):
             np.testing.assert_array_equal(scene.depths[k] > 0, scene.masks[k].astype(bool))

@@ -22,7 +22,7 @@ class TestTensorRoundTrip:
     def test_float_2x3_bit_exact(self, tmp_path):
         x = np.array([[1.5, -2.25, 3.0], [0.1, 1e-20, -7.0]], dtype=np.float32)
         p = tmp_path / "t.lsmt"
-        write_tensor(p, x)
+        write_tensor(p, x, "f32")
         y = read_tensor(p)
         assert y.dtype == np.float32
         assert y.shape == (2, 3)
@@ -31,7 +31,7 @@ class TestTensorRoundTrip:
     def test_u8_round_trip(self, tmp_path):
         x = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
         p = tmp_path / "t.lsmt"
-        write_tensor(p, x)
+        write_tensor(p, x, "u8")
         y = read_tensor(p)
         assert y.dtype == np.uint8
         np.testing.assert_array_equal(x, y)
@@ -41,7 +41,7 @@ class TestTensorRoundTrip:
         shape = (2,) * rank
         x = np.random.default_rng(rank).random(shape).astype(np.float32)
         p = tmp_path / "t.lsmt"
-        write_tensor(p, x)
+        write_tensor(p, x, "f32")
         y = read_tensor(p)
         assert y.shape == shape
         assert x.tobytes() == y.tobytes()
@@ -49,14 +49,28 @@ class TestTensorRoundTrip:
     def test_float64_input_stored_as_f32(self, tmp_path):
         x = np.array([1.0, 2.0, np.pi])
         p = tmp_path / "t.lsmt"
-        write_tensor(p, x)
+        write_tensor(p, x, "f32")
         np.testing.assert_array_equal(read_tensor(p), x.astype(np.float32))
+
+    def test_f64_bit_exact(self, tmp_path):
+        x = np.array([[np.pi, -1e-300], [1.0 / 3.0, -0.0]])
+        p = tmp_path / "t.lsmt"
+        write_tensor(p, x, "f64")
+        y = read_tensor(p)
+        assert y.dtype == np.float64
+        assert p.read_bytes()[6] == 3
+        assert x.tobytes() == y.tobytes()
+
+    def test_dtype_is_required(self, tmp_path):
+        # inferring one would round a float64 array to float32 without a word
+        with pytest.raises(TypeError):
+            write_tensor(tmp_path / "t.lsmt", np.array([np.pi]))
 
 
 class TestTensorErrors:
     def test_bad_magic_named_with_offset(self, tmp_path):
         p = tmp_path / "t.lsmt"
-        write_tensor(p, np.zeros(3, dtype=np.float32))
+        write_tensor(p, np.zeros(3, dtype=np.float32), "f32")
         data = bytearray(p.read_bytes())
         data[:4] = b"XXXX"
         p.write_bytes(bytes(data))
@@ -65,7 +79,7 @@ class TestTensorErrors:
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "t.lsmt"
-        write_tensor(p, np.zeros(3, dtype=np.float32))
+        write_tensor(p, np.zeros(3, dtype=np.float32), "f32")
         data = bytearray(p.read_bytes())
         data[4] = 9
         p.write_bytes(bytes(data))
@@ -74,7 +88,7 @@ class TestTensorErrors:
 
     def test_bad_dtype_code(self, tmp_path):
         p = tmp_path / "t.lsmt"
-        write_tensor(p, np.zeros(3, dtype=np.float32))
+        write_tensor(p, np.zeros(3, dtype=np.float32), "f32")
         data = bytearray(p.read_bytes())
         data[6] = 77
         p.write_bytes(bytes(data))
@@ -92,11 +106,11 @@ class TestTensorErrors:
 
     def test_rank_zero_write_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rank"):
-            write_tensor(tmp_path / "t.lsmt", np.float32(3.0))
+            write_tensor(tmp_path / "t.lsmt", np.float32(3.0), "f32")
 
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "t.lsmt"
-        write_tensor(p, np.zeros((4, 4), dtype=np.float32))
+        write_tensor(p, np.zeros((4, 4), dtype=np.float32), "f32")
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(TensorFormatError, match="payload"):
             read_tensor(p)
@@ -180,13 +194,14 @@ class TestSceneLayout:
                                              ("mask", np.zeros((16, 8), np.uint8))])
     def test_view_map_of_another_size_rejected(self, scene_source, tmp_path, kind, values):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
-        write_tensor(scene_dir / f"view_0001.{kind}.lsmt", values)
+        write_tensor(scene_dir / f"view_0001.{kind}.lsmt", values,
+                     {"depth": "f32", "mask": "u8"}[kind])
         with pytest.raises(ValueError, match=re.escape(f"scene: view 1: {kind} of shape "
                                                        f"{values.shape}, its image is (16, 16)")):
             load_scene(scene_dir)
 
     def test_occupancy_that_is_not_a_cube_rejected(self, scene_source, tmp_path):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
-        write_tensor(scene_dir / "occupancy.lsmt", np.zeros((8, 8, 4), np.uint8))
+        write_tensor(scene_dir / "occupancy.lsmt", np.zeros((8, 8, 4), np.uint8), "u8")
         with pytest.raises(ValueError, match=r"scene: occupancy of shape \(8, 8, 4\) is not"):
             load_scene(scene_dir)
