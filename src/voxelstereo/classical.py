@@ -121,7 +121,7 @@ def plane_sweep_depth(
             raise ValueError(f"other image {j} {gray.shape} does not match its camera "
                              f"{(ocam.height, ocam.width)}")
 
-    z_planes, spacing = plane_depths(VoxelGridSpec(), cam, pose, n_planes)
+    z_planes, spacing = plane_depths(pose, n_planes)
     score = window_zncc(ref)
     pixels = pixel_grid(cam).reshape(-1, 2)
     score_volume = np.full((n_planes, h, w), -np.inf)
@@ -203,7 +203,7 @@ def cross_checked_sweep(
     pcam, ppose = cameras[partner]
     pdepth, _, pvalid = sweep(partner)
 
-    _, spacing = plane_depths(VoxelGridSpec(), cam, pose, n_planes)
+    _, spacing = plane_depths(pose, n_planes)
     vs, us = np.nonzero(valid)
     pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
     uv, z_partner, ok = project_points(pts, pcam, ppose)

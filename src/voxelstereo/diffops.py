@@ -183,13 +183,11 @@ def unproject_vjp(
     return (s.T @ up[:, :c]).reshape(h, w, c)
 
 
-def plane_depths(
-    spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int
-) -> tuple[np.ndarray, float]:
-    """Midpoint depth samples of [z_near, z_far] and their spacing."""
+def plane_depths(pose: Pose, n_planes: int) -> tuple[np.ndarray, float]:
+    """Midpoint depth samples of camera_z_range(pose) and their spacing."""
     if n_planes < 1:
         raise ValueError(f"n_planes must be >= 1, got {n_planes}")
-    z_near, z_far = camera_z_range(spec, cam, pose)
+    z_near, z_far = camera_z_range(pose)
     spacing = (z_far - z_near) / n_planes
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing
 
@@ -200,7 +198,7 @@ def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: 
     Rows run over (row, column, plane) of the pixel raster and the depth
     planes; each holds a 1 at the sample's nearest voxel if that is in the grid.
     """
-    z_values, _ = plane_depths(spec, cam, pose, n_planes)
+    z_values, _ = plane_depths(pose, n_planes)
     points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
     v = spec.resolution
     g = spec.world_to_grid(points.reshape(-1, 3))

@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nnkit import tape
+from .nnkit.layers import he_normal
 from .nnkit.tape import Parameter, TapeNode
 
 
@@ -56,8 +57,8 @@ def init_gru_params(c_in, c_hidden, rng) -> dict[str, Parameter]:
     """
     values = {}
     for gate in ("update", "reset", "candidate"):
-        w_x = rng.standard_normal((3, 3, 3, c_in, c_hidden)) * np.sqrt(2.0 / (27 * c_in))
-        w_h = rng.standard_normal((3, 3, 3, c_hidden, c_hidden)) * np.sqrt(2.0 / (27 * c_hidden))
+        w_x = he_normal(rng, (3, 3, 3, c_in, c_hidden))
+        w_h = he_normal(rng, (3, 3, 3, c_hidden, c_hidden))
         values[f"gru.{gate}.kernel"] = np.concatenate([w_x, w_h], axis=3)
         values[f"gru.{gate}.bias"] = np.zeros(c_hidden)
         values[f"gru.{gate}.ln_gain"] = np.ones(c_hidden)

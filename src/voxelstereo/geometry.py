@@ -25,8 +25,9 @@ behind (or numerically on) the camera plane and project invalidly.
 Voxel grid:
   - Scenes live in the unit cube [-0.5, 0.5]^3 centred at the world origin,
     and every voxel grid splits exactly that cube; only its resolution
-    varies. The plane sweep's depth range, evalkit's depth window (sqrt(3)/2
-    about the origin) and synthgen's scene bounds all rely on this.
+    varies. The plane sweep's depth range (camera_z_range over CUBE_CORNERS),
+    evalkit's depth window (sqrt(3)/2 about the origin) and synthgen's scene
+    bounds all rely on this.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ _ROT_TOL = 1e-9
 
 # World "up" of look_at's images.
 _UP = np.array([0.0, 1.0, 0.0])
+
+# The 8 corners of the unit cube at the origin, shape (8, 3).
+CUBE_CORNERS = np.array([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,6 @@ class VoxelGridSpec:
         v = self.resolution
         return (np.arange(v) + 0.5) / v - 0.5
 
-    def corners(self) -> np.ndarray:
-        """The 8 cube corners, shape (8, 3)."""
-        return np.array([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
-
     def world_to_grid(self, points: np.ndarray) -> np.ndarray:
         """Continuous grid coordinates: voxel center i maps exactly to i."""
         return (np.asarray(points, dtype=np.float64) + 0.5) * self.resolution - 0.5
@@ -200,13 +200,13 @@ def rays_through_pixels(
     return pose.camera_center, d_world
 
 
-def camera_z_range(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose) -> tuple[float, float]:
-    """Camera-frame depth interval covering the grid cube.
+def camera_z_range(pose: Pose) -> tuple[float, float]:
+    """Camera-frame depth interval covering the unit cube at the origin.
 
     z_near = max(Z_EPS, min corner depth), z_far = max corner depth; z_far is
     clamped so z_near <= z_far even for a cube entirely behind the camera.
     """
-    z = pose.transform(spec.corners())[:, 2]
+    z = pose.transform(CUBE_CORNERS)[:, 2]
     z_near = max(Z_EPS, float(z.min()))
     z_far = max(z_near, float(z.max()))
     return z_near, z_far

@@ -136,6 +136,12 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     return grad_x, grad_k, grad_b
 
 
+def he_normal(rng, shape):
+    """He-normal conv kernel (*k, C_in, C_out): std sqrt(2 / fan_in), fan_in = prod(*k, C_in)."""
+    fan_in = int(np.prod(shape[:-1]))
+    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+
+
 def _norm_stats(x, axes):
     """(xhat, var, spare): x normalized over `axes`, its variance there, and a
     free full-size buffer that held the squared deviations."""

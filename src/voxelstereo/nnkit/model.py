@@ -41,6 +41,7 @@ from ..fusion import fuse_recurrent_node, init_gru_params
 from ..geometry import VoxelGridSpec, scale_intrinsics
 from ..tensorio import read_tensor, write_tensor
 from . import tape
+from .layers import he_normal
 from .tape import Parameter
 
 
@@ -81,18 +82,13 @@ class ToyModelConfig:
         return GRU_HIDDEN if self.fusion == "gru" else unproj
 
 
-def _he(rng, shape):
-    fan_in = int(np.prod(shape[:-1]))
-    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-
-
 def _add(params, name, value):
     params[name] = Parameter(value, name)
 
 
 def _conv_block(rng, params, name, kshape):
     c_out = kshape[-1]
-    _add(params, f"{name}.kernel", _he(rng, kshape))
+    _add(params, f"{name}.kernel", he_normal(rng, kshape))
     _add(params, f"{name}.bias", np.zeros(c_out))
     _add(params, f"{name}.gain", np.ones(c_out))
     _add(params, f"{name}.shift", np.zeros(c_out))
@@ -135,7 +131,7 @@ class ToyModel:
             _add(params, "voxel_head.bias", np.zeros(2))
         else:
             for i, (c_in, c_out) in enumerate(_ray_reduce_chain(cfg)):
-                _add(params, f"ray_reduce{i}.kernel", _he(rng, (1, 1, c_in, c_out)))
+                _add(params, f"ray_reduce{i}.kernel", he_normal(rng, (1, 1, c_in, c_out)))
                 _add(params, f"ray_reduce{i}.bias", np.zeros(c_out))
             # zero-init output layer with the bias at the camera orbit radius:
             # the untrained model predicts a constant plausible depth and the

@@ -10,7 +10,11 @@ and returns the textured Lambertian-shaded image, the exact camera-frame
 depth (0 at misses) and the hit mask. A textureless scene
 (make_scene(..., textureless=True)) is flat and unshaded: one albedo and no
 shading, which deliberately starves window-based stereo matchers of signal.
-Datasets hold textured scenes only.
+
+generate_dataset renders textured scenes only and writes each one in the
+five-file layout of tensorio, its views stacked into one image tensor and
+one depth tensor. The hit mask is not stored: it is exactly depth > 0, and
+SceneData.masks derives it from the depths.
 """
 
 from __future__ import annotations
@@ -315,8 +319,7 @@ def make_scene(family: str, seed: int, textureless: bool = False) -> SceneSpec:
     return scene
 
 
-def _scene_meta(scene: SceneSpec, sampler: ViewSampler, cam: Intrinsics,
-                resolution: int, seed: int) -> dict:
+def _scene_meta(scene: SceneSpec, sampler: ViewSampler, seed: int) -> dict:
     prims = []
     for op, p in scene.nodes:
         entry = {"op": op, "kind": type(p).__name__.lower()}
@@ -331,8 +334,6 @@ def _scene_meta(scene: SceneSpec, sampler: ViewSampler, cam: Intrinsics,
         "view_sampler": {"radius": sampler.radius,
                          "azimuth_range": list(sampler.azimuth_range),
                          "elevation_range": list(sampler.elevation_range)},
-        "image_size": [cam.width, cam.height],
-        "grid_resolution": resolution,
     }
 
 
@@ -357,16 +358,10 @@ def generate_dataset(
         scene_seed = int(np.random.default_rng([seed, i]).integers(0, 2**31))
         scene = make_scene(family, scene_seed)
         poses = sampler.sample(views_per_scene, np.random.default_rng([seed, i, 1]))
-        images, depths, masks = [], [], []
-        for pose in poses:
-            img, depth, mask = render_view(scene, cam, pose)
-            images.append(img.astype(np.float32))
-            depths.append(depth.astype(np.float32))
-            masks.append(mask)
+        images, depths, _ = zip(*(render_view(scene, cam, pose) for pose in poses))
         occupancy = voxelize(scene, spec)
         if not occupancy.any():
             raise RuntimeError(f"scene {i} voxelizes to empty occupancy")
-        meta = _scene_meta(scene, sampler, cam, resolution, scene_seed)
-        write_scene(out_dir / f"scene_{i:04d}", images, depths, masks,
-                    [(cam, p) for p in poses], occupancy, meta)
+        write_scene(out_dir / f"scene_{i:04d}", np.stack(images), np.stack(depths),
+                    [(cam, p) for p in poses], occupancy, _scene_meta(scene, sampler, scene_seed))
     return DatasetManifest.scan(out_dir)

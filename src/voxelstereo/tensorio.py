@@ -13,9 +13,11 @@ Camera files are plain text, one camera per line:
 fx fy cx cy width height, 9 rotation entries row-major, 3 translation
 entries, whitespace separated.
 
-A dataset is a directory of scene folders, each containing
-view_####.img.lsmt / view_####.depth.lsmt / view_####.mask.lsmt,
-cameras.txt, occupancy.lsmt and scene.json. Depth 0 marks invalid pixels.
+A dataset is a directory of scene folders. A scene of K views holds five
+files: images.lsmt ((K, H, W, 3) f32 in [0, 1]), depths.lsmt ((K, H, W)
+f32), occupancy.lsmt ((V, V, V) u8), cameras.txt (K lines, each H x W) and
+scene.json. Depth 0 marks pixels off the object; a silhouette is the
+pixels with depth.
 """
 
 from __future__ import annotations
@@ -130,11 +132,15 @@ class SceneData:
 
     name: str
     images: np.ndarray      # (K, H, W, 3) float32 in [0, 1]
-    depths: np.ndarray      # (K, H, W) float32, 0 = invalid
-    masks: np.ndarray       # (K, H, W) uint8 silhouettes
+    depths: np.ndarray      # (K, H, W) float32, 0 off the object
     cameras: list[tuple[Intrinsics, Pose]]
     occupancy: np.ndarray   # (V, V, V) uint8
     meta: dict = field(default_factory=dict)
+
+    @property
+    def masks(self) -> np.ndarray:
+        """(K, H, W) uint8 silhouettes: the pixels with depth."""
+        return (self.depths > 0).astype(np.uint8)
 
     @property
     def n_views(self) -> int:
@@ -145,13 +151,11 @@ class SceneData:
         return self.meta.get("family", "unknown")
 
 
-def write_scene(scene_dir, images, depths, masks, cameras, occupancy, meta) -> None:
+def write_scene(scene_dir, images, depths, cameras, occupancy, meta) -> None:
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(len(cameras)):
-        write_tensor(scene_dir / f"view_{i:04d}.img.lsmt", images[i], "f32")
-        write_tensor(scene_dir / f"view_{i:04d}.depth.lsmt", depths[i], "f32")
-        write_tensor(scene_dir / f"view_{i:04d}.mask.lsmt", masks[i], "u8")
+    write_tensor(scene_dir / "images.lsmt", images, "f32")
+    write_tensor(scene_dir / "depths.lsmt", depths, "f32")
     save_cameras(scene_dir / "cameras.txt", cameras)
     write_tensor(scene_dir / "occupancy.lsmt", occupancy, "u8")
     (scene_dir / "scene.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
@@ -159,33 +163,25 @@ def write_scene(scene_dir, images, depths, masks, cameras, occupancy, meta) -> N
 
 def load_scene(scene_dir) -> SceneData:
     scene_dir = Path(scene_dir)
+    images = read_tensor(scene_dir / "images.lsmt")
+    depths = read_tensor(scene_dir / "depths.lsmt")
     cameras = load_cameras(scene_dir / "cameras.txt")
-    images, depths, masks = [], [], []
-    for i in range(len(cameras)):
-        images.append(read_tensor(scene_dir / f"view_{i:04d}.img.lsmt"))
-        depths.append(read_tensor(scene_dir / f"view_{i:04d}.depth.lsmt"))
-        masks.append(read_tensor(scene_dir / f"view_{i:04d}.mask.lsmt"))
-    shapes = {img.shape for img in images}
-    if len(shapes) > 1:
-        raise ValueError(f"{scene_dir}: views disagree on image shape: {shapes}")
-    for i, (img, depth, mask) in enumerate(zip(images, depths, masks)):
-        for kind, a in (("depth", depth), ("mask", mask)):
-            if a.shape != img.shape[:2]:
-                raise ValueError(f"{scene_dir}: view {i}: {kind} of shape {a.shape}, "
-                                 f"its image is {img.shape[:2]}")
+    if images.ndim != 4 or images.shape[0] != len(cameras) or images.shape[3] != 3:
+        raise ValueError(f"{scene_dir}: images of shape {images.shape}, expected "
+                         f"({len(cameras)}, H, W, 3) for {len(cameras)} cameras")
+    if depths.shape != images.shape[:3]:
+        raise ValueError(f"{scene_dir}: depths of shape {depths.shape}, "
+                         f"images are {images.shape[:3]}")
+    h, w = images.shape[1:3]
+    sizes = {(cam.height, cam.width) for cam, _ in cameras}
+    if sizes != {(h, w)}:
+        raise ValueError(f"{scene_dir}: cameras of (H, W) {sorted(sizes)}, images are {(h, w)}")
     occupancy = read_tensor(scene_dir / "occupancy.lsmt")
     if occupancy.ndim != 3 or len(set(occupancy.shape)) != 1:
         raise ValueError(f"{scene_dir}: occupancy of shape {occupancy.shape} is not a cube")
     meta = json.loads((scene_dir / "scene.json").read_text())
-    return SceneData(
-        name=scene_dir.name,
-        images=np.stack(images),
-        depths=np.stack(depths),
-        masks=np.stack(masks),
-        cameras=cameras,
-        occupancy=occupancy,
-        meta=meta,
-    )
+    return SceneData(name=scene_dir.name, images=images, depths=depths, cameras=cameras,
+                     occupancy=occupancy, meta=meta)
 
 
 @dataclass

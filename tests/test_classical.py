@@ -159,7 +159,7 @@ class TestPlaneSweep:
         depth, _, valid = cross_checked_sweep(
             [v[0] for v in views], [(cam, p) for p in poses], 0, n_planes=100)
         gt = views[0][1]
-        z_near, z_far = camera_z_range(VoxelGridSpec(), cam, poses[0])
+        z_near, z_far = camera_z_range(poses[0])
         spacing = (z_far - z_near) / 100
         fg = valid & (gt > 0)
         assert fg.sum() > 400

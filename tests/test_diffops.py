@@ -196,7 +196,7 @@ class TestUnprojectVjp:
 
 def ray_march_oracle(grid, spec, cam, pose, n_planes, u, v):
     """Independent nearest-neighbor sampling along one pixel's ray."""
-    z_values, _ = plane_depths(spec, cam, pose, n_planes)
+    z_values, _ = plane_depths(pose, n_planes)
     out = []
     for zk in z_values:
         x_cam = np.array([(u - cam.cx) / cam.fx * zk, (v - cam.cy) / cam.fy * zk, zk])
@@ -245,7 +245,7 @@ class TestProject:
         # the principal pixel's ray passes through that voxel; its response
         # sits in the channel block whose z_k is nearest the voxel depth
         center_voxel_depth = 2.0 + spec.axis_centers()[15]
-        z_values, spacing = plane_depths(spec, CAM, POSE_Z2, 32)
+        z_values, spacing = plane_depths(POSE_Z2, 32)
         hit_blocks = np.nonzero(out[31, 31])[0]
         assert len(hit_blocks) >= 1
         assert (np.abs(z_values[hit_blocks] - center_voxel_depth) <= spacing).all()
@@ -264,7 +264,7 @@ class TestProject:
         assert grid[6, 9].sum() == pytest.approx(16.0)  # whole column lit
         out = project(grid, spec, cam, pose, n_planes=16)
         vals = out[32, 32].reshape(16, 1)
-        z_values, _ = plane_depths(spec, cam, pose, 16)
+        z_values, _ = plane_depths(pose, 16)
         # every plane inside the cube re-samples a voxel on the delta ray
         inside = (z_values > 1.5) & (z_values < 2.5)
         assert (vals[inside, 0] > 0).all()
@@ -346,18 +346,18 @@ class TestEpipolarConsistency:
 
 class TestPlaneDepths:
     def test_midpoint_placement(self):
-        z, spacing = plane_depths(VoxelGridSpec(), CAM, POSE_Z2, 4)
+        z, spacing = plane_depths(POSE_Z2, 4)
         assert spacing == pytest.approx(0.25)
         np.testing.assert_allclose(z, [1.625, 1.875, 2.125, 2.375])
 
     def test_ascending(self):
-        z, _ = plane_depths(VoxelGridSpec(), CAM, look_at([1.5, 1.0, -0.5], [0, 0, 0]), 32)
+        z, _ = plane_depths(look_at([1.5, 1.0, -0.5], [0, 0, 0]), 32)
         assert (np.diff(z) > 0).all()
 
     @pytest.mark.parametrize("n_planes", [0, -2])
     def test_fewer_than_one_plane_rejected(self, n_planes):
         with pytest.raises(ValueError, match="n_planes must be >= 1"):
-            plane_depths(VoxelGridSpec(), CAM, POSE_Z2, n_planes)
+            plane_depths(POSE_Z2, n_planes)
         # project places its planes through plane_depths
         with pytest.raises(ValueError, match="n_planes must be >= 1"):
             project(np.ones((4, 4, 4, 1)), VoxelGridSpec(resolution=4), CAM, POSE_Z2, n_planes)

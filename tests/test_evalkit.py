@@ -178,7 +178,6 @@ class TestViewCountSweep:
             name="s0",
             images=np.stack([v[0].astype(np.float32) for v in views]),
             depths=np.stack([v[1].astype(np.float32) for v in views]),
-            masks=np.stack([v[2] for v in views]),
             cameras=[(cam, p) for p in poses],
             occupancy=voxelize(scene, spec),
             meta={"family": "sphere"},
@@ -195,7 +194,6 @@ class TestViewCountSweep:
     def test_sweep_rejects_missing_views(self):
         data = SceneData(name="s", images=np.zeros((1, 4, 4, 3), np.float32),
                          depths=np.zeros((1, 4, 4), np.float32),
-                         masks=np.zeros((1, 4, 4), np.uint8),
                          cameras=[(default_intrinsics(4, 4),
                                    look_at([2, 0, 0], [0, 0, 0]))],
                          occupancy=np.zeros((2, 2, 2), np.uint8),

@@ -147,20 +147,20 @@ class TestRays:
 
 class TestCameraZRange:
     def test_axis_aligned_camera(self):
-        z_near, z_far = camera_z_range(VoxelGridSpec(), CAM, POSE_Z2)
+        z_near, z_far = camera_z_range(POSE_Z2)
         assert z_near == pytest.approx(1.5)
         assert z_far == pytest.approx(2.5)
 
     def test_camera_inside_cube_clamps(self):
         pose = Pose(rotation=np.eye(3), translation=np.zeros(3))
-        z_near, z_far = camera_z_range(VoxelGridSpec(), CAM, pose)
+        z_near, z_far = camera_z_range(pose)
         assert z_near == Z_EPS
         assert z_far == pytest.approx(0.5)
 
     def test_range_contains_all_voxel_center_depths(self):
         spec = VoxelGridSpec(resolution=9)
         pose = look_at([1.1, 1.4, -1.0], [0, 0, 0])
-        z_near, z_far = camera_z_range(spec, CAM, pose)
+        z_near, z_far = camera_z_range(pose)
         z = pose.transform(voxel_centers(spec))[:, 2]
         assert (z >= z_near - 1e-12).all() and (z <= z_far + 1e-12).all()
 

@@ -1,12 +1,13 @@
 """Round-trip and error-path tests for the file formats."""
 
+import json
 import re
 import shutil
 
 import numpy as np
 import pytest
 
-from voxelstereo.geometry import Intrinsics, Pose, look_at
+from voxelstereo.geometry import Intrinsics, Pose, look_at, scale_intrinsics
 from voxelstereo.synthgen import generate_dataset
 from voxelstereo.tensorio import (
     TensorFormatError,
@@ -189,15 +190,46 @@ def scene_source(tmp_path_factory):
     return manifest.root / manifest.scenes[0]
 
 
+def _write(name, shape):
+    return lambda scene_dir: write_tensor(scene_dir / name, np.zeros(shape), "f32")
+
+
+def _shrink_second_camera(scene_dir):
+    cameras = load_cameras(scene_dir / "cameras.txt")
+    cam, pose = cameras[1]
+    save_cameras(scene_dir / "cameras.txt", [cameras[0], (scale_intrinsics(cam, 8, 8), pose)])
+
+
 class TestSceneLayout:
-    @pytest.mark.parametrize("kind,values", [("depth", np.zeros((8, 8))),
-                                             ("mask", np.zeros((16, 8), np.uint8))])
-    def test_view_map_of_another_size_rejected(self, scene_source, tmp_path, kind, values):
+    def test_scene_is_five_files(self, scene_source):
+        assert sorted(p.name for p in scene_source.iterdir()) == [
+            "cameras.txt", "depths.lsmt", "images.lsmt", "occupancy.lsmt", "scene.json"]
+        meta = json.loads((scene_source / "scene.json").read_text())
+        assert sorted(meta) == ["family", "primitives", "seed", "texture", "view_sampler"]
+
+    @pytest.mark.parametrize("damage,message", [
+        pytest.param(_write("depths.lsmt", (2, 8, 8)),
+                     "depths of shape (2, 8, 8), images are (2, 16, 16)", id="depth-shape"),
+        pytest.param(_write("images.lsmt", (1, 16, 16, 3)),
+                     "images of shape (1, 16, 16, 3), expected (2, H, W, 3) for 2 cameras",
+                     id="image-count"),
+        pytest.param(_write("images.lsmt", (2, 16, 16, 4)),
+                     "images of shape (2, 16, 16, 4), expected (2, H, W, 3) for 2 cameras",
+                     id="image-channels"),
+        pytest.param(_shrink_second_camera,
+                     "cameras of (H, W) [(8, 8), (16, 16)], images are (16, 16)",
+                     id="camera-size"),
+    ])
+    def test_inconsistent_scene_rejected(self, scene_source, tmp_path, damage, message):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
-        write_tensor(scene_dir / f"view_0001.{kind}.lsmt", values,
-                     {"depth": "f32", "mask": "u8"}[kind])
-        with pytest.raises(ValueError, match=re.escape(f"scene: view 1: {kind} of shape "
-                                                       f"{values.shape}, its image is (16, 16)")):
+        damage(scene_dir)
+        with pytest.raises(ValueError, match=re.escape(f"{scene_dir}: {message}")):
+            load_scene(scene_dir)
+
+    def test_missing_image_tensor_named(self, scene_source, tmp_path):
+        scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
+        (scene_dir / "images.lsmt").unlink()
+        with pytest.raises(FileNotFoundError, match="images.lsmt"):
             load_scene(scene_dir)
 
     def test_occupancy_that_is_not_a_cube_rejected(self, scene_source, tmp_path):
