@@ -1,4 +1,4 @@
-"""Metrics and perturbation harnesses.
+"""Metrics: voxel IoU, depth error and the view-count sweep.
 
 Voxel IoU binarizes predictions at a per-method threshold (0.4 for learned
 methods, 0.75 for the probabilistic visual hull) and aggregates per-scene
@@ -49,27 +49,15 @@ def _per_class_mean(per_item: list[tuple[str, str, float]]):
     return class_means, overall
 
 
-def _report_lines(title, per_item, class_means, mean) -> list[str]:
-    out = [title]
-    out += [f"  {name:16s} {family:10s} {value:.4f}" for name, family, value in per_item]
-    out += [f"  class {fam:16s} {m:.4f}" for fam, m in class_means.items()]
-    out.append(f"  mean {mean:.4f}")
-    return out
-
-
 @dataclass
 class IoUReport:
     threshold: float
     per_scene: list[tuple[str, str, float]]      # (scene, family, iou)
-    class_means: dict[str, float] = field(default_factory=dict)
-    mean: float = float("nan")
+    class_means: dict[str, float] = field(init=False)
+    mean: float = field(init=False)
 
     def __post_init__(self):
         self.class_means, self.mean = _per_class_mean(self.per_scene)
-
-    def lines(self) -> list[str]:
-        return _report_lines(f"voxel IoU @ {self.threshold}", self.per_scene,
-                             self.class_means, self.mean)
 
 
 def iou_report(entries: list[tuple[str, str, np.ndarray, np.ndarray]],
@@ -83,15 +71,11 @@ def iou_report(entries: list[tuple[str, str, np.ndarray, np.ndarray]],
 @dataclass
 class DepthErrorReport:
     per_view: list[tuple[str, str, float]]       # (view id, family, median abs error)
-    class_means: dict[str, float] = field(default_factory=dict)
-    mean: float = float("nan")
+    class_means: dict[str, float] = field(init=False)
+    mean: float = field(init=False)
 
     def __post_init__(self):
         self.class_means, self.mean = _per_class_mean(self.per_view)
-
-    def lines(self) -> list[str]:
-        return _report_lines("median absolute depth error", self.per_view,
-                             self.class_means, self.mean)
 
 
 def depth_valid_mask(gt_depth: np.ndarray, pose: Pose,
@@ -118,47 +102,6 @@ def depth_error(entries: list[tuple[str, str, np.ndarray, np.ndarray, Pose]]) ->
         err = float(np.median(np.abs(np.asarray(pred)[valid] - np.asarray(gt)[valid])))
         per_view.append((name, family, err))
     return DepthErrorReport(per_view=per_view)
-
-
-def perturb_pose(pose: Pose, theta_max_deg: float, seed: int) -> Pose:
-    """Tilt the viewing axis by an angle drawn uniformly in [0, theta_max].
-
-    The rotation axis is perpendicular to the current viewing axis so the
-    tilt angle is exact; the axis is resampled (up to a cap) until the
-    perturbed optical axis still passes within the unit cube's bounding
-    sphere, keeping the camera pointed at the object. The same seed draws
-    the same axis and unit angle for every theta, so perturbation families
-    are nested in theta.
-    """
-    if theta_max_deg < 0:
-        raise ValueError(f"theta_max must be >= 0, got {theta_max_deg}")
-    rng = np.random.default_rng(seed)
-    view_axis = pose.rotation[2]  # camera z in world coordinates
-    center = pose.camera_center
-    for _ in range(64):
-        angle = np.deg2rad(theta_max_deg) * rng.random()
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        # orthonormal basis of the plane perpendicular to the viewing axis
-        a = pose.rotation[0]
-        b = pose.rotation[1]
-        axis = np.cos(phi) * a + np.sin(phi) * b
-        rot = _axis_angle(axis, angle)
-        new_r = pose.rotation @ rot.T
-        new_axis = new_r[2]
-        # closest approach of the new optical axis to the origin
-        t_close = -center @ new_axis
-        miss = np.linalg.norm(center + t_close * new_axis)
-        if t_close > 0 and miss <= DEPTH_HALF_RANGE:
-            return Pose(rotation=new_r, translation=-new_r @ center)
-    raise RuntimeError("could not find a perturbation that keeps the object in view")
-
-
-def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = axis / np.linalg.norm(axis)
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def view_count_sweep(reconstruct, scenes, view_counts, threshold: float) -> dict:

@@ -105,20 +105,3 @@ def fuse_recurrent_node(grids, params) -> TapeNode:
     for g in grids:
         h = gru_step_node(h, g, params)
     return h
-
-
-def ordering_variance(grids, params, n_orders=5, seed=0):
-    """Max voxel deviation of the fused grid across random view orderings.
-
-    Low variance with respect to ordering is a trained property, so this is
-    a diagnostic, not an invariant.
-    """
-    grids = list(grids)
-    rng = np.random.default_rng(seed)
-    baseline = fuse_recurrent_node(grids, params).value
-    worst = 0.0
-    for _ in range(n_orders):
-        perm = rng.permutation(len(grids))
-        out = fuse_recurrent_node([grids[i] for i in perm], params).value
-        worst = max(worst, float(np.abs(out - baseline).max()))
-    return worst

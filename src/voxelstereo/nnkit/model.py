@@ -25,7 +25,9 @@ whose tensors are float32 still loads, widened to float64. Loading rejects
 a checkpoint whose config names a field ToyModelConfig does not take or
 lacks one it has (no default fills a missing field in), or whose manifest
 lacks a model parameter, names one the model does not have, or gives a
-mis-shaped one.
+mis-shaped one. ToyModelConfig itself rejects a views, n_z,
+grid_resolution or seed that is not an int (a bool included), so such a
+checkpoint config fails to load too.
 """
 
 from __future__ import annotations
@@ -62,9 +64,12 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("views", "n_z", "grid_resolution"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("views", "n_z", "grid_resolution", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.fusion not in ("gru", "mean"):
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if self.head not in ("voxel", "depth"):

@@ -7,14 +7,12 @@ unit cube centered at the origin.
 
 Rendering sphere-traces each pixel ray (max 256 steps, hit tolerance 1e-5)
 and returns the textured Lambertian-shaded image, the exact camera-frame
-depth (0 at misses) and the hit mask. A textureless scene
-(make_scene(..., textureless=True)) is flat and unshaded: one albedo and no
-shading, which deliberately starves window-based stereo matchers of signal.
+depth (0 at misses) and the hit mask.
 
-generate_dataset renders textured scenes only and writes each one in the
-five-file layout of tensorio, its views stacked into one image tensor and
-one depth tensor. The hit mask is not stored: it is exactly depth > 0, and
-SceneData.masks derives it from the depths.
+generate_dataset writes each scene in the five-file layout of tensorio, its
+views stacked into one image tensor and one depth tensor. The hit mask is not
+stored: it is exactly depth > 0, and SceneData.masks derives it from the
+depths.
 """
 
 from __future__ import annotations
@@ -113,13 +111,9 @@ def value_noise(pts, scale, seed):
 
 @dataclass
 class SceneSpec:
-    """Primitives combined left to right; ops are "union" or "subtract".
-
-    An untextured scene renders flat _COLOR_A albedo with no shading.
-    """
+    """Primitives combined left to right; ops are "union" or "subtract"."""
 
     nodes: list[tuple[str, object]]
-    textured: bool = True
     family: str = "composite"
     seed: int = 0
 
@@ -161,8 +155,6 @@ def sdf_normal(scene: SceneSpec, pts) -> np.ndarray:
 
 def texture_color(scene: SceneSpec, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
-    if not scene.textured:
-        return np.broadcast_to(_COLOR_A, pts.shape).copy()
     parity = np.floor(pts / _CHECKER_CELL).sum(axis=-1) % 2
     base = np.where(parity[..., None] > 0.5, _COLOR_B, _COLOR_A)
     # three noise octaves: coarse disambiguates globally, fine sharpens peaks
@@ -190,7 +182,6 @@ def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose):
     """Sphere-trace one view; returns (image HxWx3, depth HxW, mask HxW).
 
     Depth is camera-frame z at the hit, 0 at misses; the background is white.
-    Textured scenes are Lambertian-shaded, untextured ones show flat albedo.
     """
     h, w = cam.height, cam.width
     origin, dirs = rays_through_pixels(pixel_grid(cam).reshape(-1, 2), cam, pose)
@@ -219,11 +210,8 @@ def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose):
     image = np.ones((n, 3))
     if hit.any():
         albedo = texture_color(scene, points[hit])
-        if scene.textured:
-            normals = sdf_normal(scene, points[hit])
-            lambert = np.clip(normals @ _LIGHT_DIR, 0.0, 1.0)
-            albedo = np.clip(albedo * (0.25 + 0.75 * lambert)[:, None], 0.0, 1.0)
-        image[hit] = albedo
+        lambert = np.clip(sdf_normal(scene, points[hit]) @ _LIGHT_DIR, 0.0, 1.0)
+        image[hit] = np.clip(albedo * (0.25 + 0.75 * lambert)[:, None], 0.0, 1.0)
     return image.reshape(h, w, 3), depth, mask
 
 
@@ -312,9 +300,8 @@ _FAMILIES = {
 }
 
 
-def make_scene(family: str, seed: int, textureless: bool = False) -> SceneSpec:
-    scene = replace(_FAMILIES[family](np.random.default_rng(seed)),
-                    textured=not textureless, seed=seed)
+def make_scene(family: str, seed: int) -> SceneSpec:
+    scene = replace(_FAMILIES[family](np.random.default_rng(seed)), seed=seed)
     assert_inside_unit_cube(scene)
     return scene
 
@@ -330,7 +317,7 @@ def _scene_meta(scene: SceneSpec, sampler: ViewSampler, seed: int) -> dict:
         "family": scene.family,
         "seed": seed,
         "primitives": prims,
-        "texture": {"kind": "checker" if scene.textured else "flat", "cell": _CHECKER_CELL},
+        "texture": {"kind": "checker", "cell": _CHECKER_CELL},
         "view_sampler": {"radius": sampler.radius,
                          "azimuth_range": list(sampler.azimuth_range),
                          "elevation_range": list(sampler.elevation_range)},
@@ -345,7 +332,7 @@ def generate_dataset(
     resolution: int = 32,
     image_size: tuple[int, int] = (64, 64),
 ) -> DatasetManifest:
-    """Write a reproducible dataset of textured scenes; identical seeds give identical bytes."""
+    """Write a reproducible dataset; identical seeds give identical bytes."""
     if n_scenes < 1 or views_per_scene < 1:
         raise ValueError("need at least one scene and one view")
     out_dir = Path(out_dir)

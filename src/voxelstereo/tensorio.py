@@ -23,6 +23,7 @@ pixels with depth.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,7 +88,7 @@ def read_tensor(path) -> np.ndarray:
         raise TensorFormatError("dims", 8, "file truncated inside dims")
     dims = struct.unpack_from(f"<{rank}I", data, 8)
     np_dtype = _CODE_TO_NP[dtype_code]
-    expected = int(np.prod(dims)) * np_dtype.itemsize
+    expected = math.prod(dims) * np_dtype.itemsize
     if len(data) - dims_end != expected:
         raise TensorFormatError(
             "payload", dims_end,

@@ -12,7 +12,6 @@ from voxelstereo.fusion import (
     fuse_recurrent_node,
     gru_step_node,
     init_gru_params,
-    ordering_variance,
 )
 from voxelstereo.geometry import Intrinsics, Pose, VoxelGridSpec, look_at
 from voxelstereo.nnkit import layers, tape
@@ -164,13 +163,6 @@ class TestGruStep:
         expected = (1.0 - z) * h + z * c
         out = gru_step_node(h, x, params).value
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-    def test_ordering_variance_diagnostic_runs(self):
-        rng = np.random.default_rng(7)
-        params = init_gru_params(2, 2, rng=rng)
-        grids = [rng.random((3, 3, 3, 2)) for _ in range(3)]
-        dev = ordering_variance(grids, params, n_orders=3, seed=0)
-        assert dev >= 0.0 and np.isfinite(dev)
 
 
 class TestZeroStateFold:

@@ -231,6 +231,24 @@ def test_config_rejects_counts_below_one(field, value):
         replace(tiny_config("depth", "mean"), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["views", "n_z", "grid_resolution", "seed"])
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_config_rejects_counts_that_are_not_ints(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        replace(tiny_config("depth", "mean"), **{field: value})
+
+
+def test_checkpoint_config_with_a_fractional_count_rejected(trained, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(trained, ckpt)
+    path = ckpt / "manifest.json"
+    meta = json.loads(path.read_text())
+    meta["config"]["grid_resolution"] = 8.5
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="^grid_resolution must be an int, got 8.5$"):
+        load_checkpoint(ckpt)
+
+
 def test_config_rejects_max_fusion():
     # pointwise max pooling is gone: mean is the one permutation-invariant fusion
     with pytest.raises(ValueError, match="fusion 'max'"):

@@ -99,14 +99,6 @@ class TestRender:
         _, depth, mask = render_view(SPHERE, cam, pose)
         np.testing.assert_array_equal(depth > 0, mask.astype(bool))
 
-    def test_textureless_render_is_flat(self):
-        cam = default_intrinsics(32, 32)
-        pose = look_at([0.0, 0.3, -2.0], [0, 0, 0])
-        scene = make_scene("sphere", seed=1, textureless=True)
-        img, _, mask = render_view(scene, cam, pose)
-        fg = img[mask.astype(bool)]
-        assert np.ptp(fg, axis=0).max() == 0.0  # constant albedo
-
 
 class TestVoxelize:
     def test_sphere_volume_within_two_percent(self):

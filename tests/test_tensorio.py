@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestTensorErrors:
         p = tmp_path / "t.lsmt"
         write_tensor(p, np.zeros((4, 4), dtype=np.float32), "f32")
         p.write_bytes(p.read_bytes()[:-5])
+        with pytest.raises(TensorFormatError, match="payload"):
+            read_tensor(p)
+
+    def test_dims_whose_product_overflows_int64(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64, which an empty payload would match
+        p = tmp_path / "t.lsmt"
+        write_tensor(p, np.zeros((1, 1, 1, 1), dtype=np.float32), "f32")
+        header = p.read_bytes()[:8] + struct.pack("<4I", *(65536,) * 4)
+        p.write_bytes(header)
         with pytest.raises(TensorFormatError, match="payload"):
             read_tensor(p)
 
