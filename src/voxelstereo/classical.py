@@ -131,7 +131,7 @@ def plane_sweep_depth(
         view_scores = np.full((len(grays), h, w), -np.inf)
         for j, (gray, (ocam, opose)) in enumerate(zip(grays, other_cameras)):
             uv, _, sample_ok = project_points(pts_world, ocam, opose)
-            warped, _ = bilinear_sample(gray[..., None], uv)
+            warped = bilinear_sample(gray[..., None], uv)
             # whole window must be sampled validly
             window_ok = minimum_filter(sample_ok.reshape(h, w).astype(np.uint8),
                                        size=_WINDOW, mode="constant") > 0

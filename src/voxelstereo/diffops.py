@@ -14,8 +14,8 @@ _bilinear_matrix is the package's one image-sampling rule:
 bilinear_sample (through which the classical plane_sweep_depth reads
 images) and unproject (through which the classical visual_hull reads
 masks) both build their sampling matrix with it. Its edge rule: a sample
-is zero unless its point lies inside [0, W-1] x [0, H-1], and its valid
-flag marks exactly those points; a point only partly outside reads zero.
+is zero unless its point lies inside [0, W-1] x [0, H-1]; a point only
+partly outside reads zero.
 bilinear_sample has no public VJP: its adjoint is S.T, which
 unproject_vjp applies itself. plane_depths is likewise the one placement
 of depth planes, shared with the plane sweep.
@@ -84,7 +84,7 @@ def _sampling_matrix(lin, weights, n_cols):
 
 
 def _bilinear_matrix(fmap_shape, pts, valid=True):
-    """Sampling matrix (N, H * W) of bilinear_sample, and its inside flags.
+    """Sampling matrix (N, H * W) of bilinear_sample.
 
     Row n holds the four corner weights (v0u0, v0u1, v1u0, v1u1) of pts[n]
     over the row-major map; it is zero unless pts[n] lies inside
@@ -113,19 +113,18 @@ def _bilinear_matrix(fmap_shape, pts, valid=True):
     np.multiply(eu, dv, out=weights[:, 2])
     np.multiply(du, dv, out=weights[:, 3])
     weights[~(inside & valid)] = 0.0
-    return _sampling_matrix(lin, weights, h * w), inside
+    return _sampling_matrix(lin, weights, h * w)
 
 
-def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (H, W, C) at continuous (u, v) points (N, 2).
+def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Sample (H, W, C) at continuous (u, v) points (N, 2) into (N, C).
 
-    valid[n] is True iff pts[n] lies inside [0, W-1] x [0, H-1]; every
-    other sample is zero, including points only partly outside.
+    A sample is zero unless its point lies inside [0, W-1] x [0, H-1]; a
+    point only partly outside reads zero.
     """
     fmap = np.asarray(fmap, dtype=np.float64)
     h, w, c = fmap.shape
-    s, valid = _bilinear_matrix(fmap.shape, pts)
-    return s @ fmap.reshape(h * w, c), valid
+    return _bilinear_matrix(fmap.shape, pts) @ fmap.reshape(h * w, c)
 
 
 def _unproject_geometry(fmap_shape, cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):
@@ -135,8 +134,7 @@ def _unproject_geometry(fmap_shape, cam: Intrinsics, pose: Pose, spec: VoxelGrid
                          f"(H, W) {(cam.height, cam.width)}")
     centers = voxel_centers(spec)
     uv, z, valid = project_points(centers, cam, pose)
-    s, _ = _bilinear_matrix(fmap_shape, uv, valid)
-    return centers, z, s
+    return centers, z, _bilinear_matrix(fmap_shape, uv, valid)
 
 
 def unproject(

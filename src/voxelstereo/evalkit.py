@@ -1,6 +1,6 @@
 """Metrics: voxel IoU, depth error and the view-count sweep.
 
-Voxel IoU binarizes predictions at a per-method threshold (0.4 for learned
+Voxel IoU binarizes predictions at the caller's threshold (0.4 for learned
 methods, 0.75 for the probabilistic visual hull) and aggregates per-scene
 values to per-class means, then averages the class means.
 
@@ -8,7 +8,8 @@ Depth error is the per-view median absolute difference over valid pixels;
 a pixel is valid when ground truth is present, the prediction is present,
 and the ground-truth depth lies within sqrt(3)/2 of the camera's distance
 to the origin (the deepest possible surface of a unit cube). Aggregation
-follows the IoU scheme.
+follows the IoU scheme. Both metrics reject a prediction whose shape is
+not its ground truth's.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ def _per_class_mean(per_item: list[tuple[str, str, float]]):
 
 @dataclass
 class IoUReport:
-    threshold: float
     per_scene: list[tuple[str, str, float]]      # (scene, family, iou)
     class_means: dict[str, float] = field(init=False)
     mean: float = field(init=False)
@@ -65,7 +65,7 @@ def iou_report(entries: list[tuple[str, str, np.ndarray, np.ndarray]],
     """entries: (scene_name, family, predicted grid, ground-truth grid)."""
     per_scene = [(name, family, voxel_iou(pred, gt, threshold))
                  for name, family, pred, gt in entries]
-    return IoUReport(threshold=threshold, per_scene=per_scene)
+    return IoUReport(per_scene=per_scene)
 
 
 @dataclass
@@ -95,11 +95,14 @@ def depth_error(entries: list[tuple[str, str, np.ndarray, np.ndarray, Pose]]) ->
     """
     per_view = []
     for name, family, pred, gt, pose in entries:
-        valid = depth_valid_mask(np.asarray(gt), pose, np.asarray(pred))
+        pred, gt = np.asarray(pred), np.asarray(gt)
+        if pred.shape != gt.shape:
+            raise ValueError(f"view {name}: shape mismatch: pred {pred.shape}, gt {gt.shape}")
+        valid = depth_valid_mask(gt, pose, pred)
         if not valid.any():
             warnings.warn(f"view {name}: no valid pixels, excluded from depth report")
             continue
-        err = float(np.median(np.abs(np.asarray(pred)[valid] - np.asarray(gt)[valid])))
+        err = float(np.median(np.abs(pred[valid] - gt[valid])))
         per_view.append((name, family, err))
     return DepthErrorReport(per_view=per_view)
 

@@ -16,8 +16,7 @@ on x and rows [C_in:] on h (or r * h), so one convolution computes the sum
 of the input and the recurrent term. The gate parameters are entries of
 the model's one parameter store, keyed by their checkpoint names
 gru.<gate>.kernel, .bias, .ln_gain and .ln_shift for gate in update, reset
-and candidate; the separate w_x / w_h entries of older checkpoints are
-rejected as missing that kernel.
+and candidate.
 
 The initial hidden state is zeros, and the first step runs none of the
 work that multiplies it. With h = 0 the rows [C_in:] of every kernel meet
@@ -46,24 +45,24 @@ import numpy as np
 
 from .nnkit import tape
 from .nnkit.layers import he_normal
-from .nnkit.tape import Parameter, TapeNode
+from .nnkit.tape import TapeNode
 
 
-def init_gru_params(c_in, c_hidden, rng) -> dict[str, Parameter]:
-    """{gru.<gate>.<kernel|bias|ln_gain|ln_shift>: Parameter} of one cell.
+def init_gru_params(c_in, c_hidden, rng) -> dict[str, TapeNode]:
+    """{gru.<gate>.<kernel|bias|ln_gain|ln_shift>: leaf node} of one cell.
 
     He-initialized kernels, zero biases, unit layer-norm gains; each gate's
     x rows and h rows are He-scaled by their own fan-in.
     """
-    values = {}
+    params = {}
     for gate in ("update", "reset", "candidate"):
         w_x = he_normal(rng, (3, 3, 3, c_in, c_hidden))
         w_h = he_normal(rng, (3, 3, 3, c_hidden, c_hidden))
-        values[f"gru.{gate}.kernel"] = np.concatenate([w_x, w_h], axis=3)
-        values[f"gru.{gate}.bias"] = np.zeros(c_hidden)
-        values[f"gru.{gate}.ln_gain"] = np.ones(c_hidden)
-        values[f"gru.{gate}.ln_shift"] = np.zeros(c_hidden)
-    return {name: Parameter(value, name) for name, value in values.items()}
+        params[f"gru.{gate}.kernel"] = TapeNode(np.concatenate([w_x, w_h], axis=3))
+        params[f"gru.{gate}.bias"] = TapeNode(np.zeros(c_hidden))
+        params[f"gru.{gate}.ln_gain"] = TapeNode(np.ones(c_hidden))
+        params[f"gru.{gate}.ln_shift"] = TapeNode(np.zeros(c_hidden))
+    return params
 
 
 def _gate_preact(xh, params, gate, rows=None):

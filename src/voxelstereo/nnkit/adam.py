@@ -10,19 +10,19 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-def adam_step(value, grad, m, v, t, lr):
-    """One Adam update; returns (new_value, new_m, new_v). t is 1-based."""
+def adam_step(value, grad, m, v, t):
+    """One Adam update of step size LR; returns (new_value, new_m, new_v). t is 1-based."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     m = BETA1 * m + (1.0 - BETA1) * grad
     v = BETA2 * v + (1.0 - BETA2) * grad * grad
     m_hat = m / (1.0 - BETA1 ** t)
     v_hat = v / (1.0 - BETA2 ** t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + EPS), m, v
+    return value - LR * m_hat / (np.sqrt(v_hat) + EPS), m, v
 
 
 class Adam:
-    """Keeps per-parameter moments for a list of tape Parameters; steps by LR."""
+    """Keeps per-parameter moments for a list of leaf tape nodes."""
 
     def __init__(self, params):
         self.params = list(params)
@@ -35,7 +35,7 @@ class Adam:
         for i, p in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.value)
             p.value, self._m[i], self._v[i] = adam_step(
-                p.value, grad, self._m[i], self._v[i], self.t, LR)
+                p.value, grad, self._m[i], self._v[i], self.t)
 
     def zero_grad(self):
         for p in self.params:

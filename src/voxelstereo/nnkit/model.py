@@ -17,17 +17,17 @@ Layer widths are the constants ENCODER_CHANNELS, REASONER_CHANNELS and
 GRU_HIDDEN, and unprojection always appends each voxel's depth and ray
 direction (GEOM_FEATURES); ToyModelConfig holds what runs vary.
 
-Every learnable parameter, the GRU gates included, lives in ToyModel.params
-under its checkpoint name. Checkpoints are a directory with one tensor file
-per parameter plus a manifest of names and shapes. Values are stored as
-float64, so a loaded parameter equals the saved one bitwise; a checkpoint
-whose tensors are float32 still loads, widened to float64. Loading rejects
-a checkpoint whose config names a field ToyModelConfig does not take or
-lacks one it has (no default fills a missing field in), or whose manifest
-lacks a model parameter, names one the model does not have, or gives a
-mis-shaped one. ToyModelConfig itself rejects a views, n_z,
-grid_resolution or seed that is not an int (a bool included), so such a
-checkpoint config fails to load too.
+Every learnable parameter, the GRU gates included, is a leaf tape node in
+ToyModel.params under its checkpoint name. A checkpoint is a directory with
+one float64 tensor file <name>.lsmt per parameter plus a manifest of names
+and shapes, so a loaded parameter equals the saved one bitwise. Loading
+rejects a tensor of any other dtype, and a checkpoint whose config names a
+field ToyModelConfig does not take or lacks one it has (no default fills a
+missing field in), or whose manifest lacks a model parameter, names one the
+model does not have, or gives a mis-shaped one. ToyModelConfig itself
+rejects a views, n_z, grid_resolution or seed that is not an int (a bool
+included) and an image_hw that is not two such ints, so such a checkpoint
+config fails to load too.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..geometry import VoxelGridSpec, scale_intrinsics
 from ..tensorio import read_tensor, write_tensor
 from . import tape
 from .layers import he_normal
-from .tape import Parameter
+from .tape import TapeNode
 
 
 ENCODER_CHANNELS = (8, 16, 16)
@@ -74,7 +74,10 @@ class ToyModelConfig:
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if self.head not in ("voxel", "depth"):
             raise ValueError(f"unknown head {self.head!r}")
-        if min(self.image_hw) < 4 or self.image_hw[0] % 4 or self.image_hw[1] % 4:
+        hw = self.image_hw
+        if not (isinstance(hw, tuple) and len(hw) == 2 and all(type(n) is int for n in hw)):
+            raise ValueError(f"image_hw must be a tuple of two ints, got {hw!r}")
+        if min(hw) < 4 or hw[0] % 4 or hw[1] % 4:
             raise ValueError("image size must be a positive multiple of 4")
 
     @property
@@ -87,16 +90,12 @@ class ToyModelConfig:
         return GRU_HIDDEN if self.fusion == "gru" else unproj
 
 
-def _add(params, name, value):
-    params[name] = Parameter(value, name)
-
-
 def _conv_block(rng, params, name, kshape):
     c_out = kshape[-1]
-    _add(params, f"{name}.kernel", he_normal(rng, kshape))
-    _add(params, f"{name}.bias", np.zeros(c_out))
-    _add(params, f"{name}.gain", np.ones(c_out))
-    _add(params, f"{name}.shift", np.zeros(c_out))
+    params[f"{name}.kernel"] = TapeNode(he_normal(rng, kshape))
+    params[f"{name}.bias"] = TapeNode(np.zeros(c_out))
+    params[f"{name}.gain"] = TapeNode(np.ones(c_out))
+    params[f"{name}.shift"] = TapeNode(np.zeros(c_out))
 
 
 def _ray_reduce_chain(cfg: ToyModelConfig) -> list[tuple[int, int]]:
@@ -112,14 +111,14 @@ def _ray_reduce_chain(cfg: ToyModelConfig) -> list[tuple[int, int]]:
 class ToyModel:
     """One name-keyed parameter store plus the tape-composed forward passes."""
 
-    def __init__(self, cfg: ToyModelConfig, params: dict[str, Parameter]):
+    def __init__(self, cfg: ToyModelConfig, params: dict[str, TapeNode]):
         self.cfg = cfg
         self.params = params
 
     @classmethod
     def create(cls, cfg: ToyModelConfig) -> "ToyModel":
         rng = np.random.default_rng([cfg.seed, 0])
-        params: dict[str, Parameter] = {}
+        params: dict[str, TapeNode] = {}
         e1, e2, e3 = ENCODER_CHANNELS
         _conv_block(rng, params, "enc1", (3, 3, 3, e1))
         _conv_block(rng, params, "enc2", (3, 3, e1, e2))
@@ -132,20 +131,20 @@ class ToyModel:
 
         if cfg.head == "voxel":
             # zero-init output head: the untrained model says exactly p = 0.5
-            _add(params, "voxel_head.kernel", np.zeros((1, 1, 1, r2, 2)))
-            _add(params, "voxel_head.bias", np.zeros(2))
+            params["voxel_head.kernel"] = TapeNode(np.zeros((1, 1, 1, r2, 2)))
+            params["voxel_head.bias"] = TapeNode(np.zeros(2))
         else:
             for i, (c_in, c_out) in enumerate(_ray_reduce_chain(cfg)):
-                _add(params, f"ray_reduce{i}.kernel", he_normal(rng, (1, 1, c_in, c_out)))
-                _add(params, f"ray_reduce{i}.bias", np.zeros(c_out))
+                params[f"ray_reduce{i}.kernel"] = TapeNode(he_normal(rng, (1, 1, c_in, c_out)))
+                params[f"ray_reduce{i}.bias"] = TapeNode(np.zeros(c_out))
             # zero-init output layer with the bias at the camera orbit radius:
             # the untrained model predicts a constant plausible depth and the
             # toy iteration budget goes into shape, not the global offset
-            _add(params, "depth_refine.kernel", np.zeros((3, 3, 1 + e1, 1)))
-            _add(params, "depth_refine.bias", np.array([2.0]))
+            params["depth_refine.kernel"] = TapeNode(np.zeros((3, 3, 1 + e1, 1)))
+            params["depth_refine.bias"] = TapeNode(np.array([2.0]))
         return cls(cfg, params)
 
-    def parameters(self) -> list[Parameter]:
+    def parameters(self) -> list[TapeNode]:
         return list(self.params.values())
 
     # --- forward pieces -------------------------------------------------
@@ -240,10 +239,9 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {}
-    for p in model.parameters():
-        fname = p.name.replace("/", "_") + ".lsmt"
-        write_tensor(out_dir / fname, p.value, "f64")
-        manifest[p.name] = {"file": fname, "shape": list(p.value.shape)}
+    for name, p in model.params.items():
+        write_tensor(out_dir / f"{name}.lsmt", p.value, "f64")
+        manifest[name] = {"file": f"{name}.lsmt", "shape": list(p.value.shape)}
     (out_dir / "manifest.json").write_text(
         json.dumps({"config": asdict(model.cfg), "parameters": manifest},
                    sort_keys=True, indent=1) + "\n")
@@ -267,7 +265,9 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
     for name, entry in meta["parameters"].items():
-        values = read_tensor(ckpt_dir / entry["file"]).astype(np.float64)
+        values = read_tensor(ckpt_dir / entry["file"])
+        if values.dtype != np.float64:
+            raise ValueError(f"checkpoint entry {name} is {values.dtype}, not float64")
         if name not in params or values.shape != params[name].value.shape:
             raise ValueError(f"checkpoint entry {name} does not match the model")
         params[name].value = values

@@ -23,7 +23,8 @@ class TapeNode:
     """A value plus the inputs that produced it and one VJP for all of them.
 
     vjp(g) maps the node's cotangent g to a sequence holding one cotangent
-    per parent, in the order of `parents`. Leaves have no parents and no VJP.
+    per parent, in the order of `parents`. Leaves, a model's parameters among
+    them, have no parents and no VJP; grad accumulates until zero_grad clears it.
     """
 
     __slots__ = ("value", "parents", "vjp", "grad")
@@ -33,17 +34,6 @@ class TapeNode:
         self.parents = tuple(parents)
         self.vjp = vjp
         self.grad = None
-
-
-class Parameter(TapeNode):
-    """Leaf node with a stable name; gradients accumulate until the
-    optimizer's zero_grad clears them."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, value, name):
-        super().__init__(np.array(value, dtype=np.float64))
-        self.name = name
 
 
 def as_node(x) -> TapeNode:

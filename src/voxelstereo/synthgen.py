@@ -6,13 +6,12 @@ subtraction (max(a, -b)); negative means inside. Every scene must fit the
 unit cube centered at the origin.
 
 Rendering sphere-traces each pixel ray (max 256 steps, hit tolerance 1e-5)
-and returns the textured Lambertian-shaded image, the exact camera-frame
-depth (0 at misses) and the hit mask.
+and returns the textured Lambertian-shaded image and the exact camera-frame
+depth, 0 at misses.
 
 generate_dataset writes each scene in the five-file layout of tensorio, its
-views stacked into one image tensor and one depth tensor. The hit mask is not
-stored: it is exactly depth > 0, and SceneData.masks derives it from the
-depths.
+views stacked into one image tensor and one depth tensor. A view's
+silhouette is exactly depth > 0, which SceneData.masks derives.
 """
 
 from __future__ import annotations
@@ -37,6 +36,10 @@ _CHECKER_CELL = 0.125
 _NOISE_SCALE = 14.0
 _COLOR_A = np.array([0.9, 0.35, 0.25])
 _COLOR_B = np.array([0.25, 0.5, 0.95])
+
+ORBIT_RADIUS = 2.0
+AZIMUTH_RANGE = (0.0, 360.0)
+ELEVATION_RANGE = (-20.0, 30.0)
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ def assert_inside_unit_cube(scene: SceneSpec) -> None:
 
 
 def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose):
-    """Sphere-trace one view; returns (image HxWx3, depth HxW, mask HxW).
+    """Sphere-trace one view; returns (image HxWx3, depth HxW).
 
     Depth is camera-frame z at the hit, 0 at misses; the background is white.
     """
@@ -205,14 +208,13 @@ def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose):
     points = origin + t[:, None] * dirs
     z_cam = pose.transform(points)[:, 2]
     depth = np.where(hit, z_cam, 0.0).reshape(h, w)
-    mask = hit.reshape(h, w).astype(np.uint8)
 
     image = np.ones((n, 3))
     if hit.any():
         albedo = texture_color(scene, points[hit])
         lambert = np.clip(sdf_normal(scene, points[hit]) @ _LIGHT_DIR, 0.0, 1.0)
         image[hit] = np.clip(albedo * (0.25 + 0.75 * lambert)[:, None], 0.0, 1.0)
-    return image.reshape(h, w, 3), depth, mask
+    return image.reshape(h, w, 3), depth
 
 
 def voxelize(scene: SceneSpec, spec: VoxelGridSpec) -> np.ndarray:
@@ -222,28 +224,18 @@ def voxelize(scene: SceneSpec, spec: VoxelGridSpec) -> np.ndarray:
     return (d <= 0.0).reshape(v, v, v).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class ViewSampler:
-    """Cameras on a sphere looking at the origin.
-
-    Azimuth spans [0, 360) degrees and elevation [-20, 30] degrees,
-    measured from the world x/z plane with +y up.
-    """
-
-    radius: float = 2.0
-    azimuth_range: tuple[float, float] = (0.0, 360.0)
-    elevation_range: tuple[float, float] = (-20.0, 30.0)
-
-    def sample(self, n: int, rng: np.random.Generator) -> list[Pose]:
-        poses = []
-        for _ in range(n):
-            az = np.deg2rad(rng.uniform(*self.azimuth_range))
-            el = np.deg2rad(rng.uniform(*self.elevation_range))
-            pos = self.radius * np.array(
-                [np.cos(el) * np.cos(az), np.sin(el), np.cos(el) * np.sin(az)]
-            )
-            poses.append(look_at(pos, [0.0, 0.0, 0.0]))
-        return poses
+def sample_poses(n: int, rng: np.random.Generator) -> list[Pose]:
+    """n poses at ORBIT_RADIUS looking at the origin; per pose an azimuth, then an
+    elevation (from the world x/z plane, +y up), uniform in degrees over its range."""
+    poses = []
+    for _ in range(n):
+        az = np.deg2rad(rng.uniform(*AZIMUTH_RANGE))
+        el = np.deg2rad(rng.uniform(*ELEVATION_RANGE))
+        pos = ORBIT_RADIUS * np.array(
+            [np.cos(el) * np.cos(az), np.sin(el), np.cos(el) * np.sin(az)]
+        )
+        poses.append(look_at(pos, [0.0, 0.0, 0.0]))
+    return poses
 
 
 def default_intrinsics(width: int, height: int) -> Intrinsics:
@@ -306,7 +298,7 @@ def make_scene(family: str, seed: int) -> SceneSpec:
     return scene
 
 
-def _scene_meta(scene: SceneSpec, sampler: ViewSampler, seed: int) -> dict:
+def _scene_meta(scene: SceneSpec, seed: int) -> dict:
     prims = []
     for op, p in scene.nodes:
         entry = {"op": op, "kind": type(p).__name__.lower()}
@@ -318,9 +310,8 @@ def _scene_meta(scene: SceneSpec, sampler: ViewSampler, seed: int) -> dict:
         "seed": seed,
         "primitives": prims,
         "texture": {"kind": "checker", "cell": _CHECKER_CELL},
-        "view_sampler": {"radius": sampler.radius,
-                         "azimuth_range": list(sampler.azimuth_range),
-                         "elevation_range": list(sampler.elevation_range)},
+        "view_sampler": {"radius": ORBIT_RADIUS, "azimuth_range": list(AZIMUTH_RANGE),
+                         "elevation_range": list(ELEVATION_RANGE)},
     }
 
 
@@ -338,17 +329,16 @@ def generate_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cam = default_intrinsics(*image_size)
-    sampler = ViewSampler()
     spec = VoxelGridSpec(resolution=resolution)
     for i in range(n_scenes):
         family = list(_FAMILIES)[i % len(_FAMILIES)]
         scene_seed = int(np.random.default_rng([seed, i]).integers(0, 2**31))
         scene = make_scene(family, scene_seed)
-        poses = sampler.sample(views_per_scene, np.random.default_rng([seed, i, 1]))
-        images, depths, _ = zip(*(render_view(scene, cam, pose) for pose in poses))
+        poses = sample_poses(views_per_scene, np.random.default_rng([seed, i, 1]))
+        images, depths = zip(*(render_view(scene, cam, pose) for pose in poses))
         occupancy = voxelize(scene, spec)
         if not occupancy.any():
             raise RuntimeError(f"scene {i} voxelizes to empty occupancy")
         write_scene(out_dir / f"scene_{i:04d}", np.stack(images), np.stack(depths),
-                    [(cam, p) for p in poses], occupancy, _scene_meta(scene, sampler, scene_seed))
+                    [(cam, p) for p in poses], occupancy, _scene_meta(scene, scene_seed))
     return DatasetManifest.scan(out_dir)

@@ -27,10 +27,10 @@ from voxelstereo.geometry import (
 from voxelstereo.synthgen import (
     SceneSpec,
     Sphere,
-    ViewSampler,
     default_intrinsics,
     make_scene,
     render_view,
+    sample_poses,
     sdf_eval,
     voxelize,
 )
@@ -154,7 +154,13 @@ class TestPlaneSweep:
         # 128px images and 300 planes)
         cam = default_intrinsics(96, 96)
         scene = make_scene("composite", seed=14)
-        poses = ViewSampler(azimuth_range=(0.0, 120.0)).sample(8, np.random.default_rng(2))
+        # eight views within 120 degrees of azimuth, drawn as sample_poses draws
+        rng = np.random.default_rng(2)
+        poses = []
+        for _ in range(8):
+            az, el = np.deg2rad(rng.uniform(0.0, 120.0)), np.deg2rad(rng.uniform(-20.0, 30.0))
+            pos = 2.0 * np.array([np.cos(el) * np.cos(az), np.sin(el), np.cos(el) * np.sin(az)])
+            poses.append(look_at(pos, [0.0, 0.0, 0.0]))
         views = [render_view(scene, cam, p) for p in poses]
         depth, _, valid = cross_checked_sweep(
             [v[0] for v in views], [(cam, p) for p in poses], 0, n_planes=100)
@@ -206,8 +212,8 @@ SPHERE04 = SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=0.4))], fa
 
 def sphere_views(n, img=64, seed=0):
     cam = default_intrinsics(img, img)
-    poses = ViewSampler().sample(n, np.random.default_rng(seed))
-    masks = [render_view(SPHERE04, cam, p)[2] for p in poses]
+    poses = sample_poses(n, np.random.default_rng(seed))
+    masks = [render_view(SPHERE04, cam, p)[1] > 0 for p in poses]
     return np.stack(masks), [(cam, p) for p in poses]
 
 
@@ -246,8 +252,8 @@ class TestVisualHull:
         spec = VoxelGridSpec(resolution=16)
         scene = make_scene("composite", seed=9)
         cam = default_intrinsics(48, 48)
-        poses = ViewSampler().sample(6, np.random.default_rng(1))
-        masks = np.stack([render_view(scene, cam, p)[2] for p in poses])
+        poses = sample_poses(6, np.random.default_rng(1))
+        masks = np.stack([render_view(scene, cam, p)[1] > 0 for p in poses])
         cams = [(cam, p) for p in poses]
         hull = visual_hull(masks, cams, spec)
         gt = voxelize(scene, spec).astype(bool)
@@ -281,8 +287,8 @@ class TestDepthToPointcloud:
         cam = default_intrinsics(32, 32)
         pose = look_at([1.0, 0.6, -1.4], [0, 0, 0])
         scene = make_scene("box", seed=2)
-        _, depth, mask = render_view(scene, cam, pose)
-        vs, us = np.nonzero(mask)
+        _, depth = render_view(scene, cam, pose)
+        vs, us = np.nonzero(depth > 0)
         pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
         uv, z, valid = project_points(pts, cam, pose)
         np.testing.assert_allclose(uv[:, 0], us, atol=1e-6)
@@ -291,7 +297,7 @@ class TestDepthToPointcloud:
     def test_points_on_sdf_surface(self):
         cam = default_intrinsics(32, 32)
         pose = look_at([0.5, 0.8, 1.7], [0, 0, 0])
-        _, depth, _ = render_view(SPHERE04, cam, pose)
+        _, depth = render_view(SPHERE04, cam, pose)
         vs, us = np.nonzero(depth > 0)
         pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
         assert len(pts) > 0

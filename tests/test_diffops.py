@@ -9,7 +9,7 @@ ray march, finite differences, and adjoint dot-product identities.
 import numpy as np
 import pytest
 
-from helpers import assert_vjp_matches_fd, max_rel_error
+from helpers import assert_vjp_matches_fd
 
 from voxelstereo.diffops import (
     GeomFeatureConfig,
@@ -39,39 +39,34 @@ FULL_GEOM = GeomFeatureConfig(geometric=True)
 class TestBilinearSample:
     def test_constant_map(self):
         fmap = np.full((5, 6, 2), 3.0)
-        vals, valid = bilinear_sample(fmap, [[2.3, 1.7], [0.0, 0.0], [4.99, 3.99]])
-        assert valid.all()
+        vals = bilinear_sample(fmap, [[2.3, 1.7], [0.0, 0.0], [4.99, 3.99]])
         np.testing.assert_allclose(vals, 3.0)
 
     def test_2x2_center(self):
         fmap = np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None]  # rows are v
-        vals, valid = bilinear_sample(fmap, [[0.5, 0.5]])
+        vals = bilinear_sample(fmap, [[0.5, 0.5]])
         assert vals[0, 0] == pytest.approx(1.5)
-        assert valid[0]
 
     def test_2x2_asymmetric_point(self):
         fmap = np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None]
         # (u, v) = (0.25, 0.75): rows weighted 0.25/0.75, cols 0.75/0.25
         expected = (0.75 * 0.25) * 0 + (0.25 * 0.25) * 1 + (0.75 * 0.75) * 2 + (0.25 * 0.75) * 3
-        vals, _ = bilinear_sample(fmap, [[0.25, 0.75]])
+        vals = bilinear_sample(fmap, [[0.25, 0.75]])
         assert vals[0, 0] == pytest.approx(expected)
 
     def test_outside_is_zero_and_invalid(self):
         fmap = np.ones((4, 4, 1))
-        vals, valid = bilinear_sample(fmap, [[-1.0, -1.0]])
+        vals = bilinear_sample(fmap, [[-1.0, -1.0]])
         assert vals[0, 0] == 0.0
-        assert not valid[0]
 
     def test_partial_overlap_zero_padded(self):
         fmap = np.ones((4, 4, 1))
-        vals, valid = bilinear_sample(fmap, [[-0.5, 0.0]])
+        vals = bilinear_sample(fmap, [[-0.5, 0.0]])
         assert vals[0, 0] == 0.0  # half outside counts as outside
-        assert not valid[0]
 
     def test_edge_point_valid(self):
         fmap = np.arange(16.0).reshape(4, 4, 1)
-        vals, valid = bilinear_sample(fmap, [[3.0, 3.0]])
-        assert valid[0]
+        vals = bilinear_sample(fmap, [[3.0, 3.0]])
         assert vals[0, 0] == 15.0
 
 

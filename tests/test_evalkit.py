@@ -12,13 +12,13 @@ from voxelstereo.evalkit import (
     view_count_sweep,
     voxel_iou,
 )
-from voxelstereo.geometry import Pose, VoxelGridSpec, look_at
+from voxelstereo.geometry import VoxelGridSpec, look_at
 from voxelstereo.synthgen import (
     SceneSpec,
     Sphere,
-    ViewSampler,
     default_intrinsics,
     render_view,
+    sample_poses,
     voxelize,
 )
 from voxelstereo.tensorio import SceneData
@@ -109,6 +109,13 @@ class TestDepthError:
             report = depth_error([("v0", "sphere", gt, gt, pose)])
         assert report.per_view == []
 
+    @pytest.mark.parametrize("shape", [(1, 8), (8,), (8, 8, 1)])
+    def test_prediction_not_shaped_like_ground_truth_rejected(self, shape):
+        pose = look_at([2.0, 0.0, 0.0], [0, 0, 0])
+        gt = np.full((8, 8), 2.0)
+        with pytest.raises(ValueError, match=r"view v3: shape mismatch"):
+            depth_error([("v3", "sphere", np.full(shape, 2.0), gt, pose)])
+
 
 class TestViewCountSweep:
     def test_hull_sweep_nondecreasing(self):
@@ -116,7 +123,7 @@ class TestViewCountSweep:
                           family="sphere")
         spec = VoxelGridSpec(resolution=16)
         cam = default_intrinsics(48, 48)
-        poses = ViewSampler().sample(4, np.random.default_rng(5))
+        poses = sample_poses(4, np.random.default_rng(5))
         views = [render_view(scene, cam, p) for p in poses]
         data = SceneData(
             name="s0",

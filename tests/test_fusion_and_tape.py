@@ -13,7 +13,7 @@ from voxelstereo.fusion import (
     gru_step_node,
     init_gru_params,
 )
-from voxelstereo.geometry import Intrinsics, Pose, VoxelGridSpec, look_at
+from voxelstereo.geometry import Intrinsics, VoxelGridSpec, look_at
 from voxelstereo.nnkit import layers, tape
 
 
@@ -175,8 +175,7 @@ class TestZeroStateFold:
         def run(explicit):
             params = init_gru_params(20, 16, rng=np.random.default_rng(11))
             rng = np.random.default_rng(12)
-            grids = [tape.Parameter(rng.standard_normal((6, 6, 6, 20)), f"grid{i}")
-                     for i in range(k)]
+            grids = [tape.TapeNode(rng.standard_normal((6, 6, 6, 20))) for _ in range(k)]
             if explicit:
                 h = np.zeros((6, 6, 6, 16))
                 for g in grids:
@@ -220,21 +219,21 @@ def TapeSum(node):
 
 class TestTape:
     def test_fanout_accumulates(self):
-        x = tape.Parameter(np.array([2.0]), "x")
+        x = tape.TapeNode(np.array([2.0]))
         y = tape.add(tape.mul(x, x), tape.scale(x, 3.0))  # x^2 + 3x
         tape.backward(TapeSum(y))
         np.testing.assert_allclose(x.grad, [7.0])  # 2x + 3
 
     def test_each_node_visited_once(self):
-        x = tape.Parameter(np.array([1.0, 2.0]), "x")
+        x = tape.TapeNode(np.array([1.0, 2.0]))
         shared = tape.mul(x, x)
         out = tape.add(shared, shared)  # 2x^2
         tape.backward(TapeSum(out))
         np.testing.assert_allclose(x.grad, 4.0 * x.value)
 
     def test_backward_keeps_gradients_on_leaves_only(self):
-        x = tape.Parameter(np.array([2.0, -1.0]), "x")
-        c = tape.as_node(np.array([3.0, 4.0]))  # parentless, not a Parameter
+        x = tape.TapeNode(np.array([2.0, -1.0]))
+        c = tape.as_node(np.array([3.0, 4.0]))  # a second leaf
         inner = tape.mul(x, c)
         tape.backward(TapeSum(inner))
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
@@ -251,10 +250,10 @@ class TestTape:
         spec = VoxelGridSpec(resolution=4)
         gcfg = GeomFeatureConfig(geometric=True)
         image = rng.random((8, 8, 3))
-        k1 = tape.Parameter(rng.standard_normal((3, 3, 3, 4)) * 0.2, "k1")
-        b1 = tape.Parameter(np.zeros(4), "b1")
-        k3d = tape.Parameter(rng.standard_normal((3, 3, 3, 8, 2)) * 0.1, "k3d")
-        b3d = tape.Parameter(np.zeros(2), "b3d")
+        k1 = tape.TapeNode(rng.standard_normal((3, 3, 3, 4)) * 0.2)
+        b1 = tape.TapeNode(np.zeros(4))
+        k3d = tape.TapeNode(rng.standard_normal((3, 3, 3, 8, 2)) * 0.1)
+        b3d = tape.TapeNode(np.zeros(2))
 
         def forward():
             feat = tape.relu(tape.conv(image, k1, b1))
@@ -286,7 +285,7 @@ class TestTape:
     @pytest.mark.parametrize("index,axis", [(slice(1, 4), 3), (2, -1)])
     def test_take_adjoint_identity(self, index, axis):
         rng = np.random.default_rng(14)
-        a = tape.Parameter(rng.standard_normal((2, 3, 2, 5, 4)), "a")
+        a = tape.TapeNode(rng.standard_normal((2, 3, 2, 5, 4)))
         out = tape.take(a, index, axis)
         key = (slice(None),) * (axis % 5) + (index,)
         assert out.value.tobytes() == a.value[key].tobytes()

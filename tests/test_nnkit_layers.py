@@ -7,7 +7,7 @@ import pytest
 
 from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error
 
-from voxelstereo.nnkit.adam import adam_step
+from voxelstereo.nnkit.adam import LR, adam_step
 from voxelstereo.nnkit.layers import (
     _gemm_acc,
     conv_forward,
@@ -380,24 +380,24 @@ class TestLosses:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         value = np.array([1.0, -2.0])
-        new, m, v = adam_step(value, np.zeros(2), np.zeros(2), np.zeros(2), t=1, lr=0.1)
+        new, m, v = adam_step(value, np.zeros(2), np.zeros(2), np.zeros(2), t=1)
         np.testing.assert_array_equal(new, value)
 
     def test_first_step_magnitude_is_lr(self):
         value = np.zeros(3)
         grad = np.array([1.0, -2.0, 0.5])
-        new, _, _ = adam_step(value, grad, np.zeros(3), np.zeros(3), t=1, lr=1e-3)
-        np.testing.assert_allclose(np.abs(new), 1e-3, rtol=1e-6)
+        new, _, _ = adam_step(value, grad, np.zeros(3), np.zeros(3), t=1)
+        np.testing.assert_allclose(np.abs(new), LR, rtol=1e-6)
         np.testing.assert_allclose(np.sign(new), -np.sign(grad))
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         value = rng.standard_normal(5)
         grad = rng.standard_normal(5)
-        a = adam_step(value.copy(), grad, np.zeros(5), np.zeros(5), t=3, lr=0.01)
-        b = adam_step(value.copy(), grad, np.zeros(5), np.zeros(5), t=3, lr=0.01)
+        a = adam_step(value.copy(), grad, np.zeros(5), np.zeros(5), t=3)
+        b = adam_step(value.copy(), grad, np.zeros(5), np.zeros(5), t=3)
         assert a[0].tobytes() == b[0].tobytes()
 
     def test_step_index_validated(self):
         with pytest.raises(ValueError):
-            adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0, lr=0.1)
+            adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0)

@@ -9,12 +9,12 @@ from voxelstereo.synthgen import (
     Cylinder,
     SceneSpec,
     Sphere,
-    ViewSampler,
     assert_inside_unit_cube,
     default_intrinsics,
     generate_dataset,
     make_scene,
     render_view,
+    sample_poses,
     sdf_eval,
     voxelize,
 )
@@ -70,8 +70,7 @@ class TestRender:
     def test_central_depth_of_sphere(self):
         cam = default_intrinsics(33, 33)  # odd size: integer principal pixel
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
-        _, depth, mask = render_view(SPHERE, cam, pose)
-        assert mask[16, 16] == 1
+        _, depth = render_view(SPHERE, cam, pose)
         assert depth[16, 16] == pytest.approx(1.6, abs=1e-4)
 
     def test_mask_grows_with_radius(self):
@@ -80,24 +79,18 @@ class TestRender:
         counts = []
         for r in (0.2, 0.3, 0.4):
             scene = SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=r))])
-            _, _, mask = render_view(scene, cam, pose)
-            counts.append(int(mask.sum()))
+            _, depth = render_view(scene, cam, pose)
+            counts.append(int((depth > 0).sum()))
         assert counts[0] < counts[1] < counts[2]
 
     def test_depth_points_lie_on_surface(self):
         cam = default_intrinsics(32, 32)
         pose = look_at([1.2, 0.7, -1.3], [0, 0, 0])
         scene = make_scene("composite", seed=5)
-        _, depth, mask = render_view(scene, cam, pose)
-        vs, us = np.nonzero(mask)
+        _, depth = render_view(scene, cam, pose)
+        vs, us = np.nonzero(depth > 0)
         pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
         assert (np.abs(sdf_eval(scene, pts)) < 1e-3).all()
-
-    def test_depth_hits_match_mask(self):
-        cam = default_intrinsics(32, 32)
-        pose = look_at([0.3, 0.4, 2.0], [0, 0, 0])
-        _, depth, mask = render_view(SPHERE, cam, pose)
-        np.testing.assert_array_equal(depth > 0, mask.astype(bool))
 
 
 class TestVoxelize:
@@ -127,10 +120,9 @@ class TestVoxelize:
         np.testing.assert_array_equal(occ.astype(bool), d <= 0)
 
 
-class TestViewSampler:
+class TestSamplePoses:
     def test_cameras_look_at_origin_from_radius(self):
-        sampler = ViewSampler()
-        poses = sampler.sample(20, np.random.default_rng(0))
+        poses = sample_poses(20, np.random.default_rng(0))
         for pose in poses:
             c = pose.camera_center
             assert np.linalg.norm(c) == pytest.approx(2.0)
@@ -138,8 +130,7 @@ class TestViewSampler:
             np.testing.assert_allclose(x_cam[:2], 0.0, atol=1e-12)
 
     def test_elevations_in_range(self):
-        sampler = ViewSampler()
-        poses = sampler.sample(200, np.random.default_rng(1))
+        poses = sample_poses(200, np.random.default_rng(1))
         for pose in poses:
             el = np.rad2deg(np.arcsin(pose.camera_center[1] / 2.0))
             assert -20.0 - 1e-9 <= el <= 30.0 + 1e-9
