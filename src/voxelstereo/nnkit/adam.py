@@ -22,7 +22,7 @@ def adam_step(value, grad, m, v, t):
 
 
 class Adam:
-    """Keeps per-parameter moments for a list of leaf tape nodes."""
+    """Per-parameter moments for leaf tape nodes; step() applies and clears each grad."""
 
     def __init__(self, params):
         self.params = list(params)
@@ -36,7 +36,4 @@ class Adam:
             grad = p.grad if p.grad is not None else np.zeros_like(p.value)
             p.value, self._m[i], self._v[i] = adam_step(
                 p.value, grad, self._m[i], self._v[i], self.t)
-
-    def zero_grad(self):
-        for p in self.params:
             p.grad = None

@@ -21,13 +21,13 @@ Every learnable parameter, the GRU gates included, is a leaf tape node in
 ToyModel.params under its checkpoint name. A checkpoint is a directory with
 one float64 tensor file <name>.lsmt per parameter plus a manifest of names
 and shapes, so a loaded parameter equals the saved one bitwise. Loading
-rejects a tensor of any other dtype, and a checkpoint whose config names a
-field ToyModelConfig does not take or lacks one it has (no default fills a
-missing field in), or whose manifest lacks a model parameter, names one the
-model does not have, or gives a mis-shaped one. ToyModelConfig itself
-rejects a views, n_z, grid_resolution or seed that is not an int (a bool
-included) and an image_hw that is not two such ints, so such a checkpoint
-config fails to load too.
+rejects a config that names a field ToyModelConfig does not take or lacks
+one it has (no default fills a missing field in), then a manifest that lacks
+a model parameter or names one the model does not have, and only then reads
+<name>.lsmt for each model parameter, rejecting one not float64 or mis-shaped.
+ToyModelConfig itself rejects a views, n_z, grid_resolution or seed that is
+not an int (a bool included) and an image_hw that is not two such ints, so
+such a checkpoint config fails to load too.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
     manifest = {}
     for name, p in model.params.items():
         write_tensor(out_dir / f"{name}.lsmt", p.value, "f64")
-        manifest[name] = {"file": f"{name}.lsmt", "shape": list(p.value.shape)}
+        manifest[name] = {"shape": list(p.value.shape)}
     (out_dir / "manifest.json").write_text(
         json.dumps({"config": asdict(model.cfg), "parameters": manifest},
                    sort_keys=True, indent=1) + "\n")
@@ -258,17 +258,21 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
     lacking = sorted(names - cfg_dict.keys())
     if lacking:
         raise ValueError(f"checkpoint config is missing fields: {', '.join(lacking)}")
-    cfg_dict["image_hw"] = tuple(cfg_dict["image_hw"])
+    if isinstance(cfg_dict["image_hw"], list):
+        cfg_dict["image_hw"] = tuple(cfg_dict["image_hw"])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
     params = model.params
     missing = sorted(params.keys() - meta["parameters"].keys())
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
-    for name, entry in meta["parameters"].items():
-        values = read_tensor(ckpt_dir / entry["file"])
+    extra = sorted(meta["parameters"].keys() - params.keys())
+    if extra:
+        raise ValueError(f"checkpoint has parameters the model lacks: {', '.join(extra)}")
+    for name, p in params.items():
+        values = read_tensor(ckpt_dir / f"{name}.lsmt")
         if values.dtype != np.float64:
             raise ValueError(f"checkpoint entry {name} is {values.dtype}, not float64")
-        if name not in params or values.shape != params[name].value.shape:
+        if values.shape != p.value.shape:
             raise ValueError(f"checkpoint entry {name} does not match the model")
-        params[name].value = values
+        p.value = values
     return model

@@ -2,9 +2,9 @@
 
 Every operation below computes its value eagerly and records one VJP: a
 function from the node's cotangent to the cotangents of all its parents, in
-parent order. A TapeNode is therefore both the value and the provenance
-record; backward() walks the recorded graph once in anti-topological order,
-runs each node's VJP once and accumulates gradients additively at fan-out.
+parent order. backward() consumes the recorded graph: it runs each node's VJP
+once, in anti-topological order, adds gradients at fan-out and unlinks each
+node as it goes, so a second backward over the same root reaches only it.
 
 This is not a general autodiff system: only the operators defined here are
 composable, which is all the toy pipelines need: conv is same-padded and
@@ -24,7 +24,7 @@ class TapeNode:
 
     vjp(g) maps the node's cotangent g to a sequence holding one cotangent
     per parent, in the order of `parents`. Leaves, a model's parameters among
-    them, have no parents and no VJP; grad accumulates until zero_grad clears it.
+    them, have no parents and no VJP; grad accumulates until Adam.step uses it.
     """
 
     __slots__ = ("value", "parents", "vjp", "grad")
@@ -40,11 +40,11 @@ def as_node(x) -> TapeNode:
     return x if isinstance(x, TapeNode) else TapeNode(x)
 
 
-def backward(root: TapeNode, seed=None) -> None:
-    """Accumulate gradients of `root` into every reachable leaf's .grad.
+def backward(root: TapeNode) -> None:
+    """Add the gradient of `root` (seeded with ones) to every reachable leaf's .grad.
 
-    A node with parents drops its cotangent once its VJP has run, so the
-    graph holds no intermediate gradients after the pass.
+    Consumes the graph: a node with parents loses them, its VJP and its
+    cotangent as the sweep reaches it, so what only the graph held is freed.
     """
     order = []
     seen = set()
@@ -61,13 +61,13 @@ def backward(root: TapeNode, seed=None) -> None:
         for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    root.grad = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=np.float64)
-    for node in reversed(order):
-        if node.grad is None or not node.parents:
-            continue
-        for parent, g in zip(node.parents, node.vjp(node.grad), strict=True):
-            parent.grad = g if parent.grad is None else parent.grad + g
-        node.grad = None
+    root.grad = np.ones_like(root.value)
+    while order:
+        node = order.pop()
+        if node.parents:
+            for parent, g in zip(node.parents, node.vjp(node.grad), strict=True):
+                parent.grad = g if parent.grad is None else parent.grad + g
+            node.parents, node.vjp, node.grad = (), None, None
 
 
 # --- arithmetic -------------------------------------------------------------

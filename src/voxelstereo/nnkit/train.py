@@ -1,9 +1,9 @@
 """Training loop for the toy pipelines.
 
 One scene per iteration, a freshly shuffled view subset each time (the
-recurrent fusion must not overfit one ordering) and Adam updates; an out_dir
-receives a two-column loss curve and a checkpoint, whose manifest holds the
-run's config. Fixed seeds reproduce the run bitwise.
+recurrent fusion must not overfit one ordering) and Adam updates, after which
+no graph or gradient is left; an out_dir gets a loss curve and a checkpoint
+whose manifest holds the run's config. Fixed seeds reproduce the run bitwise.
 """
 
 from __future__ import annotations
@@ -50,11 +50,8 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
         losses.append(float(loss.value))
         if t == iters:
             break
-        opt.zero_grad()
         backward(loss)
         opt.step()
-        # drop this iteration's graph before the next forward builds its own
-        del loss
 
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -1,6 +1,7 @@
 """Grid fusion semantics and reverse-mode composition checks."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestZeroStateFold:
                     h = gru_step_node(h, g, params)
             else:
                 h = fuse_recurrent_node(grids, params)
-            tape.backward(h, seed=rng.standard_normal(h.value.shape))
+            tape.backward(TapeDot(h, rng.standard_normal(h.value.shape)))
             # Adam reads a missing gradient (the unused reset gate at k = 1) as zeros
             grads = {name: np.zeros_like(p.value) if p.grad is None else p.grad
                      for name, p in params.items()}
@@ -217,6 +218,11 @@ def TapeSum(node):
                          lambda g: (np.broadcast_to(g, node.value.shape).copy(),))
 
 
+def TapeDot(node, u):
+    """<node, u> as a tape op, so that backward hands `node` exactly u (1.0 * u)."""
+    return tape.TapeNode((node.value * u).sum(), (node,), lambda g: (g * u,))
+
+
 class TestTape:
     def test_fanout_accumulates(self):
         x = tape.TapeNode(np.array([2.0]))
@@ -239,6 +245,30 @@ class TestTape:
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
         np.testing.assert_array_equal(c.grad, [2.0, -1.0])
         assert inner.grad is None
+
+    def test_backward_releases_what_the_vjps_captured(self):
+        x = tape.TapeNode(np.array([0.5, -2.0]))
+        hidden = tape.tanh(x)
+        root = TapeSum(tape.relu(hidden))  # relu's VJP captures hidden's value
+        captured = weakref.ref(hidden.value)
+        del hidden
+        tape.backward(root)
+        assert captured() is None
+        assert root.parents == () and root.vjp is None
+        assert root.value == np.tanh(0.5)
+        np.testing.assert_allclose(x.grad, [1.0 - np.tanh(0.5) ** 2, 0.0], rtol=1e-15)
+
+    def test_second_backward_over_the_same_root_changes_no_leaf(self):
+        rng = np.random.default_rng(15)
+        x = tape.TapeNode(rng.standard_normal((3, 4)))
+        c = tape.TapeNode(rng.standard_normal((3, 4)))
+        shared = tape.mul(x, c)
+        root = TapeSum(tape.add(tape.sigmoid(shared), shared))
+        tape.backward(root)
+        first = [x.grad.tobytes(), c.grad.tobytes()]
+        tape.backward(root)
+        assert [x.grad.tobytes(), c.grad.tobytes()] == first
+        assert shared.parents == () and shared.grad is None
 
     def test_composed_model_adjoint_identity(self):
         # whole-pipeline dot-product test on a tiny instance: for the
@@ -263,7 +293,7 @@ class TestTape:
 
         out = forward()
         up = rng.standard_normal(out.value.shape)
-        tape.backward(out, seed=up)
+        tape.backward(TapeDot(out, up))
         for p, name in [(k1, "k1"), (b1, "b1"), (k3d, "k3d")]:
             def f(v, p=p):
                 old = p.value.copy()
@@ -290,7 +320,7 @@ class TestTape:
         key = (slice(None),) * (axis % 5) + (index,)
         assert out.value.tobytes() == a.value[key].tobytes()
         u = rng.standard_normal(out.value.shape)
-        tape.backward(out, seed=u)
+        tape.backward(TapeDot(out, u))
         # <take(a), u> = <a, take^T(u)>, and take^T(u) is zero off the taken entries
         np.testing.assert_allclose((out.value * u).sum(), (a.value * a.grad).sum(), rtol=1e-13)
         rest = a.grad.copy()

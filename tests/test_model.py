@@ -195,6 +195,36 @@ def test_checkpoint_missing_parameters_rejected(trained, tmp_path):
         load_checkpoint(ckpt)
 
 
+def test_checkpoint_reads_only_the_models_own_tensor_names(trained, tmp_path):
+    outside = tmp_path / "outside.lsmt"
+    bias = trained.params["enc1.bias"].value
+    write_tensor(outside, bias + 1.0, "f64")
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(trained, ckpt)
+    _edit_manifest(ckpt, lambda params: params["enc1.bias"].update(file="../outside.lsmt"))
+    loaded = load_checkpoint(ckpt)
+    for name, p in trained.params.items():
+        assert loaded.params[name].value.tobytes() == p.value.tobytes(), name
+
+
+def test_checkpoint_parameter_the_model_lacks_rejected_before_any_read(trained, tmp_path,
+                                                                       monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(trained, ckpt)
+    _edit_manifest(ckpt, lambda params: params.update({"../outside": {"shape": [8]}}))
+    read = []
+    monkeypatch.setattr("voxelstereo.nnkit.model.read_tensor", read.append)
+    with pytest.raises(ValueError,
+                       match=r"^checkpoint has parameters the model lacks: \.\./outside$"):
+        load_checkpoint(ckpt)
+    assert read == []
+
+
+def test_trained_parameters_carry_no_gradient(trained, depth_run):
+    for model in (trained, depth_run[0].model):
+        assert all(p.grad is None for p in model.parameters())
+
+
 def test_checkpoint_config_field_the_model_does_not_take_rejected(trained, tmp_path):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(trained, ckpt)
@@ -252,7 +282,7 @@ def test_config_rejects_image_hw_that_is_not_two_ints(value):
         replace(tiny_config("depth", "mean"), image_hw=value)
 
 
-@pytest.mark.parametrize("value", [[16, 16, 16], [16.0, 16.0]])
+@pytest.mark.parametrize("value", [[16, 16, 16], [16.0, 16.0], 16])
 def test_checkpoint_config_with_a_bad_image_hw_rejected(trained, tmp_path, value):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(trained, ckpt)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error
 
-from voxelstereo.nnkit.adam import LR, adam_step
+from voxelstereo.nnkit.adam import LR, Adam, adam_step
 from voxelstereo.nnkit.layers import (
     _gemm_acc,
     conv_forward,
@@ -24,6 +24,7 @@ from voxelstereo.nnkit.layers import (
     upsample_nearest_vjp,
 )
 from voxelstereo.nnkit.losses import bce_loss, bce_loss_vjp, l1_depth_loss, l1_depth_loss_vjp
+from voxelstereo.nnkit.tape import TapeNode
 
 
 class TestConv:
@@ -401,3 +402,17 @@ class TestAdam:
     def test_step_index_validated(self):
         with pytest.raises(ValueError):
             adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0)
+
+    def test_step_consumes_every_gradient(self):
+        rng = np.random.default_rng(11)
+        params = [TapeNode(rng.standard_normal(3)) for _ in range(3)]
+        grads = [rng.standard_normal(3), None, rng.standard_normal(3)]
+        for p, g in zip(params, grads):
+            p.grad = g
+        start = [p.value for p in params]
+        Adam(params).step()
+        for p, x, g in zip(params, start, grads):
+            assert p.grad is None
+            expected, _, _ = adam_step(x, np.zeros(3) if g is None else g,
+                                       np.zeros(3), np.zeros(3), t=1)
+            assert p.value.tobytes() == expected.tobytes()
