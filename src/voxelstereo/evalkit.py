@@ -78,14 +78,11 @@ class DepthErrorReport:
         self.class_means, self.mean = _per_class_mean(self.per_view)
 
 
-def depth_valid_mask(gt_depth: np.ndarray, pose: Pose,
-                     pred_depth: np.ndarray | None = None) -> np.ndarray:
+def depth_valid_mask(gt_depth: np.ndarray, pose: Pose, pred_depth: np.ndarray) -> np.ndarray:
     """Pixels that enter the depth metric for one view."""
     ref_dist = float(np.linalg.norm(pose.camera_center))
-    valid = (gt_depth > 0) & (np.abs(gt_depth - ref_dist) <= DEPTH_HALF_RANGE)
-    if pred_depth is not None:
-        valid &= np.asarray(pred_depth) > 0
-    return valid
+    return ((gt_depth > 0) & (np.abs(gt_depth - ref_dist) <= DEPTH_HALF_RANGE)
+            & (pred_depth > 0))
 
 
 def depth_error(entries: list[tuple[str, str, np.ndarray, np.ndarray, Pose]]) -> DepthErrorReport:

@@ -81,13 +81,11 @@ def gru_step_node(h, x, params) -> TapeNode:
     h None is the zero state, from which the update is z * c with the gates
     convolving x alone.
     """
-    x = tape.as_node(x)
     if h is None:
         c_in = x.value.shape[-1]
         z = tape.sigmoid(_gate_preact(x, params, "update", rows=c_in))
         c = tape.tanh(_gate_preact(x, params, "candidate", rows=c_in))
         return tape.mul(z, c)
-    h = tape.as_node(h)
     xh = tape.concat([x, h])
     z = tape.sigmoid(_gate_preact(xh, params, "update"))
     r = tape.sigmoid(_gate_preact(xh, params, "reset"))

@@ -5,9 +5,10 @@ Two variants share the encoder, unprojection and grid reasoning:
   voxel: a 1x1x1 convolution to 2 channels + per-voxel softmax produces an
          occupancy probability grid, trained with binary cross entropy.
   depth: the reasoned grid is projected back into each input view on
-         equally spaced depth planes; stacked ray samples are pooled by a
-         chain of 1x1 convolutions halving channels to one, upsampled to
-         image size and refined together with an encoder skip feature.
+         grid_resolution equally spaced depth planes, one per voxel of a
+         grid edge; stacked ray samples are pooled by a chain of 1x1
+         convolutions halving channels to one, upsampled to image size and
+         refined together with an encoder skip feature.
 
 loss(scene, order) is the one entry from data to a loss: it takes the views
 `order` of one loaded scene, with their images, cameras and ground truth,
@@ -19,13 +20,14 @@ direction (GEOM_FEATURES); ToyModelConfig holds what runs vary.
 
 Every learnable parameter, the GRU gates included, is a leaf tape node in
 ToyModel.params under its checkpoint name. A checkpoint is a directory with
-one float64 tensor file <name>.lsmt per parameter plus a manifest of names
-and shapes, so a loaded parameter equals the saved one bitwise. Loading
+one float64 tensor file <name>.lsmt per parameter plus a manifest of the
+config and the sorted parameter names; each tensor file's header is the one
+record of its shape. A loaded parameter equals the saved one bitwise. Loading
 rejects a config that names a field ToyModelConfig does not take or lacks
 one it has (no default fills a missing field in), then a manifest that lacks
 a model parameter or names one the model does not have, and only then reads
 <name>.lsmt for each model parameter, rejecting one not float64 or mis-shaped.
-ToyModelConfig itself rejects a views, n_z, grid_resolution or seed that is
+ToyModelConfig itself rejects a views, grid_resolution or seed that is
 not an int (a bool included) and an image_hw that is not two such ints, so
 such a checkpoint config fails to load too.
 """
@@ -57,14 +59,13 @@ GEOM_FEATURES = GeomFeatureConfig(geometric=True)
 class ToyModelConfig:
     fusion: str = "gru"                    # "gru" | "mean"
     head: str = "voxel"                    # "voxel" | "depth"
-    n_z: int = 32
     image_hw: tuple[int, int] = (64, 64)
     grid_resolution: int = 32
     views: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("views", "n_z", "grid_resolution", "seed"):
+        for name in ("views", "grid_resolution", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -99,8 +100,8 @@ def _conv_block(rng, params, name, kshape):
 
 
 def _ray_reduce_chain(cfg: ToyModelConfig) -> list[tuple[int, int]]:
-    """(C_in, C_out) of each ray_reduce conv: n_z * C ray channels halved to one."""
-    c = cfg.n_z * REASONER_CHANNELS[1]
+    """(C_in, C_out) of each ray_reduce conv: V * C ray channels halved to one."""
+    c = cfg.grid_resolution * REASONER_CHANNELS[1]
     chain = []
     while c > 1:
         chain.append((c, c // 2))
@@ -176,7 +177,7 @@ class ToyModel:
         grids = []
         views = []
         for image, (cam, pose) in zip(images, cameras):
-            feat, skip = self.encode(np.asarray(image, dtype=np.float64))
+            feat, skip = self.encode(TapeNode(image))
             fh, fw = feat.value.shape[:2]
             feat_cam = scale_intrinsics(cam, fw, fh)
             grids.append(tape.unproject(feat, feat_cam, pose, cfg.grid_spec, GEOM_FEATURES))
@@ -201,7 +202,7 @@ class ToyModel:
         n_reduce = len(_ray_reduce_chain(cfg))
         out = []
         for skip, feat_cam, pose in views:
-            x = tape.project(g, cfg.grid_spec, feat_cam, pose, cfg.n_z)
+            x = tape.project(g, cfg.grid_spec, feat_cam, pose, cfg.grid_resolution)
             for i in range(n_reduce):
                 x = tape.conv(x, p[f"ray_reduce{i}.kernel"], p[f"ray_reduce{i}.bias"])
                 if i < n_reduce - 1:
@@ -238,12 +239,10 @@ class ToyModel:
 def save_checkpoint(model: ToyModel, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {}
     for name, p in model.params.items():
         write_tensor(out_dir / f"{name}.lsmt", p.value, "f64")
-        manifest[name] = {"shape": list(p.value.shape)}
     (out_dir / "manifest.json").write_text(
-        json.dumps({"config": asdict(model.cfg), "parameters": manifest},
+        json.dumps({"config": asdict(model.cfg), "parameters": sorted(model.params)},
                    sort_keys=True, indent=1) + "\n")
 
 
@@ -262,10 +261,11 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
         cfg_dict["image_hw"] = tuple(cfg_dict["image_hw"])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
     params = model.params
-    missing = sorted(params.keys() - meta["parameters"].keys())
+    listed = set(meta["parameters"])
+    missing = sorted(params.keys() - listed)
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")
-    extra = sorted(meta["parameters"].keys() - params.keys())
+    extra = sorted(listed - params.keys())
     if extra:
         raise ValueError(f"checkpoint has parameters the model lacks: {', '.join(extra)}")
     for name, p in params.items():

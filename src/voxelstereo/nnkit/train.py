@@ -62,20 +62,19 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
     return TrainResult(model=model, losses=losses)
 
 
-def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int | None = None) -> float:
+def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int) -> float:
     """Mean loss over all scenes with a fixed per-scene view draw (seed [0, 2]).
 
-    views is the number of views drawn per scene, the config's count when None.
+    views is the number of views drawn per scene.
     """
-    k = model.cfg.views if views is None else views
-    if k < 1:
-        raise ValueError(f"need at least one view, got {k}")
+    if views < 1:
+        raise ValueError(f"need at least one view, got {views}")
     rng = np.random.default_rng([0, 2])
     total = 0.0
     scenes = dataset.load_all()
     for scene in scenes:
-        if k > scene.n_views:
-            raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {k}")
-        order = rng.permutation(scene.n_views)[:k]
+        if views > scene.n_views:
+            raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {views}")
+        order = rng.permutation(scene.n_views)[:views]
         total += float(model.loss(scene, order).value)
     return total / len(scenes)

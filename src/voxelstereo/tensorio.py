@@ -166,6 +166,9 @@ def load_scene(scene_dir) -> SceneData:
     scene_dir = Path(scene_dir)
     images = read_tensor(scene_dir / "images.lsmt")
     depths = read_tensor(scene_dir / "depths.lsmt")
+    for name, values in (("images", images), ("depths", depths)):
+        if values.dtype != np.float32:
+            raise ValueError(f"{scene_dir}: {name}.lsmt is {values.dtype}, not float32")
     cameras = load_cameras(scene_dir / "cameras.txt")
     if images.ndim != 4 or images.shape[0] != len(cameras) or images.shape[3] != 3:
         raise ValueError(f"{scene_dir}: images of shape {images.shape}, expected "
@@ -178,6 +181,10 @@ def load_scene(scene_dir) -> SceneData:
     if sizes != {(h, w)}:
         raise ValueError(f"{scene_dir}: cameras of (H, W) {sorted(sizes)}, images are {(h, w)}")
     occupancy = read_tensor(scene_dir / "occupancy.lsmt")
+    if occupancy.dtype != np.uint8:
+        raise ValueError(f"{scene_dir}: occupancy.lsmt is {occupancy.dtype}, not uint8")
+    if occupancy.max(initial=0) > 1:
+        raise ValueError(f"{scene_dir}: occupancy.lsmt holds values other than 0 and 1")
     if occupancy.ndim != 3 or len(set(occupancy.shape)) != 1:
         raise ValueError(f"{scene_dir}: occupancy of shape {occupancy.shape} is not a cube")
     meta = json.loads((scene_dir / "scene.json").read_text())

@@ -98,7 +98,7 @@ class TestDepthError:
         gt = np.full((4, 4), 2.0)
         gt[0, 0] = 2.0 + DEPTH_HALF_RANGE + 0.01   # beyond the cube
         gt[0, 1] = 0.0                              # missing
-        valid = depth_valid_mask(gt, pose)
+        valid = depth_valid_mask(gt, pose, np.ones_like(gt))
         assert not valid[0, 0] and not valid[0, 1]
         assert valid[1:].all()
 

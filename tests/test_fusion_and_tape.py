@@ -24,9 +24,14 @@ def zeroed(params):
     return params
 
 
+def leaves(arrays):
+    """One leaf tape node per array: tape ops take nodes only."""
+    return [tape.TapeNode(a) for a in arrays]
+
+
 def mean(grids):
     """Pointwise fusion as the model runs it: tape.mean_stack."""
-    return tape.mean_stack(grids).value
+    return tape.mean_stack(leaves(grids)).value
 
 
 class TestFusePointwise:
@@ -73,7 +78,7 @@ class TestGruStep:
         params = zeroed(init_gru_params(2, 2, rng=np.random.default_rng(0)))
         h = np.random.default_rng(1).random((3, 3, 3, 2))
         x = np.zeros((3, 3, 3, 2))
-        out = gru_step_node(h, x, params).value
+        out = gru_step_node(tape.TapeNode(h), tape.TapeNode(x), params).value
         # zero pre-activations: z = 0.5, candidate = 0, h' = 0.5 h
         np.testing.assert_allclose(out, 0.5 * h, atol=1e-12)
 
@@ -82,7 +87,8 @@ class TestGruStep:
         params["gru.update.ln_shift"].value[...] = -50.0  # z -> 0
         h = np.random.default_rng(2).random((3, 3, 3, 2))
         x = np.random.default_rng(3).random((3, 3, 3, 2))
-        np.testing.assert_allclose(gru_step_node(h, x, params).value, h, atol=1e-12)
+        out = gru_step_node(tape.TapeNode(h), tape.TapeNode(x), params).value
+        np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_open_update_gate_overwrites_state(self):
         rng = np.random.default_rng(4)
@@ -90,22 +96,22 @@ class TestGruStep:
         params["gru.update.ln_shift"].value[...] = 50.0   # z -> 1: h' = candidate
         params["gru.reset.ln_shift"].value[...] = -50.0   # r -> 0: candidate ignores h
         grids = [rng.random((3, 3, 3, 2)) for _ in range(3)]
-        out = fuse_recurrent_node(grids, params).value
+        out = fuse_recurrent_node(leaves(grids), params).value
         # full overwrite: result depends only on the last view
         grids2 = [rng.random((3, 3, 3, 2)) for _ in range(2)] + [grids[-1]]
-        out2 = fuse_recurrent_node(grids2, params).value
+        out2 = fuse_recurrent_node(leaves(grids2), params).value
         np.testing.assert_allclose(out, out2, atol=1e-9)
 
     def test_single_view_zero_weights(self):
         params = zeroed(init_gru_params(2, 2, rng=np.random.default_rng(0)))
-        out = fuse_recurrent_node([np.zeros((3, 3, 3, 2))], params).value
+        out = fuse_recurrent_node(leaves([np.zeros((3, 3, 3, 2))]), params).value
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_outputs_finite(self):
         rng = np.random.default_rng(5)
         params = init_gru_params(3, 4, rng=rng)
         grids = [10.0 * rng.standard_normal((4, 4, 4, 3)) for _ in range(4)]
-        out = fuse_recurrent_node(grids, params).value
+        out = fuse_recurrent_node(leaves(grids), params).value
         assert np.isfinite(out).all()
 
     def test_gradcheck_all_parameters_and_input(self):
@@ -116,9 +122,9 @@ class TestGruStep:
         target = rng.standard_normal((3, 3, 3, 2))
 
         def loss_value():
-            h_node = tape.as_node(h)
-            out = gru_step_node(h_node, tape.as_node(x), params)
-            diff = tape.add(out, -target)
+            h_node = tape.TapeNode(h)
+            out = gru_step_node(h_node, tape.TapeNode(x), params)
+            diff = tape.add(out, tape.TapeNode(-target))
             return tape.mul(diff, diff), h_node
 
         sq, h_node = loss_value()
@@ -130,14 +136,14 @@ class TestGruStep:
             def f(v, p=p):
                 old = p.value.copy()
                 p.value = v
-                out = gru_step_node(tape.as_node(h), tape.as_node(x), params).value
+                out = gru_step_node(tape.TapeNode(h), tape.TapeNode(x), params).value
                 p.value = old
                 return float(((out - target) ** 2).sum())
             fd = fd_gradient(f, p.value.copy(), step=1e-4)
             err = max_rel_error(p.grad, fd)
             assert err < 1e-3, f"{p.name}: {err:.2e}"
         fd_h = fd_gradient(
-            lambda v: float(((gru_step_node(tape.as_node(v), tape.as_node(x), params).value
+            lambda v: float(((gru_step_node(tape.TapeNode(v), tape.TapeNode(x), params).value
                               - target) ** 2).sum()), h.copy(), step=1e-4)
         assert max_rel_error(h_node.grad, fd_h) < 1e-3
 
@@ -162,7 +168,7 @@ class TestGruStep:
         r = layers.sigmoid(preact("reset", h))
         c = np.tanh(preact("candidate", r * h))
         expected = (1.0 - z) * h + z * c
-        out = gru_step_node(h, x, params).value
+        out = gru_step_node(tape.TapeNode(h), tape.TapeNode(x), params).value
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -178,7 +184,7 @@ class TestZeroStateFold:
             rng = np.random.default_rng(12)
             grids = [tape.TapeNode(rng.standard_normal((6, 6, 6, 20))) for _ in range(k)]
             if explicit:
-                h = np.zeros((6, 6, 6, 16))
+                h = tape.TapeNode(np.zeros((6, 6, 6, 16)))
                 for g in grids:
                     h = gru_step_node(h, g, params)
             else:
@@ -208,7 +214,7 @@ class TestZeroStateFold:
             monkeypatch.setattr(layers, name, counted)
         rng = np.random.default_rng(13)
         params = init_gru_params(3, 2, rng=rng)
-        fuse_recurrent_node([rng.standard_normal((3, 3, 3, 3)) for _ in range(k)], params)
+        fuse_recurrent_node(leaves(rng.standard_normal((3, 3, 3, 3)) for _ in range(k)), params)
         assert calls == {"conv_forward": 3 * k - 1, "layer_norm_channels": 3 * k - 1}
 
 
@@ -239,7 +245,7 @@ class TestTape:
 
     def test_backward_keeps_gradients_on_leaves_only(self):
         x = tape.TapeNode(np.array([2.0, -1.0]))
-        c = tape.as_node(np.array([3.0, 4.0]))  # a second leaf
+        c = tape.TapeNode(np.array([3.0, 4.0]))  # a second leaf
         inner = tape.mul(x, c)
         tape.backward(TapeSum(inner))
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
@@ -286,7 +292,7 @@ class TestTape:
         b3d = tape.TapeNode(np.zeros(2))
 
         def forward():
-            feat = tape.relu(tape.conv(image, k1, b1))
+            feat = tape.relu(tape.conv(tape.TapeNode(image), k1, b1))
             grid = tape.unproject(feat, cam, pose, spec, gcfg)
             out = tape.conv(grid, k3d, b3d)
             return tape.softmax_channels(out)
@@ -307,7 +313,7 @@ class TestTape:
     def test_mean_stack_matches_pointwise_fusion(self):
         rng = np.random.default_rng(9)
         grids = [rng.random((2, 2, 2, 2)) for _ in range(4)]
-        node = tape.mean_stack([tape.as_node(g) for g in grids])
+        node = tape.mean_stack(leaves(grids))
         # the sorted-summand mean, accumulated over the view axis
         expected = np.sort(np.stack(grids), axis=0).sum(axis=0) / len(grids)
         assert node.value.tobytes() == expected.tobytes()

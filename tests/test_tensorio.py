@@ -204,6 +204,13 @@ def _write(name, shape):
     return lambda scene_dir: write_tensor(scene_dir / name, np.zeros(shape), "f32")
 
 
+def _rewrite(name, dtype, values):
+    """Rewrite a scene tensor as `dtype`, holding values(old values)."""
+    def damage(scene_dir):
+        write_tensor(scene_dir / name, values(read_tensor(scene_dir / name)), dtype)
+    return damage
+
+
 def _shrink_second_camera(scene_dir):
     cameras = load_cameras(scene_dir / "cameras.txt")
     cam, pose = cameras[1]
@@ -229,6 +236,14 @@ class TestSceneLayout:
         pytest.param(_shrink_second_camera,
                      "cameras of (H, W) [(8, 8), (16, 16)], images are (16, 16)",
                      id="camera-size"),
+        pytest.param(_rewrite("images.lsmt", "u8", lambda v: np.round(255 * v)),
+                     "images.lsmt is uint8, not float32", id="image-dtype"),
+        pytest.param(_rewrite("depths.lsmt", "u8", np.round),
+                     "depths.lsmt is uint8, not float32", id="depth-dtype"),
+        pytest.param(_rewrite("occupancy.lsmt", "f32", lambda v: np.full(v.shape, 0.5)),
+                     "occupancy.lsmt is float32, not uint8", id="occupancy-dtype"),
+        pytest.param(_rewrite("occupancy.lsmt", "u8", lambda v: v + 1),
+                     "occupancy.lsmt holds values other than 0 and 1", id="occupancy-values"),
     ])
     def test_inconsistent_scene_rejected(self, scene_source, tmp_path, damage, message):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
