@@ -6,10 +6,10 @@ values to per-class means, then averages the class means.
 
 Depth error is the per-view median absolute difference over valid pixels;
 a pixel is valid when ground truth is present, the prediction is present,
-and the ground-truth depth lies within sqrt(3)/2 of the camera's distance
-to the origin (the deepest possible surface of a unit cube). Aggregation
-follows the IoU scheme. Both metrics reject a prediction whose shape is
-not its ground truth's.
+and the ground-truth depth lies within DEPTH_HALF_RANGE of the camera's
+distance to the origin: the unit cube's half-diagonal, the farthest any
+surface can be from the cube's center. Aggregation follows the IoU scheme.
+Both metrics reject a prediction whose shape is not its ground truth's.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import CUBE_CORNERS, Pose
 
-DEPTH_HALF_RANGE = np.sqrt(3.0) / 2.0
+DEPTH_HALF_RANGE = np.linalg.norm(CUBE_CORNERS, axis=1).max()
 
 
 def voxel_iou(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.4) -> float:

@@ -1,5 +1,5 @@
-"""Learnable-layer kit: layers, losses, Adam, and the differentiation tape."""
+"""Learnable-layer kit: the differentiation tape and its ops, conv and norm layers, Adam."""
 
-from . import adam, layers, losses, tape
+from . import adam, layers, tape
 
-__all__ = ["adam", "layers", "losses", "tape"]
+__all__ = ["adam", "layers", "tape"]

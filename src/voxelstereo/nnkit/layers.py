@@ -1,4 +1,4 @@
-"""Learnable layers as plain array functions with explicit VJPs.
+"""Convolution and the two norms as plain array functions with explicit VJPs.
 
 Layout conventions: feature maps are channels-last, (H, W, C) in 2D and
 (D, H, W, C) in 3D. Convolution kernels are (*kspatial, C_in, C_out) and
@@ -29,9 +29,7 @@ squared deviations, which become the output) and the VJP three. The VJP
 recomputes xhat and the variance from x rather than have the forward keep
 xhat alive in its tape closure: one cached array per norm node would add
 about 50 MB to the 32^3 voxel/GRU training peak, while the recompute costs a
-mean, a subtract and a square. sigmoid evaluates both of its branches as
-e' / (1 + e) over the whole array, with e = exp(-|x|), instead of gathering
-and scattering by a boolean mask, which gives the same bits.
+mean, a subtract and a square.
 
 All arithmetic is float64. Taps are always accumulated in np.ndindex
 order, so outputs and gradients are bitwise reproducible run to run.
@@ -195,50 +193,3 @@ def layer_norm_channels_vjp(x, gain, upstream):
     param_axes = tuple(range(x.ndim - 1))  # gain/shift are per channel
     return _norm_vjp(x, np.asarray(gain), (x.ndim - 1,), param_axes, np.asarray(upstream))
 
-
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
-def relu_vjp(x, upstream):
-    return np.where(x > 0, upstream, 0.0)
-
-
-def sigmoid(x):
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
-    never overflows: both are e' / (1 + e) with e = exp(-|x|), where e' is 1
-    for x >= 0 and e below."""
-    e = np.abs(x, dtype=np.float64)
-    np.exp(np.negative(e, out=e), out=e)
-    out = 1.0 + e
-    np.copyto(e, 1.0, where=x >= 0)
-    return np.divide(e, out, out=out)
-
-
-def softmax_channels(x):
-    """Softmax over the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_channels_vjp(probs, upstream):
-    dot = (upstream * probs).sum(axis=-1, keepdims=True)
-    return probs * (upstream - dot)
-
-
-def upsample_nearest(x, factor):
-    """Repeat each spatial sample factor times along every spatial axis."""
-    for axis in range(x.ndim - 1):
-        x = np.repeat(x, factor, axis=axis)
-    return x
-
-
-def upsample_nearest_vjp(x_shape, factor, upstream):
-    nd = len(x_shape) - 1
-    up = np.asarray(upstream)
-    for axis in range(nd):
-        new = up.shape[:axis] + (x_shape[axis], factor) + up.shape[axis + 1:]
-        up = up.reshape(new).sum(axis=axis + 1)
-    return up

@@ -9,6 +9,11 @@ backward() consumes the recorded graph: it runs each node's VJP once, in
 anti-topological order, adds gradients at fan-out and unlinks each node as
 it goes, so a second backward over the same root reaches only it.
 
+Each op's forward and VJP are written in the op itself, except conv and the
+two norms: they keep their array math in nnkit.layers, where the benchmark's
+tracer finds them by name, and their ops here only record it on the tape.
+unproject and project likewise call diffops.
+
 This is not a general autodiff system: only the operators defined here are
 composable, which is all the toy pipelines need: conv is same-padded and
 project samples the nearest voxel.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import diffops
-from . import layers, losses
+from . import layers
 
 
 class TapeNode:
@@ -114,11 +119,21 @@ def take(a, index, axis):
 
 def relu(a):
     x = a.value
-    return TapeNode(layers.relu(x), (a,), lambda g: (layers.relu_vjp(x, g),))
+    return TapeNode(np.maximum(x, 0.0), (a,), lambda g: (np.where(x > 0, g, 0.0),))
 
 
 def sigmoid(a):
-    s = layers.sigmoid(a.value)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    never overflows: both are e' / (1 + e) with e = exp(-|x|), where e' is 1
+    for x >= 0 and e below. Both branches are evaluated over the whole array
+    instead of gathered and scattered by a boolean mask, which gives the same
+    bits."""
+    x = a.value
+    e = np.abs(x, dtype=np.float64)
+    np.exp(np.negative(e, out=e), out=e)
+    s = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    np.divide(e, s, out=s)
     return TapeNode(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -140,8 +155,12 @@ def layer_norm_channels(x, gain, shift):
 
 
 def softmax_channels(a):
-    p = layers.softmax_channels(a.value)
-    return TapeNode(p, (a,), lambda g: (layers.softmax_channels_vjp(p, g),))
+    """Softmax over the last axis."""
+    x = a.value
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    p = e / e.sum(axis=-1, keepdims=True)
+    return TapeNode(p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 # --- convolutions and resampling ---------------------------------------------
@@ -154,9 +173,20 @@ def conv(x, kernel, bias, stride=1):
 
 
 def upsample_nearest(x, factor):
+    """Each spatial sample repeated factor times along every spatial axis; the
+    VJP sums each factor-long block back into its sample."""
     shape = x.value.shape
-    return TapeNode(layers.upsample_nearest(x.value, factor), (x,),
-                    lambda g: (layers.upsample_nearest_vjp(shape, factor, g),))
+    out = x.value
+    for axis in range(len(shape) - 1):
+        out = np.repeat(out, factor, axis=axis)
+
+    def vjp(g):
+        for axis in range(len(shape) - 1):
+            g = g.reshape(g.shape[:axis] + (shape[axis], factor) + g.shape[axis + 1:])
+            g = g.sum(axis=axis + 1)
+        return (g,)
+
+    return TapeNode(out, (x,), vjp)
 
 
 # --- grid transfer ------------------------------------------------------------
@@ -188,13 +218,41 @@ def mean_stack(nodes):
 
 # --- losses --------------------------------------------------------------------
 
+# Probability clamp for the cross-entropy loss; keeps gradients bounded.
+P_CLAMP = 1e-7
+
+
 def bce(probs, target):
+    """Mean binary cross entropy of probs clamped to [P_CLAMP, 1 - P_CLAMP];
+    the gradient is zero where the clamp is active."""
     pv = probs.value
-    return TapeNode(losses.bce_loss(pv, target), (probs,),
-                    lambda g: (losses.bce_loss_vjp(pv, target, float(g)),))
+    p = np.clip(pv, P_CLAMP, 1.0 - P_CLAMP)
+    y = np.asarray(target, dtype=np.float64)
+    loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+
+    def vjp(g):
+        # recomputed: capturing the forward's clamp would keep a second full-size array
+        p = np.clip(pv, P_CLAMP, 1.0 - P_CLAMP)
+        y = np.asarray(target, dtype=np.float64)
+        grad = (p - y) / (p * (1.0 - p)) / pv.size
+        grad = np.where((pv > P_CLAMP) & (pv < 1.0 - P_CLAMP), grad, 0.0)
+        return (grad * float(g),)
+
+    return TapeNode(loss, (probs,), vjp)
 
 
 def l1_masked(pred, target, valid_mask):
+    """Mean absolute error over the valid entries; the subgradient is zero at exact ties."""
     pv = pred.value
-    return TapeNode(losses.l1_depth_loss(pv, target, valid_mask), (pred,),
-                    lambda g: (losses.l1_depth_loss_vjp(pv, target, valid_mask, float(g)),))
+    mask = np.asarray(valid_mask, dtype=bool)
+    if not mask.any():
+        raise ValueError("l1_masked: empty valid mask")
+    diff = pv - np.asarray(target, dtype=np.float64)
+    loss = float(np.abs(diff[mask]).mean())
+
+    def vjp(g):
+        diff = pv - np.asarray(target, dtype=np.float64)
+        grad = np.where(mask, np.sign(diff) / mask.sum(), 0.0)
+        return (grad * float(g),)
+
+    return TapeNode(loss, (pred,), vjp)

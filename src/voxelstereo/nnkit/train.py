@@ -25,15 +25,18 @@ class TrainResult:
     losses: list[float]          # per-iteration batch loss, entry 0 = initial
 
 
+def _draw_views(rng, scene, k: int):
+    """k distinct view indices of scene, in a random order."""
+    if k > scene.n_views:
+        raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {k}")
+    return rng.permutation(scene.n_views)[:k]
+
+
 def _batches(scenes, cfg: ToyModelConfig, iters: int):
     rng = np.random.default_rng([cfg.seed, 1])
     for _ in range(iters + 1):
         scene = scenes[rng.integers(len(scenes))]
-        if scene.n_views < cfg.views:
-            raise ValueError(
-                f"scene {scene.name} has {scene.n_views} views, need {cfg.views}")
-        order = rng.permutation(scene.n_views)[:cfg.views]
-        yield scene, order
+        yield scene, _draw_views(rng, scene, cfg.views)
 
 
 def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
@@ -73,8 +76,5 @@ def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int) -> float
     total = 0.0
     scenes = dataset.load_all()
     for scene in scenes:
-        if views > scene.n_views:
-            raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {views}")
-        order = rng.permutation(scene.n_views)[:views]
-        total += float(model.loss(scene, order).value)
+        total += float(model.loss(scene, _draw_views(rng, scene, views)).value)
     return total / len(scenes)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from voxelstereo.nnkit import tape
+
 
 def fd_gradient(func, x, step=1e-3):
     """Central finite-difference gradient of a scalar function, elementwise.
@@ -39,3 +41,15 @@ def assert_vjp_matches_fd(func, vjp, x, upstream, tol=1e-4, step=1e-3):
     fd = fd_gradient(lambda xp: float(np.sum(func(xp) * upstream)), x, step=step)
     err = max_rel_error(analytic, fd)
     assert err < tol, f"VJP mismatch: max relative error {err:.3e} >= {tol}"
+
+
+def TapeDot(node, u):
+    """<node, u> as a tape op, so that backward hands `node` exactly u (1.0 * u)."""
+    return tape.TapeNode((node.value * u).sum(), (node,), lambda g: (g * u,))
+
+
+def tape_vjp(op, x, u):
+    """The cotangent the tape op `op` hands its input x when its output's is u."""
+    leaf = tape.TapeNode(x)
+    tape.backward(TapeDot(op(leaf), u))
+    return leaf.grad

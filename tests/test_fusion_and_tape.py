@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, max_rel_error
+from helpers import TapeDot, fd_gradient, max_rel_error
 
 from voxelstereo.diffops import GeomFeatureConfig
 from voxelstereo.fusion import (
@@ -132,7 +132,7 @@ class TestGruStep:
         tape.backward(loss)
         # layer norm over 2 channels has strong curvature; step 1e-4 keeps
         # the O(h^2) truncation below the 1e-3 tolerance
-        for p in params.values():
+        for name, p in params.items():
             def f(v, p=p):
                 old = p.value.copy()
                 p.value = v
@@ -141,7 +141,7 @@ class TestGruStep:
                 return float(((out - target) ** 2).sum())
             fd = fd_gradient(f, p.value.copy(), step=1e-4)
             err = max_rel_error(p.grad, fd)
-            assert err < 1e-3, f"{p.name}: {err:.2e}"
+            assert err < 1e-3, f"{name}: {err:.2e}"
         fd_h = fd_gradient(
             lambda v: float(((gru_step_node(tape.TapeNode(v), tape.TapeNode(x), params).value
                               - target) ** 2).sum()), h.copy(), step=1e-4)
@@ -164,8 +164,11 @@ class TestGruStep:
                    + layers.conv_forward(state, k[..., c_in:, :]))
             return layers.layer_norm_channels(pre, gain, shift)
 
-        z = layers.sigmoid(preact("update", h))
-        r = layers.sigmoid(preact("reset", h))
+        def sigmoid(v):
+            return tape.sigmoid(tape.TapeNode(v)).value
+
+        z = sigmoid(preact("update", h))
+        r = sigmoid(preact("reset", h))
         c = np.tanh(preact("candidate", r * h))
         expected = (1.0 - z) * h + z * c
         out = gru_step_node(tape.TapeNode(h), tape.TapeNode(x), params).value
@@ -222,11 +225,6 @@ def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
     return tape.TapeNode(node.value.sum(), (node,),
                          lambda g: (np.broadcast_to(g, node.value.shape).copy(),))
-
-
-def TapeDot(node, u):
-    """<node, u> as a tape op, so that backward hands `node` exactly u (1.0 * u)."""
-    return tape.TapeNode((node.value * u).sum(), (node,), lambda g: (g * u,))
 
 
 class TestTape:

@@ -344,6 +344,12 @@ def test_dataset_loss_rejects_more_views_than_a_scene_has(depth_run, dataset):
         dataset_loss(depth_run[0].model, dataset, views=4)
 
 
+def test_train_toy_rejects_more_views_than_a_scene_has(dataset):
+    cfg = replace(tiny_config("depth", "mean"), views=4)
+    with pytest.raises(ValueError, match="has 3 views, asked for 4"):
+        train_toy(cfg, dataset, iters=0)
+
+
 def test_dataset_loss_is_the_mean_scene_loss_of_a_seeded_view_draw(depth_run, dataset):
     model = depth_run[0].model
     value = dataset_loss(model, dataset, views=model.cfg.views)

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error
+from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error, tape_vjp
 
+from voxelstereo.nnkit import tape
 from voxelstereo.nnkit.adam import LR, Adam, adam_step
 from voxelstereo.nnkit.layers import (
     _gemm_acc,
@@ -16,15 +17,12 @@ from voxelstereo.nnkit.layers import (
     instance_norm_vjp,
     layer_norm_channels,
     layer_norm_channels_vjp,
-    relu,
-    sigmoid,
-    softmax_channels,
-    softmax_channels_vjp,
-    upsample_nearest,
-    upsample_nearest_vjp,
 )
-from voxelstereo.nnkit.losses import bce_loss, bce_loss_vjp, l1_depth_loss, l1_depth_loss_vjp
-from voxelstereo.nnkit.tape import TapeNode
+
+
+def tape_value(op, x, *args):
+    """The value of the tape op `op` on a leaf holding x."""
+    return op(tape.TapeNode(x), *args).value
 
 
 class TestConv:
@@ -195,19 +193,20 @@ class TestInstanceNorm:
 
 class TestPointwise:
     def test_relu(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        out = tape_value(tape.relu, np.array([-1.0, 0.0, 2.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
 
     def test_sigmoid_extremes_stable(self):
-        y = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        y = tape_value(tape.sigmoid, np.array([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(y, [0.0, 0.5, 1.0], atol=1e-12)
 
     def test_softmax_equal_logits(self):
-        p = softmax_channels(np.zeros((2, 2, 2)))
+        p = tape_value(tape.softmax_channels, np.zeros((2, 2, 2)))
         np.testing.assert_allclose(p, 0.5)
 
     def test_softmax_monotone_in_logit_gap(self):
         gaps = np.array([0.0, 1.0, 5.0, 20.0])
-        probs = [softmax_channels(np.array([0.0, g]))[1] for g in gaps]
+        probs = [tape_value(tape.softmax_channels, np.array([0.0, g]))[1] for g in gaps]
         assert all(b > a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > 0.999999
 
@@ -216,16 +215,16 @@ class TestPointwise:
         x = rng.standard_normal((3, 4, 2))
         up = rng.standard_normal((3, 4, 2))
         assert_vjp_matches_fd(
-            softmax_channels,
-            lambda xx, u: softmax_channels_vjp(softmax_channels(xx), u), x, up)
+            lambda xx: tape_value(tape.softmax_channels, xx),
+            lambda xx, u: tape_vjp(tape.softmax_channels, xx, u), x, up)
 
     def test_upsample_round_trip_vjp(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 2))
         up = rng.standard_normal((6, 8, 2))
         assert_vjp_matches_fd(
-            lambda xx: upsample_nearest(xx, 2),
-            lambda xx, u: upsample_nearest_vjp(xx.shape, 2, u), x, up)
+            lambda xx: tape_value(tape.upsample_nearest, xx, 2),
+            lambda xx, u: tape_vjp(lambda n: tape.upsample_nearest(n, 2), xx, u), x, up)
 
 
 def reference_norm_forward(x, gain, shift, axes):
@@ -305,9 +304,9 @@ class TestLeanKernels:
         rng = np.random.default_rng(21)
         special = np.array([0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, 745.5, -745.5])
         x = np.concatenate([30.0 * rng.standard_normal(4096), special])
-        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+        assert tape_value(tape.sigmoid, x).tobytes() == reference_sigmoid(x).tobytes()
         # NaN stays NaN; only its sign bit may change
-        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+        assert np.isnan(tape_value(tape.sigmoid, np.array([np.nan, -np.nan]))).all()
 
     @pytest.mark.parametrize("name", sorted(NORMS))
     def test_norm_peak_memory(self, name):
@@ -328,53 +327,58 @@ class TestLeanKernels:
         assert traced_peak(lambda: conv_vjp(x, kernel, 1, "same", up)) <= 7.5 * x.nbytes
 
     def test_sigmoid_peak_memory(self):
-        x = np.random.default_rng(23).standard_normal((16, 16, 16, 16))
-        assert traced_peak(lambda: sigmoid(x)) <= 2.5 * x.nbytes
+        x = tape.TapeNode(np.random.default_rng(23).standard_normal((16, 16, 16, 16)))
+        assert traced_peak(lambda: tape.sigmoid(x)) <= 2.5 * x.value.nbytes
+
+
+def loss(op, pred, *args):
+    return float(tape_value(op, pred, *args))
 
 
 class TestLosses:
     def test_bce_at_half_is_ln2(self):
         p = np.full((4, 4, 4), 0.5)
         y = np.random.default_rng(0).integers(0, 2, (4, 4, 4))
-        assert bce_loss(p, y) == pytest.approx(np.log(2.0), abs=1e-9)
+        assert loss(tape.bce, p, y) == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_bce_perfect_prediction_small(self):
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        assert bce_loss(y, y) <= 1e-6
+        assert loss(tape.bce, y, y) <= 1e-6
 
     def test_bce_gradcheck_away_from_clamp(self):
         rng = np.random.default_rng(8)
         p = rng.uniform(0.05, 0.95, (3, 3))
         y = rng.integers(0, 2, (3, 3)).astype(float)
-        fd = fd_gradient(lambda pp: bce_loss(pp, y), p, step=1e-5)
-        assert max_rel_error(bce_loss_vjp(p, y), fd) < 1e-4
+        fd = fd_gradient(lambda pp: loss(tape.bce, pp, y), p, step=1e-5)
+        assert max_rel_error(tape_vjp(lambda n: tape.bce(n, y), p, 1.0), fd) < 1e-4
 
     def test_l1_exact_and_offset(self):
         gt = np.array([[1.0, 2.0], [3.0, 4.0]])
         mask = np.ones_like(gt, dtype=bool)
-        assert l1_depth_loss(gt, gt, mask) == 0.0
-        assert l1_depth_loss(gt + 0.1, gt, mask) == pytest.approx(0.1)
+        assert loss(tape.l1_masked, gt, gt, mask) == 0.0
+        assert loss(tape.l1_masked, gt + 0.1, gt, mask) == pytest.approx(0.1)
 
     def test_l1_respects_mask(self):
         gt = np.array([1.0, 1.0])
         pred = np.array([2.0, 1.0])
-        assert l1_depth_loss(pred, gt, np.array([True, False])) == pytest.approx(1.0)
+        assert loss(tape.l1_masked, pred, gt, np.array([True, False])) == pytest.approx(1.0)
 
     def test_l1_empty_mask_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            l1_depth_loss(np.ones(3), np.ones(3), np.zeros(3, dtype=bool))
+            loss(tape.l1_masked, np.ones(3), np.ones(3), np.zeros(3, dtype=bool))
 
     def test_l1_gradcheck_off_ties(self):
         rng = np.random.default_rng(9)
         gt = rng.standard_normal((4, 4))
         pred = gt + rng.choice([-1.0, 1.0], (4, 4)) * rng.uniform(0.5, 1.0, (4, 4))
         mask = rng.random((4, 4)) > 0.3
-        fd = fd_gradient(lambda pp: l1_depth_loss(pp, gt, mask), pred)
-        assert max_rel_error(l1_depth_loss_vjp(pred, gt, mask), fd) < 1e-4
+        fd = fd_gradient(lambda pp: loss(tape.l1_masked, pp, gt, mask), pred)
+        assert max_rel_error(tape_vjp(lambda n: tape.l1_masked(n, gt, mask), pred, 1.0),
+                             fd) < 1e-4
 
     def test_l1_tie_subgradient_zero(self):
         gt = np.array([1.0, 2.0])
-        grad = l1_depth_loss_vjp(gt.copy(), gt, np.ones(2, dtype=bool))
+        grad = tape_vjp(lambda n: tape.l1_masked(n, gt, np.ones(2, dtype=bool)), gt.copy(), 1.0)
         np.testing.assert_array_equal(grad, 0.0)
 
 
@@ -405,7 +409,7 @@ class TestAdam:
 
     def test_step_consumes_every_gradient(self):
         rng = np.random.default_rng(11)
-        params = [TapeNode(rng.standard_normal(3)) for _ in range(3)]
+        params = [tape.TapeNode(rng.standard_normal(3)) for _ in range(3)]
         grads = [rng.standard_normal(3), None, rng.standard_normal(3)]
         for p, g in zip(params, grads):
             p.grad = g
