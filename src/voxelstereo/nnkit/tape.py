@@ -5,9 +5,15 @@ records one VJP: a function from the node's cotangent to the cotangents of
 all its parents, in parent order. An input that is not learned, an image or
 a constant, enters as a leaf TapeNode(x); only arguments that are not
 differentiated (a target, a mask, a camera, a scale) stay plain values.
-backward() consumes the recorded graph: it runs each node's VJP once, in
-anti-topological order, adds gradients at fan-out and unlinks each node as
-it goes, so a second backward over the same root reaches only it.
+
+The graph links slots, not nodes: a node is its value plus its slot, and a
+slot holds only its parents' slots, its VJP and its cotangent. So once a
+forward returns, the graph keeps alive exactly the arrays the VJP closures
+captured; an intermediate value no VJP reads (a norm output that feeds
+sigmoid, a grid that only enters a concat) is freed as soon as the caller
+drops its node. backward() consumes the graph: it runs each slot's VJP once,
+in anti-topological order, adds gradients at fan-out and unlinks each slot
+as it goes, so a second backward over the same root reaches only it.
 
 Each op's forward and VJP are written in the op itself, except conv and the
 two norms: they keep their array math in nnkit.layers, where the benchmark's
@@ -27,52 +33,75 @@ from .. import diffops
 from . import layers
 
 
-class TapeNode:
-    """A value plus the inputs that produced it and one VJP for all of them.
+class _Slot:
+    """A node's place in the graph: its parents' slots, its VJP and its cotangent.
 
-    vjp(g) maps the node's cotangent g to a sequence holding one cotangent
-    per parent, in the order of `parents`. Leaves, a model's parameters and
-    its input images among them, are TapeNode(x): no parents and no VJP, and
-    the value is x as float64; grad accumulates until Adam.step uses it.
+    vjp(g) maps the cotangent g to a sequence holding one cotangent per
+    parent, in the order of `parents`. A slot never references its node or
+    any node's value, so the graph holds only what the VJPs capture.
     """
 
-    __slots__ = ("value", "parents", "vjp", "grad")
+    __slots__ = ("parents", "vjp", "grad")
+
+    def __init__(self, parents, vjp):
+        self.parents = parents
+        self.vjp = vjp
+        self.grad = None
+
+
+class TapeNode:
+    """A value plus its slot in the graph.
+
+    TapeNode(value, parents, vjp) records an op whose VJP maps the node's
+    cotangent to one cotangent per parent node, in order; the slot keeps the
+    parents' slots, not the parents. Leaves, a model's parameters and its
+    input images among them, are TapeNode(x): an empty slot, and the value is
+    x as float64; grad accumulates until Adam.step uses it.
+    """
+
+    __slots__ = ("value", "slot")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = tuple(parents)
-        self.vjp = vjp
-        self.grad = None
+        self.slot = _Slot(tuple(p.slot for p in parents), vjp)
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.slot.grad = g
 
 
 def backward(root: TapeNode) -> None:
     """Add the gradient of `root` (seeded with ones) to every reachable leaf's .grad.
 
-    Consumes the graph: a node with parents loses them, its VJP and its
+    Consumes the graph: a slot with parents loses them, its VJP and its
     cotangent as the sweep reaches it, so what only the graph held is freed.
     """
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root.slot, False)]
     while stack:
-        node, expanded = stack.pop()
+        slot, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(slot)
             continue
-        if id(node) in seen:
+        if id(slot) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
+        seen.add(id(slot))
+        stack.append((slot, True))
+        for parent in slot.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     root.grad = np.ones_like(root.value)
     while order:
-        node = order.pop()
-        if node.parents:
-            for parent, g in zip(node.parents, node.vjp(node.grad), strict=True):
+        slot = order.pop()
+        if slot.parents:
+            for parent, g in zip(slot.parents, slot.vjp(slot.grad), strict=True):
                 parent.grad = g if parent.grad is None else parent.grad + g
-            node.parents, node.vjp, node.grad = (), None, None
+            slot.parents, slot.vjp, slot.grad = (), None, None
 
 
 # --- arithmetic -------------------------------------------------------------

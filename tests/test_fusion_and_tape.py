@@ -1,5 +1,6 @@
 """Grid fusion semantics and reverse-mode composition checks."""
 
+import gc
 import itertools
 import weakref
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import TapeDot, fd_gradient, max_rel_error
 
+from voxelstereo import diffops
 from voxelstereo.diffops import GeomFeatureConfig
 from voxelstereo.fusion import (
     fuse_recurrent_node,
@@ -258,7 +260,7 @@ class TestTape:
         del hidden
         tape.backward(root)
         assert captured() is None
-        assert root.parents == () and root.vjp is None
+        assert root.slot.parents == () and root.slot.vjp is None
         assert root.value == np.tanh(0.5)
         np.testing.assert_allclose(x.grad, [1.0 - np.tanh(0.5) ** 2, 0.0], rtol=1e-15)
 
@@ -272,7 +274,57 @@ class TestTape:
         first = [x.grad.tobytes(), c.grad.tobytes()]
         tape.backward(root)
         assert [x.grad.tobytes(), c.grad.tobytes()] == first
-        assert shared.parents == () and shared.grad is None
+        assert shared.slot.parents == () and shared.grad is None
+
+    def test_a_leaf_is_freed_by_reference_counting_alone(self):
+        # a leaf's slot does not reference its node, so the graph above it
+        # holds neither the node nor its value; the cyclic GC stays off
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = tape.TapeNode(np.array([1.0, -2.0]))
+            value = weakref.ref(x.value)  # x holds it, so it dies no sooner than x
+            root = TapeSum(tape.add(x, x))
+            del x
+            assert value() is None
+            assert root.value == -2.0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_a_norm_output_only_sigmoid_reads_is_freed_before_backward(self):
+        rng = np.random.default_rng(16)
+        x, gain, shift = leaves([rng.standard_normal((2, 3, 2, 4)),
+                                 rng.standard_normal(4), rng.standard_normal(4)])
+        normed = tape.layer_norm_channels(x, gain, shift)
+        unread = weakref.ref(normed.value)
+        s = tape.sigmoid(normed)  # sigmoid's VJP captures its own output, not its input
+        root = TapeSum(s)
+        del normed
+        assert unread() is None
+        tape.backward(root)
+        expected = layers.layer_norm_channels_vjp(x.value, gain.value, s.value * (1.0 - s.value))
+        for leaf, g in zip((x, gain, shift), expected, strict=True):
+            np.testing.assert_array_equal(leaf.grad, g)
+
+    def test_a_grid_that_only_enters_a_concat_is_freed_before_backward(self):
+        rng = np.random.default_rng(17)
+        cam = Intrinsics(fx=12.0, fy=12.0, cx=3.5, cy=3.5, width=8, height=8)
+        pose = look_at([0.4, 0.7, -1.9], [0, 0, 0])
+        spec = VoxelGridSpec(resolution=4)
+        gcfg = GeomFeatureConfig(geometric=True)
+        fmap, other = leaves([rng.random((8, 8, 3)), rng.random((4, 4, 4, 2))])
+        grid = tape.unproject(fmap, cam, pose, spec, gcfg)
+        unread = weakref.ref(grid.value)
+        channels = grid.value.shape[-1]
+        root = TapeSum(tape.concat([grid, other]))  # concat's VJP only splits
+        del grid
+        assert unread() is None
+        tape.backward(root)
+        upstream = np.ones((4, 4, 4, channels + 2))[..., :channels]  # as concat splits it
+        np.testing.assert_array_equal(
+            fmap.grad, diffops.unproject_vjp(fmap.value, cam, pose, spec, gcfg, upstream))
+        np.testing.assert_array_equal(other.grad, np.ones_like(other.value))
 
     def test_composed_model_adjoint_identity(self):
         # whole-pipeline dot-product test on a tiny instance: for the

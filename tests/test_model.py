@@ -5,11 +5,14 @@ over a dataset generated into a temporary directory.
 """
 
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from voxelstereo.nnkit import tape
+from voxelstereo.nnkit.adam import Adam
 from voxelstereo.nnkit.model import ToyModel, ToyModelConfig, load_checkpoint, save_checkpoint
 from voxelstereo.nnkit.tape import backward
 from voxelstereo.nnkit.train import dataset_loss, train_toy
@@ -101,6 +104,26 @@ CHECKPOINT_NAMES = {
     ("depth", "mean"): ENCODER_AND_REASONER | RAY_REDUCE
     | {"depth_refine.kernel", "depth_refine.bias"},
 }
+
+
+def test_a_voxel_gru_forward_keeps_no_layer_norm_output(dataset, monkeypatch):
+    # every GRU layer norm feeds sigmoid or tanh, whose VJPs capture their own
+    # outputs, so once loss returns nothing holds a layer-norm output
+    outputs = []
+    layer_norm = tape.layer_norm_channels
+
+    def recorded(x, gain, shift):
+        node = layer_norm(x, gain, shift)
+        outputs.append(weakref.ref(node.value))
+        return node
+
+    monkeypatch.setattr(tape, "layer_norm_channels", recorded)
+    model = ToyModel.create(tiny_config("voxel", "gru"))
+    root = model.loss(dataset.load_all()[0], [0, 1])
+    assert outputs and all(ref() is None for ref in outputs)
+    backward(root)
+    Adam(model.parameters()).step()
+    assert all(np.isfinite(p.value).all() for p in model.parameters())
 
 
 @pytest.mark.parametrize("head,fusion", PIPELINES)
