@@ -8,10 +8,19 @@ plane-induced point transfer and correlating square 5 x 5 windows with
 zero-mean normalized cross correlation. Depth is winner-take-all over
 planes with a single parabolic refinement across the argmax neighborhood.
 
+The sweep scores the planes in chunks of 10: per chunk it back-projects
+the reference pixels onto every plane of the chunk at once and, per other
+view, projects and samples them in one call each, then filters and scores
+the (planes, H, W) stack over its last two axes only. The per-view scores
+are ordered by diffops.compare_exchange_sort, and the best three (all of
+them with fewer other views), added best first, make the plane's score. Every plane's score is the one a
+plane-by-plane sweep computes, bit for bit.
+
 window_zncc is the package's one ZNCC: the sweep builds it once per
-reference view and scores every warped other view through it. The sweep's
-5 x 5 window, its best-3-views averaging and the cross-check's 3-plane
-tolerance are module constants; only the number of planes is an argument.
+reference view and scores every chunk of warped planes of every other
+view through it. The sweep's 5 x 5 window, its best-3-views averaging,
+its chunk of 10 planes and the cross-check's 3-plane tolerance are module
+constants; only the number of planes is an argument.
 
 Image sampling (diffops.bilinear_sample), depth-plane placement
 (diffops.plane_depths), nearest-pixel rounding (diffops.nearest_index) and
@@ -34,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import minimum_filter, uniform_filter
 
-from .diffops import bilinear_sample, nearest_index, plane_depths, unproject
+from .diffops import (bilinear_sample, compare_exchange_sort, nearest_index, plane_depths,
+                      unproject)
 from .geometry import Intrinsics, Pose, VoxelGridSpec, backproject, pixel_grid, project_points
 
 _VAR_EPS = 1e-12
@@ -54,23 +64,31 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 # viewing sphere most surface points are occluded in several views, and
 # averaging those in drowns the true peak; best-k averaging is the standard
 # occlusion-robust variant. k is capped at the number of other views.
+# _CHUNK planes are warped and scored per pass: chunks of 5 and 20 planes
+# ran as fast as 10, chunks of 50 and of all 300 planes ran slower.
 _WINDOW = 5
 _TOP_K_VIEWS = 3
 _TOL_PLANES = 3.0
+_CHUNK = 10
+
+# Windows span the last two (row, column) axes only; the axes before them
+# index a stack of images.
+_IMAGE_AXES = (-2, -1)
 
 
 def _window_stats(img):
-    mean = uniform_filter(img, size=_WINDOW, mode="constant")
-    sq = uniform_filter(img * img, size=_WINDOW, mode="constant")
+    mean = uniform_filter(img, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
+    sq = uniform_filter(img * img, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
     return mean, sq - mean * mean
 
 
 def window_zncc(ref: np.ndarray):
     """Windowed zero-mean normalized cross correlation against one image.
 
-    Returns score(other) -> (zncc, ok), each the shape of ref: zncc[i, j]
-    correlates the 5 x 5 windows centred at (i, j) in ref and
-    other, clipped to [-1, 1]; ok is False, and zncc 0, where either window
+    Returns score(other) -> (zncc, ok), each the shape of other, which is
+    one image the shape of ref or a stack (..., H, W) of them: zncc[..., i, j]
+    correlates the 5 x 5 windows centred at (i, j) in ref and in each image
+    of other, clipped to [-1, 1]; ok is False, and zncc 0, where either window
     has variance below 1e-12. Windows past the border read zeros. The
     reference's window statistics are computed once, here.
     """
@@ -80,10 +98,10 @@ def window_zncc(ref: np.ndarray):
 
     def score(other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         other = np.asarray(other, dtype=np.float64)
-        if other.shape != ref.shape:
+        if other.shape[-2:] != ref.shape:
             raise ValueError(f"image shapes differ: {ref.shape} vs {other.shape}")
         w_mean, w_var = _window_stats(other)
-        cross = uniform_filter(ref * other, size=_WINDOW, mode="constant")
+        cross = uniform_filter(ref * other, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
         cov = cross - ref_mean * w_mean
         ok = ref_textured & (w_var >= _VAR_EPS)
         denom = np.sqrt(np.where(ok, ref_var * w_var, 1.0))
@@ -124,27 +142,32 @@ def plane_sweep_depth(
     z_planes, spacing = plane_depths(pose, n_planes)
     score = window_zncc(ref)
     pixels = pixel_grid(cam).reshape(-1, 2)
-    score_volume = np.full((n_planes, h, w), -np.inf)
+    k = min(_TOP_K_VIEWS, len(grays))
+    score_volume = np.empty((n_planes, h, w))
 
-    for k_plane, z in enumerate(z_planes):
-        pts_world = backproject(pixels, z, cam, pose)
-        view_scores = np.full((len(grays), h, w), -np.inf)
-        for j, (gray, (ocam, opose)) in enumerate(zip(grays, other_cameras)):
+    for start in range(0, n_planes, _CHUNK):
+        z = z_planes[start:start + _CHUNK]
+        pts_world = backproject(pixels, z[:, None], cam, pose).reshape(-1, 3)
+        view_scores = []
+        for gray, (ocam, opose) in zip(grays, other_cameras):
             uv, _, sample_ok = project_points(pts_world, ocam, opose)
-            warped = bilinear_sample(gray[..., None], uv)
+            warped = bilinear_sample(gray[..., None], uv).reshape(len(z), h, w)
             # whole window must be sampled validly
-            window_ok = minimum_filter(sample_ok.reshape(h, w).astype(np.uint8),
-                                       size=_WINDOW, mode="constant") > 0
-            zncc, ok = score(warped.reshape(h, w))
-            view_scores[j] = np.where(window_ok & ok, zncc, -np.inf)
+            window_ok = minimum_filter(sample_ok.reshape(len(z), h, w).astype(np.uint8),
+                                       size=_WINDOW, mode="constant", axes=_IMAGE_AXES) > 0
+            zncc, ok = score(warped)
+            view_scores.append(np.where(window_ok & ok, zncc, -np.inf))
         # sum of the k best valid view scores over a fixed denominator k:
         # a plane seen validly by fewer views cannot outscore one with full
         # support on a single chance correlation; with no valid view (the
-        # best is -inf) the plane gets no score
-        k = min(_TOP_K_VIEWS, len(grays))
-        ranked = -np.sort(-view_scores, axis=0)[:k]
-        top_sum = np.where(np.isfinite(ranked), ranked, 0.0).sum(axis=0)
-        score_volume[k_plane] = np.where(np.isfinite(ranked[0]), top_sum / k, -np.inf)
+        # best is -inf) the plane gets no score. The best k are the sort's
+        # last k, added best first to +0.0.
+        ranked = compare_exchange_sort(view_scores)[::-1][:k]
+        top_sum = np.zeros((len(z), h, w))
+        for r in ranked:
+            top_sum += np.where(np.isfinite(r), r, 0.0)
+        score_volume[start:start + len(z)] = np.where(np.isfinite(ranked[0]), top_sum / k,
+                                                      -np.inf)
 
     valid = np.isfinite(score_volume).any(axis=0)
     best_k = np.argmax(score_volume, axis=0)

@@ -10,12 +10,15 @@ have an explicit vector-Jacobian product:
                     planes along each pixel's ray and stack the samples in
                     ascending-z channel blocks
 
-_bilinear_matrix is the package's one image-sampling rule:
+_bilinear_corners is the package's one image-sampling rule: one corner
+table, four (index, weight) pairs per point, with two consumers.
 bilinear_sample (through which the classical plane_sweep_depth reads
-images) and unproject (through which the classical visual_hull reads
-masks) both build their sampling matrix with it. Its edge rule: a sample
-is zero unless its point lies inside [0, W-1] x [0, H-1]; a point only
-partly outside reads zero.
+images) gathers from it, 0.0 + w0 f[i0] + w1 f[i1] + w2 f[i2] + w3 f[i3];
+unproject (through which the classical visual_hull reads masks) builds its
+sampling matrix S from it, and a CSR product adds the same terms in the
+same order, so both read the same bits. Its edge rule: a sample is zero
+unless its point lies inside [0, W-1] x [0, H-1]; a point only partly
+outside reads zero, exactly +0.0 for a finite map.
 bilinear_sample has no public VJP: its adjoint is S.T, which
 unproject_vjp applies itself. plane_depths is likewise the one placement
 of depth planes, shared with the plane sweep.
@@ -25,15 +28,21 @@ like voxel_centers (axis 0 = x). Samples that fall outside the image or the
 grid cube contribute zeros; gradients are taken with respect to feature
 values only, never camera parameters or sample coordinates.
 
-Each operator is one sparse sampling matrix S (scipy CSR), with one row per
-sample and one column per map pixel or grid voxel; a row holds the sample's
-bilinear weights, or project's one nearest voxel, and an invalid sample is a
-zero row. The forward is S @ values.reshape(-1, C) and the VJP is S.T @
-upstream, so the adjoint identity holds by construction. CSR products add
-each output's terms in a fixed order, so forwards and gradients repeat
-bitwise. project's rows run over (pixel row, pixel column, plane), so its
-(H, W, N_z * C) output is a plain reshape of S @ grid, and its VJP's
-upstream a plain reshape to (H * W * N_z, C).
+unproject and project are each one sparse sampling matrix S (scipy CSR),
+with one row per sample and one column per map pixel or grid voxel; a row
+holds the sample's bilinear weights, or project's one nearest voxel, and an
+invalid sample is a zero row. The forward is S @ values.reshape(-1, C) and
+the VJP is S.T @ upstream, so the adjoint identity holds by construction.
+CSR products add each output's terms in a fixed order, so forwards and
+gradients repeat bitwise. project's rows run over (pixel row, pixel column,
+plane), so its (H, W, N_z * C) output is a plain reshape of S @ grid, and
+its VJP's upstream a plain reshape to (H * W * N_z, C).
+
+compare_exchange_sort is the package's one elementwise sort: an odd-even
+transposition network of np.minimum / np.maximum over a list of
+equal-shape arrays. tape.mean_stack adds its output in ascending order, so
+the mean does not depend on the order of the views, and the plane sweep
+takes its best view scores from the top of it.
 
 nearest_index is the one nearest-neighbor rounding, used by project's grid
 lookup and the classical cross-checked sweep's pixel lookup: it rounds
@@ -72,25 +81,46 @@ def nearest_index(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5 - _TIE_EPS).astype(np.int64)
 
 
+def compare_exchange_sort(arrays):
+    """Elementwise ascending sort of equal-shape arrays, as a new list.
+
+    An odd-even transposition network: len(arrays) rounds of np.minimum /
+    np.maximum between neighbours, so out[i] holds at each position the
+    i-th smallest of the inputs' values there, and no stacked copy is made.
+    Unlike np.sort, which puts NaN last, a NaN spreads through every
+    exchange it meets, and -0.0 and +0.0 compare equal, so either may come
+    out; an ascending sum that starts from +0.0 is unaffected by the latter.
+    """
+    out = list(arrays)
+    for start in range(len(out)):
+        for i in range(start % 2, len(out) - 1, 2):
+            a, b = out[i], out[i + 1]
+            # after the first round every out[i] with i < len - 1 is an array
+            # made here, so the maximum overwrites it once the minimum is read
+            out[i], out[i + 1] = np.minimum(a, b), np.maximum(a, b, out=a if start else None)
+    return out
+
+
 def _sampling_matrix(lin, weights, n_cols):
     """CSR matrix whose row n holds weights[n, k] at column lin[n, k].
 
-    lin and weights are (N, K) in row order, so they are the CSR index and
-    data arrays as they stand; a row of zero weights samples zero.
+    lin and weights are (N, K), so flattened in row order they are the CSR
+    index and data arrays; a row of zero weights samples zero.
     """
     n, k = lin.shape
     return csr_array((weights.reshape(-1), lin.reshape(-1), np.arange(0, n * k + 1, k)),
                      shape=(n, n_cols))
 
 
-def _bilinear_matrix(fmap_shape, pts, valid=True):
-    """Sampling matrix (N, H * W) of bilinear_sample.
+def _bilinear_corners(fmap_shape, pts, valid=True):
+    """Corner table (lin, weights), each (4, N), of bilinear sampling.
 
-    Row n holds the four corner weights (v0u0, v0u1, v1u0, v1u1) of pts[n]
-    over the row-major map; it is zero unless pts[n] lies inside
-    [0, W-1] x [0, H-1] and valid[n] holds. Coordinates are clamped first,
-    so every index is in range: the lower corner stops one short of the last
-    row and column, where the upper corner takes the whole weight.
+    Column n holds the linear indices and weights of the four corners
+    (v0u0, v0u1, v1u0, v1u1) of pts[n] over the row-major map; its weights
+    are zero unless pts[n] lies inside [0, W-1] x [0, H-1] and valid[n]
+    holds. Coordinates are clamped first, so every index is in range: the
+    lower corner stops one short of the last row and column, where the upper
+    corner takes the whole weight.
     """
     h, w = fmap_shape[0], fmap_shape[1]
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -100,20 +130,25 @@ def _bilinear_matrix(fmap_shape, pts, valid=True):
     vc = np.clip(v, 0, h - 1)
     u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
     v0 = np.clip(np.floor(vc).astype(np.int64), 0, max(h - 2, 0))
-    du = uc - u0
-    dv = vc - v0
+    du = np.subtract(uc, u0, out=uc)
+    dv = np.subtract(vc, v0, out=vc)
     # a map one pixel wide (high) has no second column (row); du (dv) is 0
     step_u, step_v = min(1, w - 1), w * min(1, h - 1)
-    i00 = v0 * w + u0
-    lin = np.stack([i00, i00 + step_u, i00 + step_v, i00 + step_v + step_u], axis=1)
+    lin = (v0 * w + u0) + np.array([[0], [step_u], [step_v], [step_v + step_u]])
     eu, ev = 1 - du, 1 - dv
-    weights = np.empty((len(pts), 4))
-    np.multiply(eu, ev, out=weights[:, 0])
-    np.multiply(du, ev, out=weights[:, 1])
-    np.multiply(eu, dv, out=weights[:, 2])
-    np.multiply(du, dv, out=weights[:, 3])
-    weights[~(inside & valid)] = 0.0
-    return _sampling_matrix(lin, weights, h * w)
+    weights = np.empty((4, len(pts)))
+    np.multiply(eu, ev, out=weights[0])
+    np.multiply(du, ev, out=weights[1])
+    np.multiply(eu, dv, out=weights[2])
+    np.multiply(du, dv, out=weights[3])
+    np.copyto(weights, 0.0, where=~(inside & valid))
+    return lin, weights
+
+
+def _bilinear_matrix(fmap_shape, pts, valid=True):
+    """Sampling matrix (N, H * W): row n is column n of the corner table."""
+    lin, weights = _bilinear_corners(fmap_shape, pts, valid)
+    return _sampling_matrix(lin.T, weights.T, fmap_shape[0] * fmap_shape[1])
 
 
 def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -124,7 +159,14 @@ def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """
     fmap = np.asarray(fmap, dtype=np.float64)
     h, w, c = fmap.shape
-    return _bilinear_matrix(fmap.shape, pts) @ fmap.reshape(h * w, c)
+    lin, weights = _bilinear_corners(fmap.shape, pts)
+    terms = fmap.reshape(h * w, c)[lin]
+    terms *= weights[..., None]
+    # 0.0 + w0 f[i0] + w1 f[i1] + ...: the terms and order of the CSR product
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out
 
 
 def _unproject_geometry(fmap_shape, cam: Intrinsics, pose: Pose, spec: VoxelGridSpec):

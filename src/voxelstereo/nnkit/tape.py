@@ -238,9 +238,24 @@ def project(grid, spec, cam, pose, n_planes):
 # --- reductions over view stacks ----------------------------------------------
 
 def mean_stack(nodes):
-    """Permutation-invariant mean: summands are sorted before accumulation."""
-    stacked = np.sort(np.stack([n.value for n in nodes]), axis=0)
-    value = stacked.sum(axis=0) / len(nodes)
+    """Permutation-invariant mean of equal-shape nodes.
+
+    The summands are put in ascending order by diffops.compare_exchange_sort
+    and added to +0.0 one by one, 0.0 + a0 + a1 + ..., which is how numpy
+    sums a sorted stack along axis 0, so the value repeats bitwise in every
+    view order without a stacked or sorted copy.
+    """
+    values = [n.value for n in nodes]
+    if not values:
+        raise ValueError("mean_stack needs at least one node")
+    shapes = {v.shape for v in values}
+    if len(shapes) > 1:
+        raise ValueError(f"mean_stack needs nodes of the same shape, got {sorted(shapes)}")
+    ordered = diffops.compare_exchange_sort(values)
+    value = np.zeros(values[0].shape)
+    for v in ordered:
+        value += v
+    value /= len(nodes)
     inv_n = 1.0 / len(nodes)
     return TapeNode(value, tuple(nodes), lambda g: (g * inv_n,) * len(nodes))
 

@@ -1,7 +1,9 @@
 """Shared numeric oracles for the test suite."""
 
 import numpy as np
+from scipy.ndimage import minimum_filter
 
+from voxelstereo import classical, diffops, geometry
 from voxelstereo.nnkit import tape
 
 
@@ -53,3 +55,55 @@ def tape_vjp(op, x, u):
     leaf = tape.TapeNode(x)
     tape.backward(TapeDot(op(leaf), u))
     return leaf.grad
+
+
+def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_planes):
+    """classical.plane_sweep_depth as it was written plane by plane.
+
+    One backproject, one project_points, one CSR sample, one 2D window
+    score per plane and other view, and a full np.sort for the best k
+    views; the chunked sweep must return the same bytes.
+    """
+    cam, pose = ref_camera
+    h, w = cam.height, cam.width
+    ref = classical.to_grayscale(ref_image)
+    grays = [classical.to_grayscale(im) for im in other_images]
+    z_planes, spacing = diffops.plane_depths(pose, n_planes)
+    score = classical.window_zncc(ref)
+    pixels = geometry.pixel_grid(cam).reshape(-1, 2)
+    score_volume = np.full((n_planes, h, w), -np.inf)
+    for k_plane, z in enumerate(z_planes):
+        pts_world = geometry.backproject(pixels, z, cam, pose)
+        view_scores = np.full((len(grays), h, w), -np.inf)
+        for j, (gray, (ocam, opose)) in enumerate(zip(grays, other_cameras)):
+            uv, _, sample_ok = geometry.project_points(pts_world, ocam, opose)
+            warped = diffops._bilinear_matrix(gray.shape, uv) @ gray.reshape(-1, 1)
+            window_ok = minimum_filter(sample_ok.reshape(h, w).astype(np.uint8),
+                                       size=classical._WINDOW, mode="constant") > 0
+            zncc, ok = score(warped.reshape(h, w))
+            view_scores[j] = np.where(window_ok & ok, zncc, -np.inf)
+        k = min(classical._TOP_K_VIEWS, len(grays))
+        ranked = -np.sort(-view_scores, axis=0)[:k]
+        top_sum = np.where(np.isfinite(ranked), ranked, 0.0).sum(axis=0)
+        score_volume[k_plane] = np.where(np.isfinite(ranked[0]), top_sum / k, -np.inf)
+
+    valid = np.isfinite(score_volume).any(axis=0)
+    best_k = np.argmax(score_volume, axis=0)
+    best_score = np.take_along_axis(score_volume, best_k[None], axis=0)[0]
+    depth = z_planes[best_k]
+    interior = (best_k > 0) & (best_k < n_planes - 1) & valid
+    km = np.clip(best_k - 1, 0, n_planes - 1)
+    kp = np.clip(best_k + 1, 0, n_planes - 1)
+    s_m = np.take_along_axis(score_volume, km[None], axis=0)[0]
+    s_p = np.take_along_axis(score_volume, kp[None], axis=0)[0]
+    refinable = interior & np.isfinite(s_m) & np.isfinite(s_p)
+    s_m = np.where(refinable, s_m, 0.0)
+    s_p = np.where(refinable, s_p, 0.0)
+    s_0 = np.where(refinable, best_score, 0.0)
+    denom = s_m - 2.0 * s_0 + s_p
+    safe = refinable & (np.abs(denom) > 1e-12)
+    offset = np.where(safe, 0.5 * (s_m - s_p) / np.where(safe, denom, 1.0), 0.0)
+    depth += np.clip(offset, -0.5, 0.5) * spacing
+    depth = np.where(valid, depth, 0.0)
+    best_score = np.where(valid, best_score, 0.0)
+    return depth, best_score, valid

@@ -8,12 +8,15 @@ renderer's exact depth maps.
 import numpy as np
 import pytest
 
+from helpers import plane_sweep_reference
+
 from voxelstereo.classical import (
     cross_checked_sweep,
     plane_sweep_depth,
     visual_hull,
     window_zncc,
 )
+from voxelstereo.diffops import plane_depths
 from voxelstereo.evalkit import voxel_iou
 from voxelstereo.geometry import (
     Intrinsics,
@@ -22,6 +25,7 @@ from voxelstereo.geometry import (
     backproject,
     camera_z_range,
     look_at,
+    pixel_grid,
     project_points,
 )
 from voxelstereo.synthgen import (
@@ -87,6 +91,26 @@ class TestZncc:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
             window_zncc(np.zeros((3, 3)))(np.zeros((5, 5)))
+
+    def test_stack_scores_each_image_alone(self):
+        rng = np.random.default_rng(7)
+        a = rng.random((12, 10))
+        score = window_zncc(a)
+        stack = 0.5 * a + rng.random((4, 12, 10))
+        stack[1] = 0.3  # a flat image: every window inside it invalid
+        zncc, ok = score(stack)
+        for i, image in enumerate(stack):
+            one, one_ok = score(image)
+            assert zncc[i].tobytes() == one.tobytes(), i
+            np.testing.assert_array_equal(ok[i], one_ok)
+        assert not ok[1][INNER].any()
+        nested, nested_ok = score(stack.reshape(2, 2, 12, 10))
+        assert nested.tobytes() == zncc.tobytes()
+        np.testing.assert_array_equal(nested_ok.reshape(ok.shape), ok)
+
+    def test_stack_of_other_shape_rejected(self):
+        with pytest.raises(ValueError, match="image shapes differ"):
+            window_zncc(np.zeros((6, 5)))(np.zeros((3, 5, 6)))
 
     def test_matches_direct_formula_on_interior_windows(self):
         rng = np.random.default_rng(6)
@@ -205,6 +229,44 @@ class TestPlaneSweep:
         others = [np.ones((8, 8)), np.ones((4, 4))]
         with pytest.raises(ValueError, match=r"other image 1 \(4, 4\).*\(8, 8\)"):
             plane_sweep_depth(np.ones((8, 8)), others, (cam, pose), [(cam, pose)] * 2)
+
+
+class TestChunkedSweep:
+    """The sweep scores planes in chunks; it must return the per-plane
+    reference sweep's bytes."""
+
+    N_PLANES = 23  # two full chunks of classical._CHUNK = 10 planes and a partial one
+
+    @pytest.fixture(scope="class")
+    def views(self):
+        cam = default_intrinsics(32, 32)
+        scene = make_scene("composite", seed=3)
+        poses = sample_poses(5, np.random.default_rng(19))
+        images = [render_view(scene, cam, p)[0] for p in poses]
+        return images, [(cam, p) for p in poses]
+
+    def test_each_plane_leaves_each_other_image_in_part(self, views):
+        _, cameras = views
+        cam, pose = cameras[0]
+        z_planes, _ = plane_depths(pose, self.N_PLANES)
+        pixels = pixel_grid(cam).reshape(-1, 2)
+        for z in z_planes:
+            pts = backproject(pixels, z, cam, pose)
+            for ocam, opose in cameras[1:]:
+                ok = project_points(pts, ocam, opose)[2]
+                assert 0 < ok.sum() < ok.size
+
+    @pytest.mark.parametrize("n_other", [1, 3, 4])
+    def test_equals_per_plane_reference(self, views, n_other):
+        images, cameras = views
+        args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other],
+                self.N_PLANES)
+        out = plane_sweep_depth(*args)
+        ref = plane_sweep_reference(*args)
+        for name, got, want in zip(("depth", "score", "valid"), out, ref):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert out[2].any() and not out[2].all()
 
 
 SPHERE04 = SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=0.4))], family="sphere")

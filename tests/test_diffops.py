@@ -13,7 +13,9 @@ from helpers import assert_vjp_matches_fd
 
 from voxelstereo.diffops import (
     GeomFeatureConfig,
+    _bilinear_matrix,
     bilinear_sample,
+    compare_exchange_sort,
     nearest_index,
     plane_depths,
     project,
@@ -68,6 +70,59 @@ class TestBilinearSample:
         fmap = np.arange(16.0).reshape(4, 4, 1)
         vals = bilinear_sample(fmap, [[3.0, 3.0]])
         assert vals[0, 0] == 15.0
+
+
+class TestGatherMatchesSamplingMatrix:
+    """bilinear_sample gathers from the corner table that unproject's CSR
+    matrix is built from; both must give the same bits."""
+
+    @staticmethod
+    def points(h, w, rng):
+        inside = rng.uniform([0, 0], [w - 1, h - 1], size=(40, 2))
+        outside = rng.uniform([-3, -3], [w + 2, h + 2], size=(40, 2))
+        edges = [[w - 1, 0.0], [0.0, h - 1], [w - 1, h - 1], [0.5 * (w - 1), h - 1],
+                 [w - 1, 0.5 * (h - 1)], [-0.0, -0.0], [w - 1 + 1e-12, 0.0],
+                 [np.nextafter(w - 1, 0), np.nextafter(h - 1, 0)]]
+        return np.concatenate([inside, outside, edges])
+
+    @pytest.mark.parametrize("hw", [(7, 5), (1, 6), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_bitwise_equal(self, hw, c):
+        rng = np.random.default_rng(hw[0] * 10 + hw[1] + c)
+        fmap = rng.standard_normal(hw + (c,))
+        pts = self.points(*hw, rng)
+        want = _bilinear_matrix(fmap.shape, pts) @ fmap.reshape(-1, c)
+        got = bilinear_sample(fmap, pts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_outside_reads_positive_zero(self):
+        fmap = -np.ones((4, 4, 2))
+        vals = bilinear_sample(fmap, [[-0.5, 1.0], [1.0, 3.5], [9.0, 9.0]])
+        assert vals.tobytes() == np.zeros((3, 2)).tobytes()
+
+
+class TestCompareExchangeSort:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_np_sort_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        arrays = [rng.integers(-2, 3, size=(5, 7)).astype(np.float64) for _ in range(n)]
+        arrays[0][0] = np.inf
+        arrays[-1][1] = -np.inf
+        want = np.sort(np.stack(arrays), axis=0)
+        got = compare_exchange_sort(arrays)
+        assert len(got) == n
+        assert np.stack(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_leaves_inputs_alone(self, n):
+        arrays = list(np.random.default_rng(10 + n).standard_normal((n, 4, 3)))
+        copies = [a.copy() for a in arrays]
+        got = compare_exchange_sort(arrays)
+        for a, c in zip(arrays, copies):
+            assert a.tobytes() == c.tobytes()
+        if n > 1:  # every output is a new array
+            assert not {id(a) for a in arrays} & {id(g) for g in got}
 
 
 class TestUnproject:

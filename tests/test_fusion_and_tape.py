@@ -68,6 +68,24 @@ class TestFusePointwise:
         b = np.full((2, 2, 2, 1), 3.0)
         np.testing.assert_array_equal(mean([a, b]), 2.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_nan_and_infinities_as_a_sorted_stack(self, k):
+        rng = np.random.default_rng(k)
+        grids = [rng.standard_normal((4, 4, 4, 2)) for _ in range(k)]
+        grids[0][0, 0, 0] = np.nan
+        grids[-1][1, 1, 1] = np.inf
+        grids[k // 2][1, 1, 1, 0] = -np.inf
+        grids[-1][2, 2, 2, 1] = -np.inf
+        grids[0][3, 3, 3, 1] = np.nan
+        grids[-1][3, 3, 3, 1] = np.inf
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            want = np.sort(np.stack(grids), axis=0).sum(axis=0) / k
+            got = mean(grids)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert np.isinf(got).any()
+
     def test_errors(self):
         with pytest.raises(ValueError, match="at least one"):
             mean([])
