@@ -13,8 +13,11 @@ the reference pixels onto every plane of the chunk at once and, per other
 view, projects and samples them in one call each, then filters and scores
 the (planes, H, W) stack over its last two axes only. The per-view scores
 are ordered by diffops.compare_exchange_sort, and the best three (all of
-them with fewer other views), added best first, make the plane's score. Every plane's score is the one a
-plane-by-plane sweep computes, bit for bit.
+them with fewer other views), added best first, make the plane's score.
+Every plane's score is the one a plane-by-plane sweep computes, bit for
+bit. Chunks are scored concurrently, on one thread per usable core, and
+each writes only its own planes of the score volume, so the result's bits
+do not depend on the number of workers.
 
 window_zncc is the package's one ZNCC: the sweep builds it once per
 reference view and scores every chunk of warped planes of every other
@@ -38,6 +41,8 @@ depths.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +71,13 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 # occlusion-robust variant. k is capped at the number of other views.
 # _CHUNK planes are warped and scored per pass: chunks of 5 and 20 planes
 # ran as fast as 10, chunks of 50 and of all 300 planes ran slower.
+# _WORKERS threads, one per usable core, score chunks at once: the chunk's
+# numpy and scipy.ndimage work releases the GIL.
 _WINDOW = 5
 _TOP_K_VIEWS = 3
 _TOL_PLANES = 3.0
 _CHUNK = 10
+_WORKERS = len(os.sched_getaffinity(0))
 
 # Windows span the last two (row, column) axes only; the axes before them
 # index a stack of images.
@@ -145,7 +153,7 @@ def plane_sweep_depth(
     k = min(_TOP_K_VIEWS, len(grays))
     score_volume = np.empty((n_planes, h, w))
 
-    for start in range(0, n_planes, _CHUNK):
+    def score_chunk(start):
         z = z_planes[start:start + _CHUNK]
         pts_world = backproject(pixels, z[:, None], cam, pose).reshape(-1, 3)
         view_scores = []
@@ -168,6 +176,10 @@ def plane_sweep_depth(
             top_sum += np.where(np.isfinite(r), r, 0.0)
         score_volume[start:start + len(z)] = np.where(np.isfinite(ranked[0]), top_sum / k,
                                                       -np.inf)
+
+    # each chunk writes only its own planes; list() raises a worker's error here
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        list(pool.map(score_chunk, range(0, n_planes, _CHUNK)))
 
     valid = np.isfinite(score_volume).any(axis=0)
     best_k = np.argmax(score_volume, axis=0)

@@ -5,11 +5,15 @@ depth (a textured fronto-parallel plane) and against the sphere-traced
 renderer's exact depth maps.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from helpers import plane_sweep_reference
 
+from voxelstereo import classical
 from voxelstereo.classical import (
     cross_checked_sweep,
     plane_sweep_depth,
@@ -262,11 +266,61 @@ class TestChunkedSweep:
         args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other],
                 self.N_PLANES)
         out = plane_sweep_depth(*args)
-        ref = plane_sweep_reference(*args)
+        self.assert_reference_bytes(out, plane_sweep_reference(*args))
+        assert out[2].any() and not out[2].all()
+
+    def assert_reference_bytes(self, out, ref):
         for name, got, want in zip(("depth", "score", "valid"), out, ref):
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-        assert out[2].any() and not out[2].all()
+
+    # 3 workers exceed the cores of a 2-core machine; 1 runs the threaded
+    # path too, so a 1-core machine still tests it
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_other", [1, 3, 4])
+    def test_bytes_do_not_depend_on_worker_count(self, views, n_other, workers, monkeypatch):
+        monkeypatch.setattr(classical, "_WORKERS", workers)
+        images, cameras = views
+        args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other],
+                self.N_PLANES)
+        self.assert_reference_bytes(plane_sweep_depth(*args), plane_sweep_reference(*args))
+
+    def test_concurrent_sweeps_each_get_reference_bytes(self, views, monkeypatch):
+        monkeypatch.setattr(classical, "_WORKERS", 3)
+        images, cameras = views
+        args = (images[0], images[1:4], cameras[0], cameras[1:4], self.N_PLANES)
+        ref = plane_sweep_reference(*args)
+        before = threading.active_count()
+        outs = [None, None]
+
+        def run(i):
+            outs[i] = plane_sweep_depth(*args)
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for out in outs:
+            self.assert_reference_bytes(out, ref)
+        assert threading.active_count() == before
+
+    def test_worker_error_is_raised_from_the_sweep(self, views, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler failed")
+
+        monkeypatch.setattr(classical, "bilinear_sample", broken)
+        images, cameras = views
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            plane_sweep_depth(images[0], images[1:3], cameras[0], cameras[1:3], self.N_PLANES)
+        assert threading.active_count() == before
 
 
 SPHERE04 = SceneSpec(nodes=[("union", Sphere(center=(0, 0, 0), radius=0.4))], family="sphere")
