@@ -40,9 +40,10 @@ its VJP's upstream a plain reshape to (H * W * N_z, C).
 
 compare_exchange_sort is the package's one elementwise sort: an odd-even
 transposition network of np.minimum / np.maximum over a list of
-equal-shape arrays. tape.mean_stack adds its output in ascending order, so
-the mean does not depend on the order of the views, and the plane sweep
-takes its best view scores from the top of it.
+equal-shape arrays. tape.mean_stack calls it on one flat block of the views
+at a time and adds its output in ascending order, so the mean does not
+depend on the order of the views and its scratch is a few blocks, not a
+few grids; the plane sweep takes its best view scores from the top of it.
 
 nearest_index is the one nearest-neighbor rounding, used by project's grid
 lookup and the classical cross-checked sweep's pixel lookup: it rounds

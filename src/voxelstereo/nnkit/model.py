@@ -172,6 +172,8 @@ class ToyModel:
 
         views holds one (skip feature, feature camera, pose) per image; the
         feature camera is the image camera scaled to the encoder's output.
+        The K unprojected grids are dropped once fused, so only the fused
+        grid, and whatever a recorded graph keeps, is live while reasoning.
         """
         cfg = self.cfg
         grids = []
@@ -183,6 +185,7 @@ class ToyModel:
             grids.append(tape.unproject(feat, feat_cam, pose, cfg.grid_spec, GEOM_FEATURES))
             views.append((skip, feat_cam, pose))
         fused = self.fuse(grids)
+        del grids
         g = self._conv_in_relu(fused, "reason1")
         g = self._conv_in_relu(g, "reason2")
         return g, views

@@ -15,6 +15,16 @@ drops its node. backward() consumes the graph: it runs each slot's VJP once,
 in anti-topological order, adds gradients at fan-out and unlinks each slot
 as it goes, so a second backward over the same root reaches only it.
 
+Under no_record(), a forward whose result is never differentiated (an
+evaluation, the loss after the last training step) records nothing: an op's
+slot keeps no parents and no VJP, so the node holds only its value and each
+intermediate is freed as soon as the forward drops its node, just as a
+plain numpy computation would be. The values are the same bits either way.
+Such a node has no parents, like a leaf, but it is not one: backward from it
+would seed it with ones and reach nothing, so backward raises instead. Used
+as an input to an op recorded later, it acts as a constant. The flag is a
+context variable, so it holds for the current thread only.
+
 Each op's forward and VJP are written in the op itself, except conv and the
 two norms: they keep their array math in nnkit.layers, where the benchmark's
 tracer finds them by name, and their ops here only record it on the tape.
@@ -27,10 +37,30 @@ project samples the nearest voxel.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
+
 import numpy as np
 
 from .. import diffops
 from . import layers
+
+
+_recording = contextvars.ContextVar("voxelstereo_tape_recording", default=True)
+
+# The VJP of a slot whose op ran under no_record(): it marks a root that
+# backward refuses, and is never called, since the slot has no parents.
+_NOT_RECORDED = object()
+
+
+@contextmanager
+def no_record():
+    """Within the block, this thread's ops compute their values but record no graph."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 class _Slot:
@@ -56,14 +86,18 @@ class TapeNode:
     cotangent to one cotangent per parent node, in order; the slot keeps the
     parents' slots, not the parents. Leaves, a model's parameters and its
     input images among them, are TapeNode(x): an empty slot, and the value is
-    x as float64; grad accumulates until Adam.step uses it.
+    x as float64; grad accumulates until Adam.step uses it. An op under
+    no_record() keeps neither parents nor VJP.
     """
 
     __slots__ = ("value", "slot")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.slot = _Slot(tuple(p.slot for p in parents), vjp)
+        if parents and not _recording.get():
+            self.slot = _Slot((), _NOT_RECORDED)
+        else:
+            self.slot = _Slot(tuple(p.slot for p in parents), vjp)
 
     @property
     def grad(self):
@@ -79,7 +113,11 @@ def backward(root: TapeNode) -> None:
 
     Consumes the graph: a slot with parents loses them, its VJP and its
     cotangent as the sweep reaches it, so what only the graph held is freed.
+    Raises ValueError for a root computed under no_record(), which has no graph.
     """
+    if root.slot.vjp is _NOT_RECORDED:
+        raise ValueError("backward: the root was computed under tape.no_record(), "
+                         "which records no graph to differentiate")
     order = []
     seen = set()
     stack = [(root.slot, False)]
@@ -237,13 +275,21 @@ def project(grid, spec, cam, pose, n_planes):
 
 # --- reductions over view stacks ----------------------------------------------
 
+# Elements per block of mean_stack: K + 1 blocks of float64 fit a core's L2.
+_MEAN_BLOCK = 1 << 15
+
+
 def mean_stack(nodes):
     """Permutation-invariant mean of equal-shape nodes.
 
     The summands are put in ascending order by diffops.compare_exchange_sort
     and added to +0.0 one by one, 0.0 + a0 + a1 + ..., which is how numpy
     sums a sorted stack along axis 0, so the value repeats bitwise in every
-    view order without a stacked or sorted copy.
+    view order without a stacked or sorted copy. The sort and the sum run
+    over flat blocks of _MEAN_BLOCK elements, written into the one output:
+    each element meets the same operations, so the bits do not depend on
+    the block size, and the scratch is K + 1 blocks, not K + 1 grids (a
+    non-contiguous input is copied whole once to flatten it).
     """
     values = [n.value for n in nodes]
     if not values:
@@ -251,11 +297,16 @@ def mean_stack(nodes):
     shapes = {v.shape for v in values}
     if len(shapes) > 1:
         raise ValueError(f"mean_stack needs nodes of the same shape, got {sorted(shapes)}")
-    ordered = diffops.compare_exchange_sort(values)
+    flat = [v.reshape(-1) for v in values]
     value = np.zeros(values[0].shape)
-    for v in ordered:
-        value += v
-    value /= len(nodes)
+    out = value.reshape(-1)
+    for lo in range(0, out.size, _MEAN_BLOCK):
+        block = slice(lo, lo + _MEAN_BLOCK)
+        acc = out[block]
+        ordered = diffops.compare_exchange_sort([f[block] for f in flat])
+        while ordered:  # popping frees each summand once added
+            acc += ordered.pop(0)
+        acc /= len(nodes)
     inv_n = 1.0 / len(nodes)
     return TapeNode(value, tuple(nodes), lambda g: (g * inv_n,) * len(nodes))
 

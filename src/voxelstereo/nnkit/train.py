@@ -16,7 +16,7 @@ import numpy as np
 from ..tensorio import DatasetManifest
 from .adam import Adam
 from .model import ToyModel, ToyModelConfig, save_checkpoint
-from .tape import backward
+from .tape import backward, no_record
 
 
 @dataclass
@@ -49,10 +49,12 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
     opt = Adam(model.parameters())
     losses: list[float] = []
     for t, (scene, order) in enumerate(_batches(scenes, cfg, iters)):
+        if t == iters:  # the closing loss is never differentiated
+            with no_record():
+                losses.append(float(model.loss(scene, order).value))
+            break
         loss = model.loss(scene, order)
         losses.append(float(loss.value))
-        if t == iters:
-            break
         backward(loss)
         opt.step()
 
@@ -68,7 +70,10 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
 def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int) -> float:
     """Mean loss over all scenes with a fixed per-scene view draw (seed [0, 2]).
 
-    views is the number of views drawn per scene.
+    views is the number of views drawn per scene. Each forward runs under
+    tape.no_record(): nothing differentiates it, so it holds only the
+    arrays it is computing, and the loss is the same double as a recorded
+    forward's.
     """
     if views < 1:
         raise ValueError(f"need at least one view, got {views}")
@@ -76,5 +81,6 @@ def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int) -> float
     total = 0.0
     scenes = dataset.load_all()
     for scene in scenes:
-        total += float(model.loss(scene, _draw_views(rng, scene, views)).value)
+        with no_record():
+            total += float(model.loss(scene, _draw_views(rng, scene, views)).value)
     return total / len(scenes)

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -85,6 +87,60 @@ class TestFusePointwise:
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
         assert np.isinf(got).any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_blocks_and_a_ragged_tail_are_bitwise_a_sorted_stack(self, k):
+        rng = np.random.default_rng(20 + k)
+        shape = (3, 17, 19, 101)  # 97,869 elements: two whole blocks and a ragged third
+        assert 2 * tape._MEAN_BLOCK < np.prod(shape) < 3 * tape._MEAN_BLOCK
+        grids = [rng.standard_normal(shape) for _ in range(k)]
+        want = np.sort(np.stack(grids), axis=0).sum(axis=0) / k
+        assert mean(grids).tobytes() == want.tobytes()
+
+    def test_nan_infinities_and_signed_zeros_in_every_block(self):
+        rng = np.random.default_rng(26)
+        grids = [rng.standard_normal((3, 17, 19, 101)) for _ in range(4)]
+        flat = [g.reshape(-1) for g in grids]
+        block = tape._MEAN_BLOCK
+        # in the first block, across the first boundary, in the middle and tail blocks
+        anchors = [10, block - 2, 2 * block + 10, flat[0].size - 5]
+        for p in anchors:
+            flat[0][p] = np.nan
+            flat[1][p + 1] = np.inf
+            flat[2][p + 2] = -np.inf
+            flat[3][p + 3], flat[1][p + 3] = np.inf, -np.inf  # inf + -inf
+            for sign, f in zip([-0.0, 0.0, -0.0, -0.0], flat):  # zeros of both signs only
+                f[p + 4] = sign
+        with np.errstate(invalid="ignore"):
+            want = np.sort(np.stack(grids), axis=0).sum(axis=0) / 4
+            got = mean(grids)
+        nan = np.isnan(want)
+        assert nan.sum() == 2 * len(anchors)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert np.isinf(got).sum() == 2 * len(anchors)
+        zeros = got.reshape(-1)[[p + 4 for p in anchors]]
+        assert not zeros.any() and not np.signbit(zeros).any()  # the sum starts from +0.0
+
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_scratch_is_k_plus_one_blocks_not_grids(self, k):
+        rng = np.random.default_rng(27)
+        shape = (17, 16, 16, 64)  # 8.5 blocks
+        nodes = leaves(rng.standard_normal(shape) for _ in range(k))
+        grid_bytes = nodes[0].value.nbytes
+        block_bytes = tape._MEAN_BLOCK * 8
+        slack = 64 * 1024  # views, lists, the node and its slot
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = tape.mean_stack(nodes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.value.nbytes == grid_bytes
+        # one grid of scratch would exceed this bound
+        assert (k + 1) * block_bytes + slack < grid_bytes
+        assert peak <= grid_bytes + (k + 1) * block_bytes + slack, peak
 
     def test_errors(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -343,6 +399,63 @@ class TestTape:
         np.testing.assert_array_equal(
             fmap.grad, diffops.unproject_vjp(fmap.value, cam, pose, spec, gcfg, upstream))
         np.testing.assert_array_equal(other.grad, np.ones_like(other.value))
+
+    def test_no_record_computes_the_same_values_and_keeps_no_graph(self):
+        rng = np.random.default_rng(18)
+        x, gain, shift = leaves([rng.standard_normal((2, 3, 2, 4)),
+                                 rng.standard_normal(4), rng.standard_normal(4)])
+
+        def forward():
+            return tape.sigmoid(tape.layer_norm_channels(tape.mul(x, x), gain, shift))
+
+        with tape.no_record():
+            free = forward()
+            leaf = tape.TapeNode(x.value)
+        recorded = forward()
+        assert free.value.tobytes() == recorded.value.tobytes()
+        assert free.slot.parents == () and recorded.slot.parents
+        assert leaf.slot.vjp is None  # a leaf is the same in either mode
+
+    def test_backward_refuses_a_root_built_under_no_record(self):
+        x = tape.TapeNode(np.array([1.0, -2.0]))
+        with tape.no_record():
+            root = TapeSum(tape.mul(x, x))
+        with pytest.raises(ValueError, match="no_record"):
+            tape.backward(root)
+        assert x.grad is None and root.grad is None
+
+    def test_no_record_nests_and_is_restored_after_an_exception(self):
+        x = tape.TapeNode(np.array([3.0]))
+
+        def recorded():
+            return bool(tape.scale(x, 2.0).slot.parents)
+
+        with tape.no_record():
+            with tape.no_record():
+                assert not recorded()
+            assert not recorded()
+        assert recorded()
+        with pytest.raises(RuntimeError, match="inside"):
+            with tape.no_record():
+                raise RuntimeError("inside")
+        assert recorded()
+
+    def test_another_thread_records_while_this_one_does_not(self):
+        x = tape.TapeNode(np.array([1.5, -0.5]))
+        made = {}
+
+        def other():
+            made["root"] = TapeSum(tape.mul(x, x))
+
+        with tape.no_record():
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=30)
+            mine = tape.mul(x, x)
+        assert not worker.is_alive()
+        assert mine.slot.parents == ()
+        tape.backward(made["root"])
+        np.testing.assert_array_equal(x.grad, 2.0 * x.value)
 
     def test_composed_model_adjoint_identity(self):
         # whole-pipeline dot-product test on a tiny instance: for the

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxelstereo.nnkit import tape
+from voxelstereo.nnkit import tape, train
 from voxelstereo.nnkit.adam import Adam
 from voxelstereo.nnkit.model import ToyModel, ToyModelConfig, load_checkpoint, save_checkpoint
 from voxelstereo.nnkit.tape import backward
@@ -385,3 +385,38 @@ def test_dataset_loss_is_the_mean_scene_loss_of_a_seeded_view_draw(depth_run, da
         order = rng.permutation(scene.n_views)[:model.cfg.views]
         total += float(model.loss(scene, order).value)
     assert value == total / len(scenes)
+
+
+@pytest.mark.parametrize("head,fusion", [("voxel", "mean"), ("voxel", "gru"), ("depth", "mean")])
+def test_dataset_loss_without_a_graph_equals_the_recorded_loss(dataset, head, fusion):
+    model = train_toy(tiny_config(head, fusion), dataset, iters=2).model
+    views = model.cfg.views
+    rng = np.random.default_rng([0, 2])
+    total = 0.0
+    scenes = dataset.load_all()
+    for scene in scenes:
+        order = rng.permutation(scene.n_views)[:views]
+        recorded = model.loss(scene, order)
+        assert recorded.slot.parents
+        with tape.no_record():
+            free = model.loss(scene, order)
+        assert free.slot.parents == ()
+        assert float(free.value).hex() == float(recorded.value).hex()
+        total += float(recorded.value)
+    assert dataset_loss(model, dataset, views=views).hex() == (total / len(scenes)).hex()
+
+
+def test_no_parameter_gets_a_gradient_from_an_unrecorded_loss(dataset):
+    model = ToyModel.create(tiny_config("voxel", "gru"))
+    with tape.no_record():
+        root = model.loss(dataset.load_all()[0], [0, 1])
+    with pytest.raises(ValueError, match="no_record"):
+        backward(root)
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_train_toy_closing_loss_equals_a_recorded_forward(dataset):
+    cfg = tiny_config("depth", "mean")
+    result = train_toy(cfg, dataset, iters=2)
+    *_, (scene, order) = train._batches(dataset.load_all(), cfg, 2)
+    assert float(result.model.loss(scene, order).value).hex() == result.losses[-1].hex()
