@@ -12,7 +12,12 @@ Convolution pads the input once and reads it as rows of a row-major
 r + offset(tap) for each kernel tap, so every tap is one GEMM over a
 contiguous block of rows, and stride keeps every stride-th position of that
 stride-1 grid. The kernel gradient and the strided input gradient run the
-same loop over the taps.
+same loop over the taps. The input may be given as a list of channel
+blocks whose concatenation it is: each block is copied straight into its
+channels of the padded buffer, so a caller that keeps the blocks (a GRU
+gate over [x, h]) needs no concatenated copy, and the bits are those of the
+concatenation. At stride 1, conv_vjp drops its padded input and upstream
+rows before the input gradient, a conv_forward over the upstream, pads its own.
 
 Each tap's GEMM adds its product straight into the output through BLAS
 dgemm with beta = 1, so no per-tap temporary is allocated and no second pass
@@ -54,13 +59,36 @@ def _conv_geometry(x_shape, k_shape, stride):
     return nd, spatial, kspatial, pads, out
 
 
-def _tap_rows(x, pads, kspatial):
-    """The padded input as (rows, C), the padded grid shape, the row offset of
-    every tap in np.ndindex order, and the number of rows each tap's GEMM covers."""
-    xp = np.pad(x, [(p, p) for p in pads] + [(0, 0)])
-    padded = xp.shape[:-1]
+def _channel_blocks(x):
+    """x as a list of float64 channel blocks and the shape of their concatenation.
+
+    x is one array, or a list of arrays that concatenate along the last
+    axis; blocks whose spatial shapes differ raise ValueError.
+    """
+    blocks = [np.asarray(b, dtype=np.float64) for b in (x if isinstance(x, list) else [x])]
+    spatial = blocks[0].shape[:-1]
+    for b in blocks[1:]:
+        if b.shape[:-1] != spatial:
+            raise ValueError(f"channel blocks of different spatial shapes: {spatial} and "
+                             f"{b.shape[:-1]}")
+    return blocks, (*spatial, sum(b.shape[-1] for b in blocks))
+
+
+def _tap_rows(blocks, pads, kspatial):
+    """The zero-padded concatenation of the channel blocks as (rows, C), the
+    padded grid shape, the row offset of every tap in np.ndindex order, and
+    the number of rows each tap's GEMM covers. Each block is copied straight
+    into its channels of the padded buffer, so no concatenated copy is made."""
+    spatial = blocks[0].shape[:-1]
+    padded = tuple(s + 2 * p for s, p in zip(spatial, pads))
+    xp = np.zeros((*padded, sum(b.shape[-1] for b in blocks)))
+    interior = tuple(slice(p, s + p) for p, s in zip(pads, spatial))
+    lo = 0
+    for b in blocks:
+        xp[(*interior, slice(lo, lo + b.shape[-1]))] = b
+        lo += b.shape[-1]
     offsets = [int(np.ravel_multi_index(tap, padded)) for tap in np.ndindex(*kspatial)]
-    rows = xp.reshape(-1, x.shape[-1])
+    rows = xp.reshape(-1, xp.shape[-1])
     return rows, padded, offsets, len(rows) - offsets[-1]
 
 
@@ -84,13 +112,17 @@ def _output_slices(out, stride):
 
 
 def conv_forward(x, kernel, bias=None, stride=1):
-    """Same-padded N-d cross-correlation; x (*spatial, C_in), kernel (*k, C_in, C_out)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Same-padded N-d cross-correlation; x (*spatial, C_in), kernel (*k, C_in, C_out).
+
+    x may also be a list of channel blocks (*spatial, C_i) whose
+    concatenation is the input; the result is the same bits.
+    """
+    blocks, x_shape = _channel_blocks(x)
     kernel = np.asarray(kernel, dtype=np.float64)
-    nd, _, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride)
-    if x.shape[nd] != kernel.shape[nd]:
-        raise ValueError(f"channel mismatch: input {x.shape[nd]}, kernel {kernel.shape[nd]}")
-    rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
+    nd, _, kspatial, pads, out = _conv_geometry(x_shape, kernel.shape, stride)
+    if x_shape[nd] != kernel.shape[nd]:
+        raise ValueError(f"channel mismatch: input {x_shape[nd]}, kernel {kernel.shape[nd]}")
+    rows, padded, offsets, m = _tap_rows(blocks, pads, kspatial)
     y = np.zeros((len(rows), kernel.shape[-1]))
     for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
         _gemm_acc(y[:m].T, k.T, rows[off:off + m].T)
@@ -101,15 +133,19 @@ def conv_forward(x, kernel, bias=None, stride=1):
 
 
 def conv_vjp(x, kernel, stride, padding, upstream):
-    """Gradients of <conv_forward(x, kernel, bias, stride), upstream> w.r.t. (x, kernel, bias)."""
+    """Gradients of <conv_forward(x, kernel, bias, stride), upstream> w.r.t. (x, kernel, bias).
+
+    x may be a list of channel blocks, as in conv_forward; the input
+    gradient is then that of their concatenation.
+    """
     if padding != "same":
         raise ValueError(f"only same padding is supported, got {padding!r}")
-    x = np.asarray(x, dtype=np.float64)
+    blocks, x_shape = _channel_blocks(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    nd, spatial, kspatial, pads, out = _conv_geometry(x.shape, kernel.shape, stride)
+    nd, spatial, kspatial, pads, out = _conv_geometry(x_shape, kernel.shape, stride)
     c_out = kernel.shape[-1]
-    rows, padded, offsets, m = _tap_rows(x, pads, kspatial)
+    rows, padded, offsets, m = _tap_rows(blocks, pads, kspatial)
     # upstream on the stride-1 grid of conv_forward, zero where no output is
     up_rows = np.zeros((*padded, c_out))
     up_rows[_output_slices(out, stride)] = upstream
@@ -122,7 +158,9 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     grad_b = upstream.reshape(-1, c_out).sum(axis=0)
 
     if stride == 1:
-        # transposed conv: same-padded (k - 1 - p = p) correlation with the flipped kernel
+        # transposed conv: same-padded (k - 1 - p = p) correlation with the flipped
+        # kernel; the padded input and upstream rows are dropped before it pads its own
+        del rows, up_rows
         k_t = np.flip(kernel, axis=tuple(range(nd))).swapaxes(nd, nd + 1)
         grad_x = conv_forward(upstream, k_t)
     else:

@@ -10,10 +10,18 @@ The graph links slots, not nodes: a node is its value plus its slot, and a
 slot holds only its parents' slots, its VJP and its cotangent. So once a
 forward returns, the graph keeps alive exactly the arrays the VJP closures
 captured; an intermediate value no VJP reads (a norm output that feeds
-sigmoid, a grid that only enters a concat) is freed as soon as the caller
-drops its node. backward() consumes the graph: it runs each slot's VJP once,
-in anti-topological order, adds gradients at fan-out and unlinks each slot
-as it goes, so a second backward over the same root reaches only it.
+sigmoid or relu, a grid that only enters a concat) is freed as soon as the
+caller drops its node. backward() consumes the graph: it runs each slot's VJP
+once, in anti-topological order, adds gradients at fan-out and unlinks each
+slot as it goes, so a second backward over the same root reaches only it.
+
+The VJPs capture one array per value they need and recompute what is cheap:
+sigmoid, tanh and relu keep their outputs, not their inputs; lerp
+recomputes 1 - t; a conv over concat(blocks) that is handed the blocks
+keeps them instead of the concatenated copy, so a block that several convs
+or other VJPs read is held once. None of this changes a bit of any value
+or gradient, and the graph's topology is the same, so gradients add up in
+the same order.
 
 Under no_record(), a forward whose result is never differentiated (an
 evaluation, the loss after the last training step) records nothing: an op's
@@ -157,8 +165,12 @@ def scale(a, s: float):
     return TapeNode(a.value * s, (a,), lambda g: (g * s,))
 
 
-def one_minus(a):
-    return TapeNode(1.0 - a.value, (a,), lambda g: (-g,))
+def lerp(a, b, t):
+    """(1 - t) * a + t * b. The VJP recomputes 1 - t rather than keep it; its
+    cotangent for t is g * b - g * a, the bits of -(g * a) + g * b."""
+    av, bv, tv = a.value, b.value, t.value
+    return TapeNode((1.0 - tv) * av + tv * bv, (a, b, t),
+                    lambda g: (g * (1.0 - tv), g * tv, g * bv - g * av))
 
 
 def concat(nodes):
@@ -185,8 +197,10 @@ def take(a, index, axis):
 # --- activations and norms ---------------------------------------------------
 
 def relu(a):
-    x = a.value
-    return TapeNode(np.maximum(x, 0.0), (a,), lambda g: (np.where(x > 0, g, 0.0),))
+    """max(x, 0). The VJP reads the output: y > 0 exactly where x > 0, NaN,
+    signed zeros and infinities included, so the input is not kept."""
+    y = np.maximum(a.value, 0.0)
+    return TapeNode(y, (a,), lambda g: (np.where(y > 0, g, 0.0),))
 
 
 def sigmoid(a):
@@ -232,9 +246,21 @@ def softmax_channels(a):
 
 # --- convolutions and resampling ---------------------------------------------
 
-def conv(x, kernel, bias, stride=1):
-    """Same-padded convolution plus bias."""
-    xv, kv = x.value, kernel.value
+def conv(x, kernel, bias, stride=1, blocks=None):
+    """Same-padded convolution plus bias.
+
+    When x is concat(blocks), passing the block nodes makes the conv read and
+    keep their values instead of x's: a graph that keeps the blocks anyway
+    then holds no concatenated copy. x stays the parent, so its cotangent
+    reaches the blocks through the concat's split as before.
+    """
+    xv = x.value
+    if blocks is not None:
+        xv = [b.value for b in blocks]
+        if (*xv[0].shape[:-1], sum(v.shape[-1] for v in xv)) != x.value.shape:
+            raise ValueError(f"conv: blocks of shapes {[v.shape for v in xv]} do not "
+                             f"concatenate to x of shape {x.value.shape}")
+    kv = kernel.value
     return TapeNode(layers.conv_forward(xv, kv, bias.value, stride), (x, kernel, bias),
                     lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
 

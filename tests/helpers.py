@@ -57,6 +57,42 @@ def tape_vjp(op, x, u):
     return leaf.grad
 
 
+def _one_minus(a):
+    return tape.TapeNode(1.0 - a.value, (a,), lambda g: (-g,))
+
+
+def gru_fold_reference(grids, params):
+    """fusion.fuse_recurrent_node as it was written with whole concatenations.
+
+    Every gate conv reads its concat's value, not the channel blocks, and
+    the blend h' = (1 - z) * h + z * c is one_minus, two muls and an add, so
+    the graph keeps 1 - z and both concatenated copies; the first step,
+    from the zero state, convolves x with the x rows of each kernel alone.
+    The fold must give the same bytes, in its value and every gradient.
+    """
+    def preact(xh, gate, rows=None):
+        p = f"gru.{gate}."
+        kernel = params[p + "kernel"]
+        if rows is not None:
+            kernel = tape.take(kernel, slice(0, rows), axis=3)
+        return tape.layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"]),
+                                        params[p + "ln_gain"], params[p + "ln_shift"])
+
+    h = None
+    for x in grids:
+        if h is None:
+            c_in = x.value.shape[-1]
+            z = tape.sigmoid(preact(x, "update", rows=c_in))
+            h = tape.mul(z, tape.tanh(preact(x, "candidate", rows=c_in)))
+            continue
+        xh = tape.concat([x, h])
+        z = tape.sigmoid(preact(xh, "update"))
+        r = tape.sigmoid(preact(xh, "reset"))
+        c = tape.tanh(preact(tape.concat([x, tape.mul(r, h)]), "candidate"))
+        h = tape.add(tape.mul(_one_minus(z), h), tape.mul(z, c))
+    return h
+
+
 def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_planes):
     """classical.plane_sweep_depth as it was written plane by plane.
 

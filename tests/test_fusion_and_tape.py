@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import TapeDot, fd_gradient, max_rel_error
+from helpers import TapeDot, fd_gradient, gru_fold_reference, max_rel_error
 
 from voxelstereo import diffops
 from voxelstereo.diffops import GeomFeatureConfig
@@ -297,6 +297,52 @@ class TestZeroStateFold:
         assert calls == {"conv_forward": 3 * k - 1, "layer_norm_channels": 3 * k - 1}
 
 
+class TestFoldAgainstReference:
+    """The fold keeps channel blocks and blends with tape.lerp; the reference
+    reads whole concatenations and blends with one_minus, mul and add."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_value_and_every_gradient_equal_the_reference_as_bytes(self, k):
+        def run(fold):
+            params = init_gru_params(20, 16, rng=np.random.default_rng(30))
+            rng = np.random.default_rng(31)
+            grids = leaves(rng.standard_normal((6, 5, 4, 20)) for _ in range(k))
+            h = fold(grids, params)
+            tape.backward(TapeDot(h, rng.standard_normal(h.value.shape)))
+            grads = {name: None if p.grad is None else p.grad.tobytes()
+                     for name, p in params.items()}
+            return h.value.tobytes(), grads, [g.grad.tobytes() for g in grids]
+
+        h, grads, grid_grads = run(fuse_recurrent_node)
+        h_ref, grads_ref, grid_grads_ref = run(gru_fold_reference)
+        assert h == h_ref
+        assert grads.keys() == grads_ref.keys() and len(grads) == 12
+        for name in grads_ref:
+            assert grads[name] == grads_ref[name], name
+        assert (grads["gru.reset.kernel"] is None) == (k == 1)
+        assert grid_grads == grid_grads_ref
+
+    def test_a_recorded_fold_holds_no_concatenated_copy(self):
+        # 3 views at 16^3, 20 -> 16 channels. Held beyond the inputs, in
+        # states of 16 channels: step 1 keeps two conv outputs, z and c; each
+        # later step three conv outputs, z, r, c and r * h; and each step's
+        # result. That is 21 states and the kernels' x rows. A fold whose
+        # convs keep whole concatenations held 30: in place of r * h, each
+        # later step kept two 36-channel copies and 1 - z.
+        params = init_gru_params(20, 16, rng=np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        grids = leaves(rng.standard_normal((16, 16, 16, 20)) for _ in range(3))
+        state_bytes = 16 ** 3 * 16 * 8
+        tracemalloc.start()
+        try:
+            h = fuse_recurrent_node(grids, params)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h.value.nbytes == state_bytes
+        assert held <= 22 * state_bytes
+
+
 def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
     return tape.TapeNode(node.value.sum(), (node,),
@@ -329,7 +375,7 @@ class TestTape:
     def test_backward_releases_what_the_vjps_captured(self):
         x = tape.TapeNode(np.array([0.5, -2.0]))
         hidden = tape.tanh(x)
-        root = TapeSum(tape.relu(hidden))  # relu's VJP captures hidden's value
+        root = TapeSum(tape.relu(hidden))  # tanh's VJP captures hidden's value
         captured = weakref.ref(hidden.value)
         del hidden
         tape.backward(root)
@@ -378,6 +424,21 @@ class TestTape:
         assert unread() is None
         tape.backward(root)
         expected = layers.layer_norm_channels_vjp(x.value, gain.value, s.value * (1.0 - s.value))
+        for leaf, g in zip((x, gain, shift), expected, strict=True):
+            np.testing.assert_array_equal(leaf.grad, g)
+
+    def test_relus_input_is_freed_before_backward(self):
+        rng = np.random.default_rng(19)
+        x, gain, shift = leaves([rng.standard_normal((2, 3, 2, 4)),
+                                 rng.standard_normal(4), rng.standard_normal(4)])
+        normed = tape.instance_norm(x, gain, shift)
+        unread = weakref.ref(normed.value)
+        y = tape.relu(normed)  # relu's VJP captures its own output, not its input
+        root = TapeSum(y)
+        del normed
+        assert unread() is None
+        tape.backward(root)
+        expected = layers.instance_norm_vjp(x.value, gain.value, (y.value > 0).astype(float))
         for leaf, g in zip((x, gain, shift), expected, strict=True):
             np.testing.assert_array_equal(leaf.grad, g)
 

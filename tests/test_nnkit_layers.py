@@ -71,6 +71,36 @@ class TestConv:
         with pytest.raises(ValueError, match="channel mismatch"):
             conv_forward(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 1)))
 
+    @pytest.mark.parametrize("spatial,channels", [((7, 6), (2, 3, 4)), ((5, 4, 5), (20, 16))])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_channel_blocks_are_bitwise_their_concatenation(self, spatial, channels, stride):
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal(spatial + (c,)) for c in channels]
+        x = np.concatenate(blocks, axis=-1)
+        kernel = rng.standard_normal((3,) * len(spatial) + (x.shape[-1], 5))
+        bias = rng.standard_normal(5)
+        y = conv_forward(x, kernel, bias, stride)
+        assert conv_forward(blocks, kernel, bias, stride).tobytes() == y.tobytes()
+        up = rng.standard_normal(y.shape)
+        got = conv_vjp(blocks, kernel, stride, "same", up)
+        for a, b, part in zip(got, conv_vjp(x, kernel, stride, "same", up), ("x", "kernel", "bias"),
+                              strict=True):
+            assert a.tobytes() == b.tobytes(), part
+
+    def test_channel_blocks_of_different_spatial_shapes_raise(self):
+        blocks = [np.zeros((4, 4, 2)), np.zeros((4, 5, 1))]
+        kernel = np.zeros((3, 3, 3, 1))
+        with pytest.raises(ValueError, match=r"\(4, 4\) and \(4, 5\)"):
+            conv_forward(blocks, kernel)
+        with pytest.raises(ValueError, match=r"\(4, 4\) and \(4, 5\)"):
+            conv_vjp(blocks, kernel, 1, "same", np.zeros((4, 4, 1)))
+
+    def test_tape_conv_rejects_blocks_that_do_not_concatenate_to_x(self):
+        a, b = tape.TapeNode(np.zeros((4, 4, 2))), tape.TapeNode(np.zeros((4, 4, 1)))
+        kernel, bias = tape.TapeNode(np.zeros((3, 3, 2, 1))), tape.TapeNode(np.zeros(1))
+        with pytest.raises(ValueError, match="do not concatenate"):
+            tape.conv(a, kernel, bias, blocks=(a, b))
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_gradcheck(self, stride):
         rng = np.random.default_rng(1)
@@ -195,6 +225,12 @@ class TestPointwise:
     def test_relu(self):
         out = tape_value(tape.relu, np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
+
+    def test_relu_vjp_masks_where_the_input_is_positive(self):
+        # the VJP reads the output; y > 0 is x > 0 at NaN, signed zeros and infinities
+        x = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.0, -1.0])
+        u = np.arange(1.0, x.size + 1)
+        assert tape_vjp(tape.relu, x, u).tobytes() == np.where(x > 0, u, 0.0).tobytes()
 
     def test_sigmoid_extremes_stable(self):
         y = tape_value(tape.sigmoid, np.array([-1000.0, 0.0, 1000.0]))
