@@ -224,6 +224,8 @@ def cross_checked_sweep(
         raise ValueError(f"{len(images)} images for {len(cameras)} cameras")
     if len(images) < 2:
         raise ValueError("cross-checked sweep needs at least two views")
+    if not 0 <= ref_index < len(images):
+        raise ValueError(f"ref_index {ref_index} is outside [0, {len(images)})")
 
     def sweep(index):
         others = [im for i, im in enumerate(images) if i != index]

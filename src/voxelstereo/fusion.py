@@ -13,13 +13,13 @@ pre-activations layer-normalized over channels per voxel:
 
 Each gate kernel W has shape (3, 3, 3, C_in + C_h, C_h): rows [:C_in] act
 on x and rows [C_in:] on h (or r * h), so one convolution computes the sum
-of the input and the recurrent term. Each gate conv is handed the blocks of
-its concatenation and keeps them for its VJP, so the graph holds x, h and
-r * h once each and no concatenated copy; the blend is tape.lerp(h, c, z),
-which recomputes 1 - z in its VJP. The gate parameters are entries of
-the model's one parameter store, keyed by their checkpoint names
-gru.<gate>.kernel, .bias, .ln_gain and .ln_shift for gate in update, reset
-and candidate.
+of the input and the recurrent term. A tape.concat holds its blocks, not a
+joined copy, and each gate conv reads and keeps them for its VJP, so the
+graph holds x, h and r * h once each and no concatenation is written; the
+blend is tape.lerp(h, c, z), which recomputes 1 - z in its VJP. The gate
+parameters are entries of the model's one parameter store, keyed by their
+checkpoint names gru.<gate>.kernel, .bias, .ln_gain and .ln_shift for gate
+in update, reset and candidate.
 
 The initial hidden state is zeros, and the first step runs none of the
 work that multiplies it. With h = 0 the rows [C_in:] of every kernel meet
@@ -68,14 +68,14 @@ def init_gru_params(c_in, c_hidden, rng) -> dict[str, TapeNode]:
     return params
 
 
-def _gate_preact(xh, params, gate, blocks=None, rows=None):
-    """LN(conv(xh, W) + b) of one gate; xh = tape.concat(blocks) when blocks
-    are given, and `rows` keeps only W[..., :rows, :]."""
+def _gate_preact(xh, params, gate, rows=None):
+    """LN(conv(xh, W) + b) of one gate, where xh is x or a concat; `rows`
+    keeps only W[..., :rows, :]."""
     p = f"gru.{gate}."
     kernel = params[p + "kernel"]
     if rows is not None:
         kernel = tape.take(kernel, slice(0, rows), axis=3)
-    return tape.layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"], blocks=blocks),
+    return tape.layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"]),
                                     params[p + "ln_gain"], params[p + "ln_shift"])
 
 
@@ -91,10 +91,9 @@ def gru_step_node(h, x, params) -> TapeNode:
         c = tape.tanh(_gate_preact(x, params, "candidate", rows=c_in))
         return tape.mul(z, c)
     xh = tape.concat([x, h])
-    z = tape.sigmoid(_gate_preact(xh, params, "update", blocks=(x, h)))
-    r = tape.sigmoid(_gate_preact(xh, params, "reset", blocks=(x, h)))
-    rh = tape.mul(r, h)
-    c = tape.tanh(_gate_preact(tape.concat([x, rh]), params, "candidate", blocks=(x, rh)))
+    z = tape.sigmoid(_gate_preact(xh, params, "update"))
+    r = tape.sigmoid(_gate_preact(xh, params, "reset"))
+    c = tape.tanh(_gate_preact(tape.concat([x, tape.mul(r, h)]), params, "candidate"))
     return tape.lerp(h, c, z)
 
 

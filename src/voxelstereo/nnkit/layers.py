@@ -13,11 +13,12 @@ r + offset(tap) for each kernel tap, so every tap is one GEMM over a
 contiguous block of rows, and stride keeps every stride-th position of that
 stride-1 grid. The kernel gradient and the strided input gradient run the
 same loop over the taps. The input may be given as a list of channel
-blocks whose concatenation it is: each block is copied straight into its
-channels of the padded buffer, so a caller that keeps the blocks (a GRU
-gate over [x, h]) needs no concatenated copy, and the bits are those of the
-concatenation. At stride 1, conv_vjp drops its padded input and upstream
-rows before the input gradient, a conv_forward over the upstream, pads its own.
+blocks whose concatenation it is, which is the value of a tape.concat node
+(a GRU gate over [x, h], the depth head's refine conv): each block is
+copied straight into its channels of the padded buffer, so no joined copy
+is ever made, and the bits are those of the concatenation. At stride 1,
+conv_vjp drops its padded input and upstream rows before the input
+gradient, a conv_forward over the upstream, pads its own.
 
 Each tap's GEMM adds its product straight into the output through BLAS
 dgemm with beta = 1, so no per-tap temporary is allocated and no second pass

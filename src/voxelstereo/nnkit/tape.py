@@ -10,18 +10,18 @@ The graph links slots, not nodes: a node is its value plus its slot, and a
 slot holds only its parents' slots, its VJP and its cotangent. So once a
 forward returns, the graph keeps alive exactly the arrays the VJP closures
 captured; an intermediate value no VJP reads (a norm output that feeds
-sigmoid or relu, a grid that only enters a concat) is freed as soon as the
+sigmoid or relu, a grid that is only scaled) is freed as soon as the
 caller drops its node. backward() consumes the graph: it runs each slot's VJP
 once, in anti-topological order, adds gradients at fan-out and unlinks each
 slot as it goes, so a second backward over the same root reaches only it.
 
 The VJPs capture one array per value they need and recompute what is cheap:
 sigmoid, tanh and relu keep their outputs, not their inputs; lerp
-recomputes 1 - t; a conv over concat(blocks) that is handed the blocks
-keeps them instead of the concatenated copy, so a block that several convs
-or other VJPs read is held once. None of this changes a bit of any value
-or gradient, and the graph's topology is the same, so gradients add up in
-the same order.
+recomputes 1 - t; a concat's value is its blocks' arrays, which conv
+reads as channel blocks, so no joined copy is written and a block that
+several convs or other VJPs read is held once. None of this changes a bit
+of any value or gradient, and the graph's topology is the same, so
+gradients add up in the same order.
 
 Under no_record(), a forward whose result is never differentiated (an
 evaluation, the loss after the last training step) records nothing: an op's
@@ -95,7 +95,8 @@ class TapeNode:
     parents' slots, not the parents. Leaves, a model's parameters and its
     input images among them, are TapeNode(x): an empty slot, and the value is
     x as float64; grad accumulates until Adam.step uses it. An op under
-    no_record() keeps neither parents nor VJP.
+    no_record() keeps neither parents nor VJP. Only concat's value is a
+    list, of its blocks' arrays, and only conv reads one.
     """
 
     __slots__ = ("value", "slot")
@@ -174,10 +175,12 @@ def lerp(a, b, t):
 
 
 def concat(nodes):
-    """Concatenation along the last (channel) axis."""
+    """Concatenation along the last (channel) axis. The value is the list of
+    the nodes' arrays, the same objects, not a joined copy."""
     splits = np.cumsum([n.value.shape[-1] for n in nodes])[:-1]
-    return TapeNode(np.concatenate([n.value for n in nodes], axis=-1), tuple(nodes),
-                    lambda g: np.split(g, splits, axis=-1))
+    node = TapeNode((), tuple(nodes), lambda g: np.split(g, splits, axis=-1))
+    node.value = [n.value for n in nodes]
+    return node
 
 
 def take(a, index, axis):
@@ -246,21 +249,10 @@ def softmax_channels(a):
 
 # --- convolutions and resampling ---------------------------------------------
 
-def conv(x, kernel, bias, stride=1, blocks=None):
-    """Same-padded convolution plus bias.
-
-    When x is concat(blocks), passing the block nodes makes the conv read and
-    keep their values instead of x's: a graph that keeps the blocks anyway
-    then holds no concatenated copy. x stays the parent, so its cotangent
-    reaches the blocks through the concat's split as before.
-    """
-    xv = x.value
-    if blocks is not None:
-        xv = [b.value for b in blocks]
-        if (*xv[0].shape[:-1], sum(v.shape[-1] for v in xv)) != x.value.shape:
-            raise ValueError(f"conv: blocks of shapes {[v.shape for v in xv]} do not "
-                             f"concatenate to x of shape {x.value.shape}")
-    kv = kernel.value
+def conv(x, kernel, bias, stride=1):
+    """Same-padded convolution plus bias. x may be a concat, whose blocks
+    the conv reads and keeps in place of a joined copy."""
+    xv, kv = x.value, kernel.value
     return TapeNode(layers.conv_forward(xv, kv, bias.value, stride), (x, kernel, bias),
                     lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
 

@@ -209,6 +209,8 @@ class DatasetManifest:
         return cls(root=root, scenes=scenes)
 
     def load(self, name: str) -> SceneData:
+        if name not in self.scenes:
+            raise ValueError(f"{name!r} is not a scene of the dataset at {self.root}")
         return load_scene(self.root / name)
 
     def load_all(self) -> list[SceneData]:

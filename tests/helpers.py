@@ -61,14 +61,22 @@ def _one_minus(a):
     return tape.TapeNode(1.0 - a.value, (a,), lambda g: (-g,))
 
 
+def joined_concat(nodes):
+    """Channel concatenation as one joined array, split back in the VJP."""
+    splits = np.cumsum([n.value.shape[-1] for n in nodes])[:-1]
+    return tape.TapeNode(np.concatenate([n.value for n in nodes], axis=-1), tuple(nodes),
+                         lambda g: np.split(g, splits, axis=-1))
+
+
 def gru_fold_reference(grids, params):
     """fusion.fuse_recurrent_node as it was written with whole concatenations.
 
-    Every gate conv reads its concat's value, not the channel blocks, and
-    the blend h' = (1 - z) * h + z * c is one_minus, two muls and an add, so
-    the graph keeps 1 - z and both concatenated copies; the first step,
-    from the zero state, convolves x with the x rows of each kernel alone.
-    The fold must give the same bytes, in its value and every gradient.
+    Every gate conv reads a joined copy, not tape.concat's channel blocks,
+    and the blend h' = (1 - z) * h + z * c is one_minus, two muls and an
+    add, so the graph keeps 1 - z and both concatenated copies; the first
+    step, from the zero state, convolves x with the x rows of each kernel
+    alone. The fold must give the same bytes, in its value and every
+    gradient.
     """
     def preact(xh, gate, rows=None):
         p = f"gru.{gate}."
@@ -85,10 +93,10 @@ def gru_fold_reference(grids, params):
             z = tape.sigmoid(preact(x, "update", rows=c_in))
             h = tape.mul(z, tape.tanh(preact(x, "candidate", rows=c_in)))
             continue
-        xh = tape.concat([x, h])
+        xh = joined_concat([x, h])
         z = tape.sigmoid(preact(xh, "update"))
         r = tape.sigmoid(preact(xh, "reset"))
-        c = tape.tanh(preact(tape.concat([x, tape.mul(r, h)]), "candidate"))
+        c = tape.tanh(preact(joined_concat([x, tape.mul(r, h)]), "candidate"))
         h = tape.add(tape.mul(_one_minus(z), h), tape.mul(z, c))
     return h
 

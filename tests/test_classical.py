@@ -213,6 +213,14 @@ class TestPlaneSweep:
         both = v0 & v1
         np.testing.assert_allclose(d0[both], d1[both], atol=1e-6)
 
+    @pytest.mark.parametrize("ref_index", [-1, 3])
+    def test_cross_checked_sweep_rejects_a_reference_outside_the_views(self, ref_index):
+        cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
+        pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
+        images = list(np.random.default_rng(0).random((3, 8, 8)))
+        with pytest.raises(ValueError, match=rf"ref_index {ref_index} is outside \[0, 3\)"):
+            cross_checked_sweep(images, [(cam, pose)] * 3, ref_index, n_planes=4)
+
     def test_requires_other_views(self):
         cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))

@@ -342,6 +342,23 @@ class TestFoldAgainstReference:
         assert h.value.nbytes == state_bytes
         assert held <= 22 * state_bytes
 
+    def test_a_recorded_fold_peaks_without_a_joined_copy(self):
+        # The same fold as above: a concat holds its blocks, so no step
+        # writes a 36-channel joined copy (2.25 states) on top of what it
+        # holds. A fold that writes the two joined copies peaks at 28.2
+        # states, this one at 23.7.
+        params = init_gru_params(20, 16, rng=np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        grids = leaves(rng.standard_normal((16, 16, 16, 20)) for _ in range(3))
+        state_bytes = 16 ** 3 * 16 * 8
+        tracemalloc.start()
+        try:
+            fuse_recurrent_node(grids, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * state_bytes
+
 
 def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
@@ -442,24 +459,30 @@ class TestTape:
         for leaf, g in zip((x, gain, shift), expected, strict=True):
             np.testing.assert_array_equal(leaf.grad, g)
 
-    def test_a_grid_that_only_enters_a_concat_is_freed_before_backward(self):
+    def test_a_grid_that_is_only_scaled_is_freed_before_backward(self):
         rng = np.random.default_rng(17)
         cam = Intrinsics(fx=12.0, fy=12.0, cx=3.5, cy=3.5, width=8, height=8)
         pose = look_at([0.4, 0.7, -1.9], [0, 0, 0])
         spec = VoxelGridSpec(resolution=4)
         gcfg = GeomFeatureConfig(geometric=True)
-        fmap, other = leaves([rng.random((8, 8, 3)), rng.random((4, 4, 4, 2))])
+        (fmap,) = leaves([rng.random((8, 8, 3))])
         grid = tape.unproject(fmap, cam, pose, spec, gcfg)
         unread = weakref.ref(grid.value)
-        channels = grid.value.shape[-1]
-        root = TapeSum(tape.concat([grid, other]))  # concat's VJP only splits
+        shape = grid.value.shape
+        root = TapeSum(tape.scale(grid, 0.5))  # scale's VJP keeps only the factor
         del grid
         assert unread() is None
         tape.backward(root)
-        upstream = np.ones((4, 4, 4, channels + 2))[..., :channels]  # as concat splits it
+        upstream = np.full(shape, 0.5)  # ones, as TapeSum hands it, times the factor
         np.testing.assert_array_equal(
             fmap.grad, diffops.unproject_vjp(fmap.value, cam, pose, spec, gcfg, upstream))
-        np.testing.assert_array_equal(other.grad, np.ones_like(other.value))
+
+    def test_a_concat_holds_its_blocks_arrays_and_a_leaf_holds_an_array(self):
+        a, b = leaves([np.zeros((2, 3, 4)), np.ones((2, 3, 1))])
+        joined = tape.concat([a, b])
+        assert joined.value[0] is a.value and joined.value[1] is b.value
+        leaf = tape.TapeNode([1.0, 2.0])
+        assert isinstance(leaf.value, np.ndarray) and leaf.value.dtype == np.float64
 
     def test_no_record_computes_the_same_values_and_keeps_no_graph(self):
         rng = np.random.default_rng(18)

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import assert_vjp_matches_fd, fd_gradient, max_rel_error, tape_vjp
+from helpers import (
+    TapeDot,
+    assert_vjp_matches_fd,
+    fd_gradient,
+    joined_concat,
+    max_rel_error,
+    tape_vjp,
+)
 
 from voxelstereo.nnkit import tape
 from voxelstereo.nnkit.adam import LR, Adam, adam_step
@@ -95,11 +102,23 @@ class TestConv:
         with pytest.raises(ValueError, match=r"\(4, 4\) and \(4, 5\)"):
             conv_vjp(blocks, kernel, 1, "same", np.zeros((4, 4, 1)))
 
-    def test_tape_conv_rejects_blocks_that_do_not_concatenate_to_x(self):
-        a, b = tape.TapeNode(np.zeros((4, 4, 2))), tape.TapeNode(np.zeros((4, 4, 1)))
-        kernel, bias = tape.TapeNode(np.zeros((3, 3, 2, 1))), tape.TapeNode(np.zeros(1))
-        with pytest.raises(ValueError, match="do not concatenate"):
-            tape.conv(a, kernel, bias, blocks=(a, b))
+    @pytest.mark.parametrize("spatial,channels,stride", [((7, 6), (2, 3), 2),
+                                                         ((5, 4, 5), (4, 3), 1)])
+    def test_tape_conv_over_a_concat_is_bitwise_the_conv_over_its_join(self, spatial, channels,
+                                                                         stride):
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(spatial + (c,)) for c in channels]
+        kernel = rng.standard_normal((3,) * len(spatial) + (sum(channels), 5))
+        bias = rng.standard_normal(5)
+
+        def run(join):
+            blocks = [tape.TapeNode(a) for a in arrays]
+            params = [tape.TapeNode(kernel), tape.TapeNode(bias)]
+            y = tape.conv(join(blocks), *params, stride=stride)
+            tape.backward(TapeDot(y, np.random.default_rng(5).standard_normal(y.value.shape)))
+            return [y.value.tobytes()] + [n.grad.tobytes() for n in blocks + params]
+
+        assert run(tape.concat) == run(joined_concat)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_gradcheck(self, stride):

@@ -11,6 +11,7 @@ import pytest
 from voxelstereo.geometry import Intrinsics, Pose, look_at, scale_intrinsics
 from voxelstereo.synthgen import generate_dataset
 from voxelstereo.tensorio import (
+    DatasetManifest,
     TensorFormatError,
     load_cameras,
     load_scene,
@@ -256,6 +257,15 @@ class TestSceneLayout:
         (scene_dir / "images.lsmt").unlink()
         with pytest.raises(FileNotFoundError, match="images.lsmt"):
             load_scene(scene_dir)
+
+    def test_manifest_loads_only_its_own_scenes(self, scene_source, tmp_path):
+        shutil.copytree(scene_source, tmp_path / "other" / scene_source.name)
+        shutil.copytree(scene_source, tmp_path / "data" / scene_source.name)
+        manifest = DatasetManifest.scan(tmp_path / "data")
+        assert manifest.load(scene_source.name).name == scene_source.name
+        for name in (f"../other/{scene_source.name}", "scene_9999"):
+            with pytest.raises(ValueError, match=re.escape(f"'{name}' is not a scene")):
+                manifest.load(name)
 
     def test_occupancy_that_is_not_a_cube_rejected(self, scene_source, tmp_path):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
