@@ -7,18 +7,22 @@ input is zero-padded by k // 2 per side; stride subsamples the output grid.
 conv_vjp's padding must be "same": it stays only because the benchmark's
 tracer reads conv_vjp's upstream as its fifth positional argument.
 
-Convolution pads the input once and reads it as rows of a row-major
-(rows, C_in) matrix: the stride-1 output at padded position r reads row
-r + offset(tap) for each kernel tap, so every tap is one GEMM over a
-contiguous block of rows, and stride keeps every stride-th position of that
-stride-1 grid. The kernel gradient and the strided input gradient run the
-same loop over the taps. The input may be given as a list of channel
-blocks whose concatenation it is, which is the value of a tape.concat node
-(a GRU gate over [x, h], the depth head's refine conv): each block is
-copied straight into its channels of the padded buffer, so no joined copy
-is ever made, and the bits are those of the concatenation. At stride 1,
-conv_vjp drops its padded input and upstream rows before the input
-gradient, a conv_forward over the upstream, pads its own.
+Both entry points prepare their input with one call to _tap_rows: it checks
+that channel blocks share one spatial shape, the kernel is odd and the input
+channels equal the kernel's, then pads the input once and reads it as rows
+of a row-major (rows, C_in) matrix. The stride-1 output at padded position r
+reads row r + offset(tap) for each kernel tap, so every tap is one GEMM over
+a contiguous block of rows. Stride picks the positions slice(0, s, stride) of
+that stride-1 grid on an axis of input extent s: conv_forward keeps them and
+conv_vjp scatters the upstream into them. The kernel gradient and the
+strided input gradient, cropped to the input's interior, run the same loop
+over the taps. The input may be a list of channel blocks whose concatenation
+it is, the value of a tape.concat node (a GRU gate over [x, h], the depth
+head's refine conv): each block is copied straight into its channels of the
+padded buffer, so no joined copy is made and the bits are those of the
+concatenation. At stride 1, conv_vjp drops its padded input and upstream
+rows before the input gradient, a conv_forward over the upstream, pads its
+own.
 
 Each tap's GEMM adds its product straight into the output through BLAS
 dgemm with beta = 1, so no per-tap temporary is allocated and no second pass
@@ -49,22 +53,15 @@ from scipy.linalg.blas import dgemm
 _EPS_NORM = 1e-5
 
 
-def _conv_geometry(x_shape, k_shape, stride):
-    nd = len(k_shape) - 2
-    spatial = x_shape[:nd]
-    kspatial = k_shape[:nd]
-    if any(k % 2 == 0 for k in kspatial):
-        raise ValueError(f"same padding requires odd kernels, got {kspatial}")
-    pads = tuple(k // 2 for k in kspatial)
-    out = tuple((s - 1) // stride + 1 for s in spatial)
-    return nd, spatial, kspatial, pads, out
+def _tap_rows(x, k_shape):
+    """The one preparation of a same-padded conv input for a kernel of shape k_shape.
 
-
-def _channel_blocks(x):
-    """x as a list of float64 channel blocks and the shape of their concatenation.
-
-    x is one array, or a list of arrays that concatenate along the last
-    axis; blocks whose spatial shapes differ raise ValueError.
+    x is one array or a list of channel blocks whose concatenation is the
+    input. Returns the zero-padded input as (rows, C_in), the padded grid
+    shape, the input's slices within it, the row offset of every tap in
+    np.ndindex order, and the number of rows each tap's GEMM covers. Each
+    block is copied straight into its channels of the padded buffer, so no
+    concatenated copy is made.
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in (x if isinstance(x, list) else [x])]
     spatial = blocks[0].shape[:-1]
@@ -72,25 +69,23 @@ def _channel_blocks(x):
         if b.shape[:-1] != spatial:
             raise ValueError(f"channel blocks of different spatial shapes: {spatial} and "
                              f"{b.shape[:-1]}")
-    return blocks, (*spatial, sum(b.shape[-1] for b in blocks))
-
-
-def _tap_rows(blocks, pads, kspatial):
-    """The zero-padded concatenation of the channel blocks as (rows, C), the
-    padded grid shape, the row offset of every tap in np.ndindex order, and
-    the number of rows each tap's GEMM covers. Each block is copied straight
-    into its channels of the padded buffer, so no concatenated copy is made."""
-    spatial = blocks[0].shape[:-1]
-    padded = tuple(s + 2 * p for s, p in zip(spatial, pads))
-    xp = np.zeros((*padded, sum(b.shape[-1] for b in blocks)))
-    interior = tuple(slice(p, s + p) for p, s in zip(pads, spatial))
+    nd = len(k_shape) - 2
+    kspatial = k_shape[:nd]
+    if any(k % 2 == 0 for k in kspatial):
+        raise ValueError(f"same padding requires odd kernels, got {kspatial}")
+    c_in = sum(b.shape[-1] for b in blocks)
+    if c_in != k_shape[nd]:
+        raise ValueError(f"channel mismatch: input {c_in}, kernel {k_shape[nd]}")
+    padded = tuple(s + k - 1 for s, k in zip(spatial, kspatial))
+    interior = tuple(slice(k // 2, s + k // 2) for s, k in zip(spatial, kspatial))
+    xp = np.zeros((*padded, c_in))
     lo = 0
     for b in blocks:
         xp[(*interior, slice(lo, lo + b.shape[-1]))] = b
         lo += b.shape[-1]
     offsets = [int(np.ravel_multi_index(tap, padded)) for tap in np.ndindex(*kspatial)]
-    rows = xp.reshape(-1, xp.shape[-1])
-    return rows, padded, offsets, len(rows) - offsets[-1]
+    rows = xp.reshape(-1, c_in)
+    return rows, padded, interior, offsets, len(rows) - offsets[-1]
 
 
 def _gemm_acc(c, a, b):
@@ -107,27 +102,19 @@ def _gemm_acc(c, a, b):
         raise ValueError(f"dgemm did not write in place: c has strides {c.strides}")
 
 
-def _output_slices(out, stride):
-    """The output positions within the stride-1 grid over the padded input."""
-    return tuple(slice(0, stride * (o - 1) + 1, stride) for o in out)
-
-
 def conv_forward(x, kernel, bias=None, stride=1):
     """Same-padded N-d cross-correlation; x (*spatial, C_in), kernel (*k, C_in, C_out).
 
     x may also be a list of channel blocks (*spatial, C_i) whose
     concatenation is the input; the result is the same bits.
     """
-    blocks, x_shape = _channel_blocks(x)
     kernel = np.asarray(kernel, dtype=np.float64)
-    nd, _, kspatial, pads, out = _conv_geometry(x_shape, kernel.shape, stride)
-    if x_shape[nd] != kernel.shape[nd]:
-        raise ValueError(f"channel mismatch: input {x_shape[nd]}, kernel {kernel.shape[nd]}")
-    rows, padded, offsets, m = _tap_rows(blocks, pads, kspatial)
+    rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
     y = np.zeros((len(rows), kernel.shape[-1]))
     for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
         _gemm_acc(y[:m].T, k.T, rows[off:off + m].T)
-    y = np.ascontiguousarray(y.reshape(*padded, -1)[_output_slices(out, stride)])
+    outputs = tuple(slice(0, i.stop - i.start, stride) for i in interior)
+    y = np.ascontiguousarray(y.reshape(*padded, -1)[outputs])
     if bias is not None:
         y += np.asarray(bias, dtype=np.float64)
     return y
@@ -141,15 +128,13 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     """
     if padding != "same":
         raise ValueError(f"only same padding is supported, got {padding!r}")
-    blocks, x_shape = _channel_blocks(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    nd, spatial, kspatial, pads, out = _conv_geometry(x_shape, kernel.shape, stride)
+    rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
     c_out = kernel.shape[-1]
-    rows, padded, offsets, m = _tap_rows(blocks, pads, kspatial)
     # upstream on the stride-1 grid of conv_forward, zero where no output is
     up_rows = np.zeros((*padded, c_out))
-    up_rows[_output_slices(out, stride)] = upstream
+    up_rows[tuple(slice(0, i.stop - i.start, stride) for i in interior)] = upstream
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
     grad_k = np.zeros((len(offsets), *kernel.shape[-2:]))
@@ -162,14 +147,14 @@ def conv_vjp(x, kernel, stride, padding, upstream):
         # transposed conv: same-padded (k - 1 - p = p) correlation with the flipped
         # kernel; the padded input and upstream rows are dropped before it pads its own
         del rows, up_rows
+        nd = kernel.ndim - 2
         k_t = np.flip(kernel, axis=tuple(range(nd))).swapaxes(nd, nd + 1)
         grad_x = conv_forward(upstream, k_t)
     else:
         grad_rows = np.zeros_like(rows)
         for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
             _gemm_acc(grad_rows[off:off + m].T, k, up_rows.T)
-        grad_x = grad_rows.reshape(*padded, -1)[
-            tuple(slice(p, s + p) for p, s in zip(pads, spatial))]
+        grad_x = grad_rows.reshape(*padded, -1)[interior]
     return grad_x, grad_k, grad_b
 
 

@@ -252,6 +252,11 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
 def load_checkpoint(ckpt_dir) -> ToyModel:
     ckpt_dir = Path(ckpt_dir)
     meta = json.loads((ckpt_dir / "manifest.json").read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint manifest is not a JSON object: {type(meta).__name__}")
+    for key in ("config", "parameters"):
+        if key not in meta:
+            raise ValueError(f"checkpoint manifest is missing {key!r}")
     cfg_dict = meta["config"]
     names = {f.name for f in fields(ToyModelConfig)}
     unknown = sorted(cfg_dict.keys() - names)

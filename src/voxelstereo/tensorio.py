@@ -15,9 +15,10 @@ entries, whitespace separated.
 
 A dataset is a directory of scene folders. A scene of K views holds five
 files: images.lsmt ((K, H, W, 3) f32 in [0, 1]), depths.lsmt ((K, H, W)
-f32), occupancy.lsmt ((V, V, V) u8), cameras.txt (K lines, each H x W) and
-scene.json. Depth 0 marks pixels off the object; a silhouette is the
-pixels with depth.
+f32, finite and >= 0), occupancy.lsmt ((V, V, V) u8), cameras.txt (K
+lines, each H x W) and scene.json. Depth 0 marks pixels off the object; a
+silhouette is the pixels with depth. load_scene rejects a scene that breaks
+any of these.
 """
 
 from __future__ import annotations
@@ -180,6 +181,11 @@ def load_scene(scene_dir) -> SceneData:
     sizes = {(cam.height, cam.width) for cam, _ in cameras}
     if sizes != {(h, w)}:
         raise ValueError(f"{scene_dir}: cameras of (H, W) {sorted(sizes)}, images are {(h, w)}")
+    # a NaN makes min and max NaN, which fails every comparison below
+    if not (images.min(initial=0) >= 0 and images.max(initial=0) <= 1):
+        raise ValueError(f"{scene_dir}: images.lsmt holds values outside [0, 1] or NaN")
+    if not (depths.min(initial=0) >= 0 and depths.max(initial=0) < np.inf):
+        raise ValueError(f"{scene_dir}: depths.lsmt holds negative or non-finite values")
     occupancy = read_tensor(scene_dir / "occupancy.lsmt")
     if occupancy.dtype != np.uint8:
         raise ValueError(f"{scene_dir}: occupancy.lsmt is {occupancy.dtype}, not uint8")

@@ -261,6 +261,20 @@ def test_checkpoint_config_missing_fields_rejected(tmp_path):
         load_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda meta: {"parameters": meta["parameters"]}, "^checkpoint manifest is missing 'config'$"),
+    (lambda meta: {"config": meta["config"]}, "^checkpoint manifest is missing 'parameters'$"),
+    (lambda meta: [meta], "^checkpoint manifest is not a JSON object: list$"),
+], ids=["no-config", "no-parameters", "list"])
+def test_checkpoint_malformed_manifest_rejected(trained, tmp_path, edit, message):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(trained, ckpt)
+    path = ckpt / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(ckpt)
+
+
 @pytest.mark.parametrize("field", ["views", "grid_resolution"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_config_rejects_counts_below_one(field, value):

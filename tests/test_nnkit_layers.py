@@ -1,5 +1,6 @@
 """Layer semantics and gradient checks against finite differences."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,18 +66,27 @@ class TestConv:
         # the center window is all of x under all of k: sum i * (i + 1) = 240
         assert y[1, 1, 0] == 240.0
 
-    def test_even_kernel_raises(self):
-        with pytest.raises(ValueError, match="odd kernels"):
-            conv_forward(np.zeros((4, 4, 1)), np.zeros((2, 2, 1, 1)))
+    @pytest.mark.parametrize("x,k_shape,message", [
+        pytest.param(np.zeros((4, 4, 2)), (3, 3, 3, 1), "channel mismatch: input 2, kernel 3",
+                     id="channels"),
+        pytest.param(np.zeros((4, 4, 1)), (2, 2, 1, 1), "odd kernels, got (2, 2)",
+                     id="even-kernel"),
+        pytest.param([np.zeros((4, 4, 2)), np.zeros((4, 5, 1))], (3, 3, 3, 1),
+                     "(4, 4) and (4, 5)", id="block-shapes"),
+    ])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_both_entry_points_reject_bad_input_alike(self, x, k_shape, message, stride):
+        kernel = np.zeros(k_shape)
+        with pytest.raises(ValueError, match=re.escape(message)) as forward:
+            conv_forward(x, kernel, stride=stride)
+        with pytest.raises(ValueError) as vjp:
+            conv_vjp(x, kernel, stride, "same", np.zeros((4 // stride, 4 // stride, 1)))
+        assert str(vjp.value) == str(forward.value)
 
     def test_vjp_rejects_padding_other_than_same(self):
         x = np.zeros((4, 4, 1))
         with pytest.raises(ValueError, match="same padding"):
             conv_vjp(x, np.zeros((3, 3, 1, 1)), 1, "valid", x)
-
-    def test_channel_mismatch_raises(self):
-        with pytest.raises(ValueError, match="channel mismatch"):
-            conv_forward(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 1)))
 
     @pytest.mark.parametrize("spatial,channels", [((7, 6), (2, 3, 4)), ((5, 4, 5), (20, 16))])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -93,14 +103,6 @@ class TestConv:
         for a, b, part in zip(got, conv_vjp(x, kernel, stride, "same", up), ("x", "kernel", "bias"),
                               strict=True):
             assert a.tobytes() == b.tobytes(), part
-
-    def test_channel_blocks_of_different_spatial_shapes_raise(self):
-        blocks = [np.zeros((4, 4, 2)), np.zeros((4, 5, 1))]
-        kernel = np.zeros((3, 3, 3, 1))
-        with pytest.raises(ValueError, match=r"\(4, 4\) and \(4, 5\)"):
-            conv_forward(blocks, kernel)
-        with pytest.raises(ValueError, match=r"\(4, 4\) and \(4, 5\)"):
-            conv_vjp(blocks, kernel, 1, "same", np.zeros((4, 4, 1)))
 
     @pytest.mark.parametrize("spatial,channels,stride", [((7, 6), (2, 3), 2),
                                                          ((5, 4, 5), (4, 3), 1)])

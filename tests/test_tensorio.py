@@ -212,6 +212,14 @@ def _rewrite(name, dtype, values):
     return damage
 
 
+def _set_first(name, x):
+    """Rewrite a float32 scene tensor with its first entry set to x."""
+    def set_first(values):
+        values.flat[0] = x
+        return values
+    return _rewrite(name, "f32", set_first)
+
+
 def _shrink_second_camera(scene_dir):
     cameras = load_cameras(scene_dir / "cameras.txt")
     cam, pose = cameras[1]
@@ -245,6 +253,12 @@ class TestSceneLayout:
                      "occupancy.lsmt is float32, not uint8", id="occupancy-dtype"),
         pytest.param(_rewrite("occupancy.lsmt", "u8", lambda v: v + 1),
                      "occupancy.lsmt holds values other than 0 and 1", id="occupancy-values"),
+        *(pytest.param(_set_first("images.lsmt", x),
+                       "images.lsmt holds values outside [0, 1] or NaN", id=f"image-{name}")
+          for name, x in (("nan", np.nan), ("negative", -0.5), ("above-one", 1.5))),
+        *(pytest.param(_set_first("depths.lsmt", x),
+                       "depths.lsmt holds negative or non-finite values", id=f"depth-{name}")
+          for name, x in (("nan", np.nan), ("negative", -1.0), ("inf", np.inf))),
     ])
     def test_inconsistent_scene_rejected(self, scene_source, tmp_path, damage, message):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
