@@ -21,9 +21,9 @@ do not depend on the number of workers.
 
 window_zncc is the package's one ZNCC: the sweep builds it once per
 reference view and scores every chunk of warped planes of every other
-view through it. The sweep's 5 x 5 window, its best-3-views averaging,
-its chunk of 10 planes and the cross-check's 3-plane tolerance are module
-constants; only the number of planes is an argument.
+view through it. The sweep's 300 planes, its 5 x 5 window, its
+best-3-views averaging, its chunk of 10 planes and the cross-check's
+3-plane tolerance are module constants.
 
 Image sampling (diffops.bilinear_sample), depth-plane placement
 (diffops.plane_depths), nearest-pixel rounding (diffops.nearest_index) and
@@ -64,15 +64,19 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
     return image @ _LUMA
 
 
-# The sweep's fixed settings. Per plane it averages the _TOP_K_VIEWS best
-# view scores instead of all valid ones: with cameras spread over the whole
-# viewing sphere most surface points are occluded in several views, and
-# averaging those in drowns the true peak; best-k averaging is the standard
-# occlusion-robust variant. k is capped at the number of other views.
+# The sweep's fixed settings. _PLANES planes over the unit cube's depth
+# range lie under a fifth of a 32^3 voxel apart from a camera 2 away, so the
+# sweep resolves depth finer than the learned grid. Per plane it averages
+# the _TOP_K_VIEWS best view scores instead of all valid ones: with cameras
+# spread over the whole viewing sphere most surface points are occluded in
+# several views, and averaging those in drowns the true peak; best-k
+# averaging is the standard occlusion-robust variant. k is capped at the
+# number of other views.
 # _CHUNK planes are warped and scored per pass: chunks of 5 and 20 planes
 # ran as fast as 10, chunks of 50 and of all 300 planes ran slower.
 # _WORKERS threads, one per usable core, score chunks at once: the chunk's
 # numpy and scipy.ndimage work releases the GIL.
+_PLANES = 300
 _WINDOW = 5
 _TOP_K_VIEWS = 3
 _TOL_PLANES = 3.0
@@ -123,14 +127,11 @@ def plane_sweep_depth(
     other_images: list[np.ndarray],
     ref_camera: tuple[Intrinsics, Pose],
     other_cameras: list[tuple[Intrinsics, Pose]],
-    n_planes: int = 300,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winner-take-all plane-sweep stereo for one reference view.
 
     Returns (depth, score, valid), each (H, W). Depth is reference-camera z.
     """
-    if n_planes < 2:
-        raise ValueError(f"need at least 2 planes, got {n_planes}")
     if not other_images:
         raise ValueError("need at least one non-reference view")
     if len(other_images) != len(other_cameras):
@@ -147,11 +148,11 @@ def plane_sweep_depth(
             raise ValueError(f"other image {j} {gray.shape} does not match its camera "
                              f"{(ocam.height, ocam.width)}")
 
-    z_planes, spacing = plane_depths(pose, n_planes)
+    z_planes, spacing = plane_depths(pose, _PLANES)
     score = window_zncc(ref)
     pixels = pixel_grid(cam).reshape(-1, 2)
     k = min(_TOP_K_VIEWS, len(grays))
-    score_volume = np.empty((n_planes, h, w))
+    score_volume = np.empty((_PLANES, h, w))
 
     def score_chunk(start):
         z = z_planes[start:start + _CHUNK]
@@ -179,7 +180,7 @@ def plane_sweep_depth(
 
     # each chunk writes only its own planes; list() raises a worker's error here
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        list(pool.map(score_chunk, range(0, n_planes, _CHUNK)))
+        list(pool.map(score_chunk, range(0, _PLANES, _CHUNK)))
 
     valid = np.isfinite(score_volume).any(axis=0)
     best_k = np.argmax(score_volume, axis=0)
@@ -187,9 +188,9 @@ def plane_sweep_depth(
 
     # parabolic refinement over (k-1, k, k+1) where all three are finite
     depth = z_planes[best_k]
-    interior = (best_k > 0) & (best_k < n_planes - 1) & valid
-    km = np.clip(best_k - 1, 0, n_planes - 1)
-    kp = np.clip(best_k + 1, 0, n_planes - 1)
+    interior = (best_k > 0) & (best_k < _PLANES - 1) & valid
+    km = np.clip(best_k - 1, 0, _PLANES - 1)
+    kp = np.clip(best_k + 1, 0, _PLANES - 1)
     s_m = np.take_along_axis(score_volume, km[None], axis=0)[0]
     s_p = np.take_along_axis(score_volume, kp[None], axis=0)[0]
     refinable = interior & np.isfinite(s_m) & np.isfinite(s_p)
@@ -210,7 +211,6 @@ def cross_checked_sweep(
     images: list[np.ndarray],
     cameras: list[tuple[Intrinsics, Pose]],
     ref_index: int,
-    n_planes: int = 300,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plane sweep for one view with cross-view consistency validation.
 
@@ -230,7 +230,7 @@ def cross_checked_sweep(
     def sweep(index):
         others = [im for i, im in enumerate(images) if i != index]
         ocams = [c for i, c in enumerate(cameras) if i != index]
-        return plane_sweep_depth(images[index], others, cameras[index], ocams, n_planes)
+        return plane_sweep_depth(images[index], others, cameras[index], ocams)
 
     cam, pose = cameras[ref_index]
     depth, score, valid = sweep(ref_index)
@@ -240,7 +240,7 @@ def cross_checked_sweep(
     pcam, ppose = cameras[partner]
     pdepth, _, pvalid = sweep(partner)
 
-    _, spacing = plane_depths(pose, n_planes)
+    _, spacing = plane_depths(pose, _PLANES)
     vs, us = np.nonzero(valid)
     pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
     uv, z_partner, ok = project_points(pts, pcam, ppose)

@@ -6,9 +6,9 @@ have an explicit vector-Jacobian product:
   bilinear_sample   gather from a 2D map at continuous pixel coordinates
   unproject         replicate image features along viewing rays into the grid
                     by projecting every voxel center into the image
-  project           sample the grid's nearest voxel on equally spaced depth
-                    planes along each pixel's ray and stack the samples in
-                    ascending-z channel blocks
+  project           sample the grid's nearest voxel on V equally spaced depth
+                    planes along each pixel's ray: a (V, V, V, C) grid gives
+                    (H, W, V * C), one ascending-z channel block per plane
 
 _bilinear_corners is the package's one image-sampling rule: one corner
 table, four (index, weight) pairs per point, with two consumers.
@@ -35,8 +35,8 @@ invalid sample is a zero row. The forward is S @ values.reshape(-1, C) and
 the VJP is S.T @ upstream, so the adjoint identity holds by construction.
 CSR products add each output's terms in a fixed order, so forwards and
 gradients repeat bitwise. project's rows run over (pixel row, pixel column,
-plane), so its (H, W, N_z * C) output is a plain reshape of S @ grid, and
-its VJP's upstream a plain reshape to (H * W * N_z, C).
+plane), so its (H, W, V * C) output is a plain reshape of S @ grid, and
+its VJP's upstream a plain reshape to (H * W * V, C).
 
 compare_exchange_sort is the package's one elementwise sort: an odd-even
 transposition network of np.minimum / np.maximum over a list of
@@ -233,15 +233,17 @@ def plane_depths(pose: Pose, n_planes: int) -> tuple[np.ndarray, float]:
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing
 
 
-def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: int):
-    """Sampling matrix (H * W * N_z, V^3) of project.
+def _project_matrix(grid_shape, spec: VoxelGridSpec, cam: Intrinsics, pose: Pose):
+    """Sampling matrix (H * W * V, V^3) of project on a grid of grid_shape.
 
-    Rows run over (row, column, plane) of the pixel raster and the depth
+    Rows run over (row, column, plane) of the pixel raster and the V depth
     planes; each holds a 1 at the sample's nearest voxel if that is in the grid.
     """
-    z_values, _ = plane_depths(pose, n_planes)
-    points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
     v = spec.resolution
+    if len(grid_shape) != 4 or tuple(grid_shape[:3]) != (v, v, v):
+        raise ValueError(f"grid of shape {tuple(grid_shape)} for a spec of (V, V, V) {(v, v, v)}")
+    z_values, _ = plane_depths(pose, v)
+    points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
     g = spec.world_to_grid(points.reshape(-1, 3))
     idx = nearest_index(g)
     inside = ((idx >= 0) & (idx < v)).all(axis=1, keepdims=True)
@@ -249,34 +251,21 @@ def _project_matrix(spec: VoxelGridSpec, cam: Intrinsics, pose: Pose, n_planes: 
     return _sampling_matrix(np.where(inside, lin, 0), inside.astype(np.float64), v ** 3)
 
 
-def project(
-    grid: np.ndarray,
-    spec: VoxelGridSpec,
-    cam: Intrinsics,
-    pose: Pose,
-    n_planes: int,
-) -> np.ndarray:
-    """Sample a (V, V, V, C) grid along each pixel's ray at n_planes depths.
+def project(grid: np.ndarray, spec: VoxelGridSpec, cam: Intrinsics, pose: Pose) -> np.ndarray:
+    """Sample a (V, V, V, C) grid along each pixel's ray at V depths.
 
-    Returns (H, W, n_planes * C) with plane k's channels at
-    [k*C, (k+1)*C), ascending in z. Samples outside the grid cube are zero.
+    Returns (H, W, V * C) with plane k's channels at [k*C, (k+1)*C),
+    ascending in z. Samples outside the grid cube are zero.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    c = grid.shape[3]
-    s = _project_matrix(spec, cam, pose, n_planes)
-    return (s @ grid.reshape(-1, c)).reshape(cam.height, cam.width, n_planes * c)
+    s = _project_matrix(grid.shape, spec, cam, pose)
+    return (s @ grid.reshape(-1, grid.shape[3])).reshape(cam.height, cam.width, -1)
 
 
-def project_vjp(
-    grid: np.ndarray,
-    spec: VoxelGridSpec,
-    cam: Intrinsics,
-    pose: Pose,
-    n_planes: int,
-    upstream: np.ndarray,
-) -> np.ndarray:
+def project_vjp(grid: np.ndarray, spec: VoxelGridSpec, cam: Intrinsics, pose: Pose,
+                upstream: np.ndarray) -> np.ndarray:
     """Gradient of <project(grid, ...), upstream> w.r.t. grid values."""
     shape = np.shape(grid)
-    s = _project_matrix(spec, cam, pose, n_planes)
+    s = _project_matrix(shape, spec, cam, pose)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1, shape[3])
     return (s.T @ up).reshape(shape)

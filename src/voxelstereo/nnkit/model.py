@@ -23,10 +23,12 @@ ToyModel.params under its checkpoint name. A checkpoint is a directory with
 one float64 tensor file <name>.lsmt per parameter plus a manifest of the
 config and the sorted parameter names; each tensor file's header is the one
 record of its shape. A loaded parameter equals the saved one bitwise. Loading
-rejects a config that names a field ToyModelConfig does not take or lacks
-one it has (no default fills a missing field in), then a manifest that lacks
-a model parameter or names one the model does not have, and only then reads
-<name>.lsmt for each model parameter, rejecting one not float64 or mis-shaped.
+rejects a manifest whose config is not an object or whose parameters are not
+a list of strings, then a config that names a field ToyModelConfig does not
+take or lacks one it has (no default fills a missing field in), then a
+manifest that lacks a model parameter or names one the model does not have,
+and only then reads <name>.lsmt for each model parameter, rejecting one not
+float64 or mis-shaped.
 ToyModelConfig itself rejects a views, grid_resolution or seed that is
 not an int (a bool included) and an image_hw that is not two such ints, so
 such a checkpoint config fails to load too.
@@ -205,7 +207,7 @@ class ToyModel:
         n_reduce = len(_ray_reduce_chain(cfg))
         out = []
         for skip, feat_cam, pose in views:
-            x = tape.project(g, cfg.grid_spec, feat_cam, pose, cfg.grid_resolution)
+            x = tape.project(g, cfg.grid_spec, feat_cam, pose)
             for i in range(n_reduce):
                 x = tape.conv(x, p[f"ray_reduce{i}.kernel"], p[f"ray_reduce{i}.bias"])
                 if i < n_reduce - 1:
@@ -257,7 +259,11 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
     for key in ("config", "parameters"):
         if key not in meta:
             raise ValueError(f"checkpoint manifest is missing {key!r}")
-    cfg_dict = meta["config"]
+    cfg_dict, listed = meta["config"], meta["parameters"]
+    if not isinstance(cfg_dict, dict):
+        raise ValueError(f"checkpoint config must be an object, got {type(cfg_dict).__name__}")
+    if not (isinstance(listed, list) and all(isinstance(name, str) for name in listed)):
+        raise ValueError("checkpoint parameters must be a list of strings")
     names = {f.name for f in fields(ToyModelConfig)}
     unknown = sorted(cfg_dict.keys() - names)
     if unknown:
@@ -269,7 +275,7 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
         cfg_dict["image_hw"] = tuple(cfg_dict["image_hw"])
     model = ToyModel.create(ToyModelConfig(**cfg_dict))
     params = model.params
-    listed = set(meta["parameters"])
+    listed = set(listed)
     missing = sorted(params.keys() - listed)
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {', '.join(missing)}")

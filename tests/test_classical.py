@@ -153,33 +153,35 @@ def render_plane(cam, cam_center, z_plane, seed=0):
 
 
 class TestPlaneSweep:
-    def test_textured_plane_known_depth(self):
+    def test_textured_plane_known_depth(self, monkeypatch):
+        monkeypatch.setattr(classical, "_PLANES", 50)
         cam = Intrinsics(fx=60.0, fy=60.0, cx=15.5, cy=15.5, width=32, height=32)
         z_plane = 0.2
         centers = [np.array([0.0, 0.0, -2.0]), np.array([0.25, 0.1, -2.0])]
         poses = [Pose(rotation=np.eye(3), translation=-c) for c in centers]
         images = [render_plane(cam, c, z_plane) for c in centers]
         depth, score, valid = plane_sweep_depth(
-            images[0], [images[1]], (cam, poses[0]), [(cam, poses[1])], n_planes=50)
+            images[0], [images[1]], (cam, poses[0]), [(cam, poses[1])])
         spacing = 1.0 / 50
         gt = z_plane + 2.0
         err = np.abs(depth[valid] - gt)
         assert valid.mean() > 0.5
         assert np.median(err) < spacing
 
-    def test_textureless_mostly_invalid(self):
+    def test_textureless_mostly_invalid(self, monkeypatch):
+        monkeypatch.setattr(classical, "_PLANES", 20)
         cam = Intrinsics(fx=60.0, fy=60.0, cx=15.5, cy=15.5, width=32, height=32)
         pose_a = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
         pose_b = Pose(rotation=np.eye(3), translation=np.array([-0.2, 0.0, 2.0]))
         flat = np.full((32, 32), 0.7)
-        depth, _, valid = plane_sweep_depth(flat, [flat], (cam, pose_a), [(cam, pose_b)],
-                                            n_planes=20)
+        depth, _, valid = plane_sweep_depth(flat, [flat], (cam, pose_a), [(cam, pose_b)])
         assert valid.mean() < 0.01
         assert (depth[~valid] == 0).all()
 
-    def test_rendered_scene_against_ray_marched_depth(self):
+    def test_rendered_scene_against_ray_marched_depth(self, monkeypatch):
         # fast sanity version of the acceptance configuration (which runs
         # 128px images and 300 planes)
+        monkeypatch.setattr(classical, "_PLANES", 100)
         cam = default_intrinsics(96, 96)
         scene = make_scene("composite", seed=14)
         # eight views within 120 degrees of azimuth, drawn as sample_poses draws
@@ -191,7 +193,7 @@ class TestPlaneSweep:
             poses.append(look_at(pos, [0.0, 0.0, 0.0]))
         views = [render_view(scene, cam, p) for p in poses]
         depth, _, valid = cross_checked_sweep(
-            [v[0] for v in views], [(cam, p) for p in poses], 0, n_planes=100)
+            [v[0] for v in views], [(cam, p) for p in poses], 0)
         gt = views[0][1]
         z_near, z_far = camera_z_range(poses[0])
         spacing = (z_far - z_near) / 100
@@ -200,15 +202,16 @@ class TestPlaneSweep:
         frac = (np.abs(depth[fg] - gt[fg]) <= 2 * spacing).mean()
         assert frac >= 0.75
 
-    def test_brightness_offset_invariance(self):
+    def test_brightness_offset_invariance(self, monkeypatch):
+        monkeypatch.setattr(classical, "_PLANES", 40)
         cam = Intrinsics(fx=60.0, fy=60.0, cx=15.5, cy=15.5, width=32, height=32)
         centers = [np.array([0.0, 0.0, -2.0]), np.array([0.2, 0.0, -2.0])]
         poses = [Pose(rotation=np.eye(3), translation=-c) for c in centers]
         images = [render_plane(cam, c, 0.1) for c in centers]
         d0, _, v0 = plane_sweep_depth(images[0], [images[1]], (cam, poses[0]),
-                                      [(cam, poses[1])], n_planes=40)
+                                      [(cam, poses[1])])
         d1, _, v1 = plane_sweep_depth(images[0] + 0.3, [images[1] + 0.3],
-                                      (cam, poses[0]), [(cam, poses[1])], n_planes=40)
+                                      (cam, poses[0]), [(cam, poses[1])])
         np.testing.assert_array_equal(v0, v1)
         both = v0 & v1
         np.testing.assert_allclose(d0[both], d1[both], atol=1e-6)
@@ -219,7 +222,7 @@ class TestPlaneSweep:
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
         images = list(np.random.default_rng(0).random((3, 8, 8)))
         with pytest.raises(ValueError, match=rf"ref_index {ref_index} is outside \[0, 3\)"):
-            cross_checked_sweep(images, [(cam, pose)] * 3, ref_index, n_planes=4)
+            cross_checked_sweep(images, [(cam, pose)] * 3, ref_index)
 
     def test_requires_other_views(self):
         cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
@@ -232,7 +235,7 @@ class TestPlaneSweep:
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
         images = list(np.random.default_rng(0).random((4, 8, 8)))
         with pytest.raises(ValueError, match="3 other images for 1 other cameras"):
-            plane_sweep_depth(images[0], images[1:], (cam, pose), [(cam, pose)], n_planes=4)
+            plane_sweep_depth(images[0], images[1:], (cam, pose), [(cam, pose)])
 
     def test_rejects_other_image_not_of_its_camera_size(self):
         # a 4x4 image read through an 8x8 camera is sampled in the wrong frame
@@ -248,6 +251,10 @@ class TestChunkedSweep:
     reference sweep's bytes."""
 
     N_PLANES = 23  # two full chunks of classical._CHUNK = 10 planes and a partial one
+
+    @pytest.fixture(autouse=True)
+    def planes(self, monkeypatch):
+        monkeypatch.setattr(classical, "_PLANES", self.N_PLANES)
 
     @pytest.fixture(scope="class")
     def views(self):
@@ -271,10 +278,9 @@ class TestChunkedSweep:
     @pytest.mark.parametrize("n_other", [1, 3, 4])
     def test_equals_per_plane_reference(self, views, n_other):
         images, cameras = views
-        args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other],
-                self.N_PLANES)
+        args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other])
         out = plane_sweep_depth(*args)
-        self.assert_reference_bytes(out, plane_sweep_reference(*args))
+        self.assert_reference_bytes(out, plane_sweep_reference(*args, self.N_PLANES))
         assert out[2].any() and not out[2].all()
 
     def assert_reference_bytes(self, out, ref):
@@ -289,15 +295,15 @@ class TestChunkedSweep:
     def test_bytes_do_not_depend_on_worker_count(self, views, n_other, workers, monkeypatch):
         monkeypatch.setattr(classical, "_WORKERS", workers)
         images, cameras = views
-        args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other],
-                self.N_PLANES)
-        self.assert_reference_bytes(plane_sweep_depth(*args), plane_sweep_reference(*args))
+        args = (images[0], images[1:1 + n_other], cameras[0], cameras[1:1 + n_other])
+        self.assert_reference_bytes(plane_sweep_depth(*args),
+                                    plane_sweep_reference(*args, self.N_PLANES))
 
     def test_concurrent_sweeps_each_get_reference_bytes(self, views, monkeypatch):
         monkeypatch.setattr(classical, "_WORKERS", 3)
         images, cameras = views
-        args = (images[0], images[1:4], cameras[0], cameras[1:4], self.N_PLANES)
-        ref = plane_sweep_reference(*args)
+        args = (images[0], images[1:4], cameras[0], cameras[1:4])
+        ref = plane_sweep_reference(*args, self.N_PLANES)
         before = threading.active_count()
         outs = [None, None]
 
@@ -327,7 +333,7 @@ class TestChunkedSweep:
         images, cameras = views
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="sampler failed"):
-            plane_sweep_depth(images[0], images[1:3], cameras[0], cameras[1:3], self.N_PLANES)
+            plane_sweep_depth(images[0], images[1:3], cameras[0], cameras[1:3])
         assert threading.active_count() == before
 
 

@@ -265,7 +265,14 @@ def test_checkpoint_config_missing_fields_rejected(tmp_path):
     (lambda meta: {"parameters": meta["parameters"]}, "^checkpoint manifest is missing 'config'$"),
     (lambda meta: {"config": meta["config"]}, "^checkpoint manifest is missing 'parameters'$"),
     (lambda meta: [meta], "^checkpoint manifest is not a JSON object: list$"),
-], ids=["no-config", "no-parameters", "list"])
+    (lambda meta: {**meta, "config": []}, "^checkpoint config must be an object, got list$"),
+    (lambda meta: {**meta, "parameters": 5}, "^checkpoint parameters must be a list of strings$"),
+    (lambda meta: {**meta, "parameters": meta["parameters"] + [7]},
+     "^checkpoint parameters must be a list of strings$"),
+    (lambda meta: {**meta, "parameters": "abc"},
+     "^checkpoint parameters must be a list of strings$"),
+], ids=["no-config", "no-parameters", "list", "config-list", "parameters-int",
+        "parameters-non-string", "parameters-string"])
 def test_checkpoint_malformed_manifest_rejected(trained, tmp_path, edit, message):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(trained, ckpt)

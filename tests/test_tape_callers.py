@@ -1,9 +1,12 @@
-"""Every public function of nnkit.tape is read by a package module other than tape.
+"""Every public function and class of a package module is read by other code.
 
-The scan is a plain AST walk. A module reads an op when it reads the
-attribute of a name bound to the tape module (`from . import tape`, then
-`tape.conv`), or reads a name it imported from the tape module
-(`from .tape import backward`). An op that only tests read is dead code.
+The scan is a plain AST walk over the non-test Python files of src/ and
+perfbench/. The defining module reads its names bare, except that a tape
+op must be read outside the tape module. Any other file reads
+a name module-qualified: it reads the attribute of a name bound to the
+module (`from . import tape`, then `tape.conv`), or reads a name it imported
+from the module (`from .tape import backward`). A name that only tests read
+is dead code.
 """
 
 import ast
@@ -12,36 +15,52 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-TAPE = ROOT / "src" / "voxelstereo" / "nnkit" / "tape.py"
+PACKAGE = ROOT / "src" / "voxelstereo"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+NON_TEST_SOURCES = sorted(path for folder in ("src", "perfbench")
+                          for path in (ROOT / folder).rglob("*.py")
+                          if not path.name.startswith("test_"))
+
+# Public names that nothing reads yet, by module. The voxelstereo CLI's
+# `eval` subcommand (ROADMAP item 6) is to call both; it removes them here.
+NO_CALLER_YET = {
+    "classical": ["cross_checked_sweep"],
+    "model": ["load_checkpoint"],
+}
 
 
-def public_ops(source: str) -> list[str]:
-    """Names of the module-level functions of `source` that do not start with _."""
+def module_name(path: Path) -> str:
+    """The name other files import `path` by: its stem, or its package's for __init__."""
+    return path.parent.name if path.stem == "__init__" else path.stem
+
+
+def public_names(source: str) -> list[str]:
+    """Module-level functions and classes of `source` whose names do not start with _."""
     return sorted(node.name for node in ast.parse(source).body
-                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_"))
 
 
-def unread_ops(ops, sources) -> list[str]:
-    """The ops that no source in `sources` reads through the tape module."""
+def reads(module, source) -> set[str]:
+    """The names that `source` reads through `module`, module-qualified."""
+    tree = ast.parse(source)
+    modules, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_module = (node.module or "").split(".")[-1] == module
+            for alias in node.names:
+                if from_module:
+                    imported[alias.asname or alias.name] = alias.name
+                elif alias.name == module:
+                    modules.add(alias.asname or alias.name)
     read = set()
-    for source in sources:
-        tree = ast.parse(source)
-        modules, names = set(), {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                from_tape = (node.module or "").split(".")[-1] == "tape"
-                for alias in node.names:
-                    if from_tape:
-                        names[alias.asname or alias.name] = alias.name
-                    elif alias.name == "tape":
-                        modules.add(alias.asname or alias.name)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in modules):
-                read.add(node.attr)
-            elif isinstance(node, ast.Name) and node.id in names:
-                read.add(names[node.id])
-    return [op for op in ops if op not in read]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            read.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in imported:
+            read.add(imported[node.id])
+    return read
 
 
 @pytest.mark.parametrize("source,expected", [
@@ -51,12 +70,32 @@ def unread_ops(ops, sources) -> list[str]:
     ("def conv(x):\n    return x\nconv(1)\nadd = 2\n", ["add", "conv"]),
     ("from . import tape\n", ["add", "conv"]),
 ])
-def test_scan_finds_exactly_the_unread_ops(source, expected):
-    assert unread_ops(["add", "conv"], [source]) == expected
+def test_scan_finds_exactly_the_unread_names(source, expected):
+    assert [name for name in ("add", "conv") if name not in reads("tape", source)] == expected
 
 
-def test_every_public_tape_op_has_a_caller_in_the_package():
-    ops = public_ops(TAPE.read_text())
-    assert "conv" in ops and "backward" in ops
-    sources = [path.read_text() for path in sorted((ROOT / "src").rglob("*.py")) if path != TAPE]
-    assert unread_ops(ops, sources) == []
+def test_public_names_are_module_level_functions_and_classes():
+    source = ("def f():\n    def inner(): pass\nclass C:\n    def method(self): pass\n"
+              "def _private(): pass\nCONSTANT = 1\n")
+    assert public_names(source) == ["C", "f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(PACKAGE)))
+def test_every_public_name_has_a_caller_outside_tests(path):
+    module, source = module_name(path), path.read_text()
+    # a module reads its own names bare; tape's ops are what the other
+    # modules compose, so each must have a reader outside tape
+    read = set() if module == "tape" else {node.id for node in ast.walk(ast.parse(source))
+                                           if isinstance(node, ast.Name)}
+    for other in NON_TEST_SOURCES:
+        if other != path:
+            read |= reads(module, other.read_text())
+    unread = [name for name in public_names(source) if name not in read]
+    assert unread == NO_CALLER_YET.get(module, [])
+
+
+def test_the_scan_sees_the_tape_ops_and_the_benchmarks_sources():
+    tape_names = public_names((PACKAGE / "nnkit" / "tape.py").read_text())
+    assert {"conv", "backward", "TapeNode"} <= set(tape_names)
+    assert ROOT / "perfbench" / "workloads.py" in NON_TEST_SOURCES
+    assert ROOT / "perfbench" / "test_perfbench.py" not in NON_TEST_SOURCES
