@@ -192,18 +192,23 @@ def unproject(
     Every voxel center is projected into the image and bilinearly sampled;
     invalid projections (behind the camera or out of frame) get zero
     features. Geometric channels (camera depth, unit world ray direction)
-    are filled for every voxel regardless of projection validity.
+    are filled for every voxel regardless of projection validity. All the
+    channels are written into one output, and the sampling matrix is freed
+    before the geometric ones are computed.
     """
     fmap = np.asarray(fmap, dtype=np.float64)
     h, w, c = fmap.shape
     v = spec.resolution
     centers, z, s = _unproject_geometry(fmap.shape, cam, pose, spec)
-    parts = [s @ fmap.reshape(h * w, c)]
+    out = np.zeros((v ** 3, gcfg.out_channels(c)))
+    out[:, :c] = s @ fmap.reshape(h * w, c)
+    del s
     if gcfg.geometric:
+        out[:, c] = z
         rays = centers - pose.camera_center
         norms = np.linalg.norm(rays, axis=1, keepdims=True)
-        parts += [z[:, None], np.divide(rays, norms, out=np.zeros_like(rays), where=norms > 0)]
-    return np.concatenate(parts, axis=1).reshape(v, v, v, -1)
+        np.divide(rays, norms, out=out[:, c + 1:], where=norms > 0)
+    return out.reshape(v, v, v, -1)
 
 
 def unproject_vjp(

@@ -21,6 +21,16 @@ parameters are entries of the model's one parameter store, keyed by their
 checkpoint names gru.<gate>.kernel, .bias, .ln_gain and .ln_shift for gate
 in update, reset and candidate.
 
+The update and reset gates read the same blocks [x, h], so their convs run
+as one: tape.conv over the list of both kernels (36 -> 16 + 16 at the
+model's widths), whose two results are channel views of the one output,
+each normalized by its own gate's layer norm. The parameters stay separate.
+The values and every gradient are the bits of one conv per gate: each
+output channel of the wider GEMMs sums the same terms in the same order
+(a test checks this at 1 and 2 BLAS threads), and the input gradient is
+one transposed conv per gate, added, as the separate convs' gradients were
+added where they met; a sum of two terms is the same in either order.
+
 The initial hidden state is zeros, and the first step runs none of the
 work that multiplies it. With h = 0 the rows [C_in:] of every kernel meet
 only zeros and r * h = 0, so the reset gate is dead and the step is
@@ -29,13 +39,15 @@ only zeros and r * h = 0, so the reset gate is dead and the step is
                  c = tanh(LN_c(conv(x, W_c[..., :C_in, :]) + b_c))
 
 gru_step_node computes this when given h = None, which is how
-fuse_recurrent_node starts: a K-view fold runs 3K - 1 gate convolutions and
-layer norms, not 3K. The kernel rows are taken by tape.take, whose VJP
-gives the unused h rows zero gradient, and the reset gate of a one-view
-fold gets no gradient at all (None, which Adam reads as zeros). The terms
-dropped are products with exact zeros, so at the model's widths the result
-and every gradient are bitwise those of the fold from an explicit zero
-state; a test pins this, since BLAS may sum a narrower GEMM in another order.
+fuse_recurrent_node starts. Its update and candidate gates both read x
+alone, so they too run as one conv: a K-view fold runs 2K - 1 convolutions
+and 3K - 1 layer norms, not 3K of each. The kernel rows are taken by
+tape.take, whose VJP gives the unused h rows zero gradient, and the reset
+gate of a one-view fold gets no gradient at all (None, which Adam reads as
+zeros). The terms dropped are products with exact zeros, so at the model's
+widths the result and every gradient are bitwise those of the fold from an
+explicit zero state; a test pins this, since BLAS may sum a narrower GEMM in
+another order.
 
 Note the layer norm removes any constant shift of its input, so a gate is
 forced open/closed through the LN shift parameter, not the convolution
@@ -68,15 +80,16 @@ def init_gru_params(c_in, c_hidden, rng) -> dict[str, TapeNode]:
     return params
 
 
-def _gate_preact(xh, params, gate, rows=None):
-    """LN(conv(xh, W) + b) of one gate, where xh is x or a concat; `rows`
-    keeps only W[..., :rows, :]."""
-    p = f"gru.{gate}."
-    kernel = params[p + "kernel"]
+def _gate_preacts(xh, params, gates, rows=None):
+    """LN(conv(xh, W) + b) of each gate, where xh is x or a concat; the
+    gates' convs run as one. `rows` keeps only W[..., :rows, :]."""
+    kernels = [params[f"gru.{gate}.kernel"] for gate in gates]
     if rows is not None:
-        kernel = tape.take(kernel, slice(0, rows), axis=3)
-    return tape.layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"]),
-                                    params[p + "ln_gain"], params[p + "ln_shift"])
+        kernels = [tape.take(k, slice(0, rows), axis=3) for k in kernels]
+    pre = tape.conv(xh, kernels, [params[f"gru.{gate}.bias"] for gate in gates])
+    return [tape.layer_norm_channels(p, params[f"gru.{gate}.ln_gain"],
+                                     params[f"gru.{gate}.ln_shift"])
+            for p, gate in zip(pre, gates)]
 
 
 def gru_step_node(h, x, params) -> TapeNode:
@@ -86,14 +99,10 @@ def gru_step_node(h, x, params) -> TapeNode:
     convolving x alone.
     """
     if h is None:
-        c_in = x.value.shape[-1]
-        z = tape.sigmoid(_gate_preact(x, params, "update", rows=c_in))
-        c = tape.tanh(_gate_preact(x, params, "candidate", rows=c_in))
-        return tape.mul(z, c)
-    xh = tape.concat([x, h])
-    z = tape.sigmoid(_gate_preact(xh, params, "update"))
-    r = tape.sigmoid(_gate_preact(xh, params, "reset"))
-    c = tape.tanh(_gate_preact(tape.concat([x, tape.mul(r, h)]), params, "candidate"))
+        z, c = _gate_preacts(x, params, ("update", "candidate"), rows=x.value.shape[-1])
+        return tape.mul(tape.sigmoid(z), tape.tanh(c))
+    z, r = map(tape.sigmoid, _gate_preacts(tape.concat([x, h]), params, ("update", "reset")))
+    c = tape.tanh(*_gate_preacts(tape.concat([x, tape.mul(r, h)]), params, ("candidate",)))
     return tape.lerp(h, c, z)
 
 

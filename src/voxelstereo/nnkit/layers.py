@@ -20,9 +20,20 @@ over the taps. The input may be a list of channel blocks whose concatenation
 it is, the value of a tape.concat node (a GRU gate over [x, h], the depth
 head's refine conv): each block is copied straight into its channels of the
 padded buffer, so no joined copy is made and the bits are those of the
-concatenation. At stride 1, conv_vjp drops its padded input and upstream
-rows before the input gradient, a conv_forward over the upstream, pads its
-own.
+concatenation. conv_forward frees its padded rows once the taps are done,
+before it copies the output out of the padded grid, and at stride 1
+conv_vjp drops its padded input and upstream rows before the input
+gradient, a conv_forward over the upstream, pads its own.
+
+The kernel may also be a list of kernels over the same input, the GRU
+gates that read one input: the forward runs one conv over them joined on
+the output axis, and conv_vjp takes one upstream block per kernel, copies
+each straight into its channels of the padded upstream rows and runs the
+kernel gradient as one pass over all the output channels. Its input
+gradient is one transposed conv per kernel, added, since a single one over
+all the channels would sum in another order. Outputs and gradients are the
+bits of one conv per kernel at stride 1. The joined kernel is built anew on
+each call, so a caller keeps only the separate kernels.
 
 Each tap's GEMM adds its product straight into the output through BLAS
 dgemm with beta = 1, so no per-tap temporary is allocated and no second pass
@@ -102,21 +113,31 @@ def _gemm_acc(c, a, b):
         raise ValueError(f"dgemm did not write in place: c has strides {c.strides}")
 
 
+def _joined(a):
+    """One array, or a list of arrays joined on their last axis."""
+    if isinstance(a, list):
+        return np.concatenate([np.asarray(b, dtype=np.float64) for b in a], axis=-1)
+    return np.asarray(a, dtype=np.float64)
+
+
 def conv_forward(x, kernel, bias=None, stride=1):
     """Same-padded N-d cross-correlation; x (*spatial, C_in), kernel (*k, C_in, C_out).
 
     x may also be a list of channel blocks (*spatial, C_i) whose
-    concatenation is the input; the result is the same bits.
+    concatenation is the input; the result is the same bits. kernel may be
+    a list of kernels (*k, C_in, C_out_i) over the same input, and bias then
+    a list of their biases: the output joins theirs on the channel axis.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
+    kernel = _joined(kernel)
     rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
     y = np.zeros((len(rows), kernel.shape[-1]))
     for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
         _gemm_acc(y[:m].T, k.T, rows[off:off + m].T)
+    del rows  # the padded input is freed before the output is copied out
     outputs = tuple(slice(0, i.stop - i.start, stride) for i in interior)
     y = np.ascontiguousarray(y.reshape(*padded, -1)[outputs])
     if bias is not None:
-        y += np.asarray(bias, dtype=np.float64)
+        y += _joined(bias)
     return y
 
 
@@ -124,38 +145,56 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     """Gradients of <conv_forward(x, kernel, bias, stride), upstream> w.r.t. (x, kernel, bias).
 
     x may be a list of channel blocks, as in conv_forward; the input
-    gradient is then that of their concatenation.
+    gradient is then that of their concatenation. With a list of kernels,
+    upstream is the list of their output blocks' cotangents, and the kernel
+    and bias gradients are lists, one per kernel.
     """
     if padding != "same":
         raise ValueError(f"only same padding is supported, got {padding!r}")
-    kernel = np.asarray(kernel, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    several = isinstance(kernel, list)
+    kernels = kernel if several else [kernel]
+    ups = [np.asarray(u, dtype=np.float64) for u in (upstream if several else [upstream])]
+    if [np.shape(k)[-1] for k in kernels] != [u.shape[-1] for u in ups]:
+        raise ValueError(f"upstream channels {[u.shape[-1] for u in ups]} for kernels of "
+                         f"{[np.shape(k)[-1] for k in kernels]} output channels")
+    kernel = _joined(kernel)
     rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
     c_out = kernel.shape[-1]
     # upstream on the stride-1 grid of conv_forward, zero where no output is
     up_rows = np.zeros((*padded, c_out))
-    up_rows[tuple(slice(0, i.stop - i.start, stride) for i in interior)] = upstream
+    outputs = tuple(slice(0, i.stop - i.start, stride) for i in interior)
+    lo = 0
+    for u in ups:
+        up_rows[(*outputs, slice(lo, lo + u.shape[-1]))] = u
+        lo += u.shape[-1]
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
     grad_k = np.zeros((len(offsets), *kernel.shape[-2:]))
     for off, g in zip(offsets, grad_k):
         _gemm_acc(g.T, up_rows.T, rows[off:off + m])
     grad_k = grad_k.reshape(kernel.shape)
-    grad_b = upstream.reshape(-1, c_out).sum(axis=0)
+    grad_b = [u.reshape(-1, u.shape[-1]).sum(axis=0) for u in ups]
 
     if stride == 1:
         # transposed conv: same-padded (k - 1 - p = p) correlation with the flipped
-        # kernel; the padded input and upstream rows are dropped before it pads its own
-        del rows, up_rows
+        # kernel, one per kernel, summed; the padded input and upstream rows are
+        # dropped before it pads its own
         nd = kernel.ndim - 2
-        k_t = np.flip(kernel, axis=tuple(range(nd))).swapaxes(nd, nd + 1)
-        grad_x = conv_forward(upstream, k_t)
+        del rows, up_rows, kernel
+        grad_x = None
+        for k, u in zip(kernels, ups):
+            k_t = np.flip(np.asarray(k, dtype=np.float64), axis=tuple(range(nd)))
+            g = conv_forward(u, k_t.swapaxes(nd, nd + 1))
+            grad_x = g if grad_x is None else np.add(grad_x, g, out=grad_x)
     else:
         grad_rows = np.zeros_like(rows)
         for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
             _gemm_acc(grad_rows[off:off + m].T, k, up_rows.T)
         grad_x = grad_rows.reshape(*padded, -1)[interior]
-    return grad_x, grad_k, grad_b
+    if not several:
+        return grad_x, grad_k, grad_b[0]
+    splits = np.cumsum([u.shape[-1] for u in ups])[:-1]
+    return grad_x, np.split(grad_k, splits, axis=-1), grad_b
 
 
 def he_normal(rng, shape):

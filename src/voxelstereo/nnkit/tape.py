@@ -19,9 +19,14 @@ The VJPs capture one array per value they need and recompute what is cheap:
 sigmoid, tanh and relu keep their outputs, not their inputs; lerp
 recomputes 1 - t; a concat's value is its blocks' arrays, which conv
 reads as channel blocks, so no joined copy is written and a block that
-several convs or other VJPs read is held once. None of this changes a bit
-of any value or gradient, and the graph's topology is the same, so
-gradients add up in the same order.
+several convs or other VJPs read is held once. A conv over a list of
+kernels runs once and returns one node per kernel, a view of its channels
+of the output; their cotangents reach the conv as the blocks of a private
+_Blocks cotangent, which backward's + merges, so no joined cotangent is
+written either. None of this changes a bit of any value or gradient:
+where the cotangents of two convs met at fan-out, a conv over both kernels
+adds the same two terms itself, and a sum of two is the same in either
+order.
 
 Under no_record(), a forward whose result is never differentiated (an
 evaluation, the loss after the last training step) records nothing: an op's
@@ -96,7 +101,8 @@ class TapeNode:
     input images among them, are TapeNode(x): an empty slot, and the value is
     x as float64; grad accumulates until Adam.step uses it. An op under
     no_record() keeps neither parents nor VJP. Only concat's value is a
-    list, of its blocks' arrays, and only conv reads one.
+    list, of its blocks' arrays, and only conv reads one. Only a conv over
+    a list of kernels has a cotangent that is not an array: _Blocks.
     """
 
     __slots__ = ("value", "slot")
@@ -249,12 +255,61 @@ def softmax_channels(a):
 
 # --- convolutions and resampling ---------------------------------------------
 
+class _Blocks(list):
+    """The cotangent of a conv over a list of kernels, held as one block per
+    kernel's output channels (None where none arrived), so no joined copy is
+    written; + merges two. Like any cotangent, its shape is its value's:
+    the joined output's, which np.shape reads."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, blocks, shape):
+        super().__init__(blocks)
+        self.shape = shape
+
+    def __add__(self, other):
+        # each view's cotangent fills its own block, so no block arrives twice
+        return _Blocks([b if a is None else a for a, b in zip(self, other, strict=True)],
+                       self.shape)
+
+
 def conv(x, kernel, bias, stride=1):
     """Same-padded convolution plus bias. x may be a concat, whose blocks
-    the conv reads and keeps in place of a joined copy."""
-    xv, kv = x.value, kernel.value
-    return TapeNode(layers.conv_forward(xv, kv, bias.value, stride), (x, kernel, bias),
-                    lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
+    the conv reads and keeps in place of a joined copy.
+
+    kernel and bias may be lists of nodes, of convs that read the same x:
+    then one conv runs over all the kernels, and the result is a list of
+    nodes, each a view of its kernel's channels of the one output. Their
+    cotangents reach the conv as _Blocks, and its VJP joins the kernels
+    again rather than keep the joined copy.
+    """
+    xv = x.value
+    if not isinstance(kernel, list):
+        kv = kernel.value
+        return TapeNode(layers.conv_forward(xv, kv, bias.value, stride), (x, kernel, bias),
+                        lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
+    kvs = [k.value for k in kernel]
+    y = layers.conv_forward(xv, kvs, [b.value for b in bias], stride)
+    shape, widths = y.shape, [k.shape[-1] for k in kvs]
+
+    def vjp(g):
+        for i, w in enumerate(widths):
+            if g[i] is None:
+                g[i] = np.zeros((*shape[:-1], w))
+        grad_x, grad_k, grad_b = layers.conv_vjp(xv, kvs, stride, "same", g)
+        return (grad_x, *grad_k, *grad_b)
+
+    node = TapeNode(y, (x, *kernel, *bias), vjp)
+
+    def view(i, lo, hi):
+        def view_vjp(g):
+            blocks = [None] * len(widths)
+            blocks[i] = g
+            return (_Blocks(blocks, shape),)
+        return TapeNode(y[..., lo:hi], (node,), view_vjp)
+
+    bounds = np.cumsum([0, *widths])
+    return [view(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def upsample_nearest(x, factor):

@@ -284,7 +284,10 @@ class TestZeroStateFold:
             assert g.tobytes() == g_ref.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_a_k_view_fold_runs_3k_minus_1_gate_convs_and_norms(self, k, monkeypatch):
+    def test_a_k_view_fold_runs_2k_minus_1_gate_convs_and_3k_minus_1_norms(self, k,
+                                                                            monkeypatch):
+        # the gates that read the same input run as one conv: update and
+        # candidate from the zero state, update and reset after it
         calls = {"conv_forward": 0, "layer_norm_channels": 0}
         for name in calls:
             def counted(*args, _f=getattr(layers, name), _name=name):
@@ -294,7 +297,7 @@ class TestZeroStateFold:
         rng = np.random.default_rng(13)
         params = init_gru_params(3, 2, rng=rng)
         fuse_recurrent_node(leaves(rng.standard_normal((3, 3, 3, 3)) for _ in range(k)), params)
-        assert calls == {"conv_forward": 3 * k - 1, "layer_norm_channels": 3 * k - 1}
+        assert calls == {"conv_forward": 2 * k - 1, "layer_norm_channels": 3 * k - 1}
 
 
 class TestFoldAgainstReference:
@@ -358,6 +361,26 @@ class TestFoldAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * state_bytes
+
+    def test_a_fold_and_its_backward_peak_below_29_states(self):
+        # The same fold, then backward. The gates that read one input run as
+        # one conv, their cotangents reach it as blocks, and each conv frees
+        # its padded rows before it copies its output out: the peak read
+        # 27.8 states. One conv per gate, with the padded rows held through
+        # the output copy, peaked at 29.2.
+        params = init_gru_params(20, 16, rng=np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        grids = leaves(rng.standard_normal((16, 16, 16, 20)) for _ in range(3))
+        target = rng.standard_normal((16, 16, 16, 16))
+        state_bytes = 16 ** 3 * 16 * 8
+        tracemalloc.start()
+        try:
+            h = fuse_recurrent_node(grids, params)
+            tape.backward(TapeDot(h, target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29 * state_bytes
 
 
 def TapeSum(node):

@@ -1,7 +1,11 @@
 """Layer semantics and gradient checks against finite differences."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,33 @@ from voxelstereo.nnkit.layers import (
 def tape_value(op, x, *args):
     """The value of the tape op `op` on a leaf holding x."""
     return op(tape.TapeNode(x), *args).value
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The GRU's two fused gate pairs at 16^3: update and candidate over x alone
+# (the x rows of 36-row kernels, as the zero-state step takes them), and
+# update and reset over the blocks [x, h].
+FUSED_CONV_CHECK = """
+import numpy as np
+from voxelstereo.nnkit.layers import conv_forward, conv_vjp
+
+rng = np.random.default_rng(40)
+x, h = rng.standard_normal((16, 16, 16, 20)), rng.standard_normal((16, 16, 16, 16))
+for name, xs, rows in (("x", x, 20), ("x+h", [x, h], 36)):
+    ks = [rng.standard_normal((3, 3, 3, 36, 16))[..., :rows, :] for _ in range(2)]
+    bs = [rng.standard_normal(16) for _ in range(2)]
+    ups = [rng.standard_normal((16, 16, 16, 16)) for _ in range(2)]
+    y = conv_forward(xs, ks, bs)
+    grad_x, grad_ks, grad_bs = conv_vjp(xs, ks, 1, "same", ups)
+    separate = [conv_vjp(xs, k, 1, "same", u) for k, u in zip(ks, ups)]
+    for i, (k, b) in enumerate(zip(ks, bs)):
+        assert y[..., 16 * i:16 * (i + 1)].tobytes() == conv_forward(xs, k, b).tobytes(), name
+        assert grad_ks[i].tobytes() == separate[i][1].tobytes(), name
+        assert grad_bs[i].tobytes() == separate[i][2].tobytes(), name
+    assert grad_x.tobytes() == (separate[0][0] + separate[1][0]).tobytes(), name
+    print(name)
+"""
 
 
 class TestConv:
@@ -121,6 +152,54 @@ class TestConv:
             return [y.value.tobytes()] + [n.grad.tobytes() for n in blocks + params]
 
         assert run(tape.concat) == run(joined_concat)
+
+    def test_vjp_rejects_an_upstream_that_does_not_match_the_kernels(self):
+        x = np.zeros((4, 4, 2))
+        kernels = [np.zeros((3, 3, 2, 3)), np.zeros((3, 3, 2, 1))]
+        with pytest.raises(ValueError, match=re.escape("upstream channels [3] for kernels "
+                                                       "of [3, 1] output channels")):
+            conv_vjp(x, kernels, 1, "same", [np.zeros((4, 4, 3))])
+        with pytest.raises(ValueError, match=re.escape("upstream channels [2]")):
+            conv_vjp(x, kernels[0], 1, "same", np.zeros((4, 4, 2)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_list_of_kernels_is_bitwise_one_conv_per_kernel_at_any_thread_count(self,
+                                                                                  threads):
+        # At 16^3 the kernel gradient's GEMM already takes a thread-dependent
+        # path (its bits differ between 1 and 2 threads), so the fused conv
+        # must match the separate ones at each count. Each count needs its
+        # own process: OpenBLAS reads it once, at load.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", FUSED_CONV_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.split() == ["x", "x+h"]
+
+    @pytest.mark.parametrize("used", [(0, 1), (1,), (0,)])
+    def test_tape_conv_over_two_kernels_is_bitwise_a_conv_per_kernel(self, used):
+        # an output that reaches no loss gets zero kernel and bias gradients
+        rng = np.random.default_rng(6)
+        arrays = [rng.standard_normal((5, 4, 5, c)) for c in (20, 16)]
+        kernels = [rng.standard_normal((3, 3, 3, 36, 16)) for _ in range(2)]
+        biases = [rng.standard_normal(16) for _ in range(2)]
+        ups = [rng.standard_normal((5, 4, 5, 16)) for _ in range(2)]
+
+        def run(fused):
+            blocks = [tape.TapeNode(a) for a in arrays]
+            ks, bs = [tape.TapeNode(k) for k in kernels], [tape.TapeNode(b) for b in biases]
+            x = tape.concat(blocks)
+            ys = (tape.conv(x, ks, bs) if fused else
+                  [tape.conv(x, k, b) for k, b in zip(ks, bs)])
+            loss = TapeDot(ys[used[0]], ups[used[0]])
+            for i in used[1:]:
+                loss = tape.add(loss, TapeDot(ys[i], ups[i]))
+            tape.backward(loss)
+            return ([y.value.tobytes() for y in ys]
+                    + [(np.zeros_like(n.value) if n.grad is None else n.grad).tobytes()
+                       for n in blocks + ks + bs])
+
+        assert run(fused=True) == run(fused=False)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_gradcheck(self, stride):
