@@ -75,13 +75,15 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 # _CHUNK planes are warped and scored per pass: chunks of 5 and 20 planes
 # ran as fast as 10, chunks of 50 and of all 300 planes ran slower.
 # _WORKERS threads, one per usable core, score chunks at once: the chunk's
-# numpy and scipy.ndimage work releases the GIL.
+# numpy and scipy.ndimage work releases the GIL. Where the OS cannot report
+# this process's cores (macOS, Windows), every core counts as usable.
 _PLANES = 300
 _WINDOW = 5
 _TOP_K_VIEWS = 3
 _TOL_PLANES = 3.0
 _CHUNK = 10
-_WORKERS = len(os.sched_getaffinity(0))
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # Windows span the last two (row, column) axes only; the axes before them
 # index a stack of images.
@@ -112,12 +114,18 @@ def window_zncc(ref: np.ndarray):
         other = np.asarray(other, dtype=np.float64)
         if other.shape[-2:] != ref.shape:
             raise ValueError(f"image shapes differ: {ref.shape} vs {other.shape}")
+        # cov / sqrt(ref_var * w_var), written into the buffers made here
         w_mean, w_var = _window_stats(other)
-        cross = uniform_filter(ref * other, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
-        cov = cross - ref_mean * w_mean
-        ok = ref_textured & (w_var >= _VAR_EPS)
-        denom = np.sqrt(np.where(ok, ref_var * w_var, 1.0))
-        return np.where(ok, np.clip(cov / denom, -1.0, 1.0), 0.0), ok
+        cov = uniform_filter(ref * other, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
+        cov -= np.multiply(ref_mean, w_mean, out=w_mean)
+        ok = w_var >= _VAR_EPS
+        ok &= ref_textured
+        denom = np.multiply(ref_var, w_var, out=w_var)
+        np.copyto(denom, 1.0, where=~ok)
+        cov /= np.sqrt(denom, out=denom)
+        np.clip(cov, -1.0, 1.0, out=cov)
+        np.copyto(cov, 0.0, where=~ok)
+        return cov, ok
 
     return score
 
@@ -165,18 +173,22 @@ def plane_sweep_depth(
             window_ok = minimum_filter(sample_ok.reshape(len(z), h, w).astype(np.uint8),
                                        size=_WINDOW, mode="constant", axes=_IMAGE_AXES) > 0
             zncc, ok = score(warped)
-            view_scores.append(np.where(window_ok & ok, zncc, -np.inf))
+            ok &= window_ok
+            np.copyto(zncc, -np.inf, where=~ok)
+            view_scores.append(zncc)
         # sum of the k best valid view scores over a fixed denominator k:
         # a plane seen validly by fewer views cannot outscore one with full
         # support on a single chance correlation; with no valid view (the
         # best is -inf) the plane gets no score. The best k are the sort's
         # last k, added best first to +0.0.
         ranked = compare_exchange_sort(view_scores)[::-1][:k]
+        seen = np.isfinite(ranked[0])
         top_sum = np.zeros((len(z), h, w))
         for r in ranked:
-            top_sum += np.where(np.isfinite(r), r, 0.0)
-        score_volume[start:start + len(z)] = np.where(np.isfinite(ranked[0]), top_sum / k,
-                                                      -np.inf)
+            np.copyto(r, 0.0, where=~np.isfinite(r))
+            top_sum += r
+        planes = np.divide(top_sum, k, out=score_volume[start:start + len(z)])
+        np.copyto(planes, -np.inf, where=~seen)
 
     # each chunk writes only its own planes; list() raises a worker's error here
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:

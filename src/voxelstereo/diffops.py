@@ -18,7 +18,8 @@ unproject (through which the classical visual_hull reads masks) builds its
 sampling matrix S from it, and a CSR product adds the same terms in the
 same order, so both read the same bits. Its edge rule: a sample is zero
 unless its point lies inside [0, W-1] x [0, H-1]; a point only partly
-outside reads zero, exactly +0.0 for a finite map.
+outside, or with a NaN or infinite coordinate, reads zero, exactly +0.0
+for a finite map.
 bilinear_sample has no public VJP: its adjoint is S.T, which
 unproject_vjp applies itself. plane_depths is likewise the one placement
 of depth planes, shared with the plane sweep.
@@ -121,28 +122,37 @@ def _bilinear_corners(fmap_shape, pts, valid=True):
     are zero unless pts[n] lies inside [0, W-1] x [0, H-1] and valid[n]
     holds. Coordinates are clamped first, so every index is in range: the
     lower corner stops one short of the last row and column, where the upper
-    corner takes the whole weight.
+    corner takes the whole weight. A NaN coordinate clamps to 0, so its
+    point takes index 0 and zero weights, and a NaN or infinite point reads
+    exactly +0.0 from a finite map.
     """
     h, w = fmap_shape[0], fmap_shape[1]
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     u, v = pts[:, 0], pts[:, 1]
-    inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    uc = np.clip(u, 0, w - 1)
-    vc = np.clip(v, 0, h - 1)
-    u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
-    v0 = np.clip(np.floor(vc).astype(np.int64), 0, max(h - 2, 0))
+    # fmax/fmin drop a NaN where np.clip would keep it
+    uc = np.fmin(np.fmax(u, 0), w - 1)
+    vc = np.fmin(np.fmax(v, 0), h - 1)
+    keep = uc == u
+    keep &= vc == v
+    keep &= valid
+    u0 = uc.astype(np.int64)  # uc, vc >= 0: the cast truncates to the floor
+    v0 = vc.astype(np.int64)
+    np.minimum(u0, max(w - 2, 0), out=u0)
+    np.minimum(v0, max(h - 2, 0), out=v0)
     du = np.subtract(uc, u0, out=uc)
     dv = np.subtract(vc, v0, out=vc)
     # a map one pixel wide (high) has no second column (row); du (dv) is 0
     step_u, step_v = min(1, w - 1), w * min(1, h - 1)
-    lin = (v0 * w + u0) + np.array([[0], [step_u], [step_v], [step_v + step_u]])
-    eu, ev = 1 - du, 1 - dv
+    v0 *= w
+    v0 += u0
+    lin = v0 + np.array([[0], [step_u], [step_v], [step_v + step_u]])
     weights = np.empty((4, len(pts)))
-    np.multiply(eu, ev, out=weights[0])
+    eu, ev = np.subtract(1, du, out=weights[0]), np.subtract(1, dv, out=weights[3])
     np.multiply(du, ev, out=weights[1])
     np.multiply(eu, dv, out=weights[2])
+    np.multiply(eu, ev, out=weights[0])
     np.multiply(du, dv, out=weights[3])
-    np.copyto(weights, 0.0, where=~(inside & valid))
+    np.copyto(weights, 0.0, where=~keep)
     return lin, weights
 
 
@@ -156,12 +166,12 @@ def bilinear_sample(fmap: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Sample (H, W, C) at continuous (u, v) points (N, 2) into (N, C).
 
     A sample is zero unless its point lies inside [0, W-1] x [0, H-1]; a
-    point only partly outside reads zero.
+    point only partly outside, or not finite, reads zero.
     """
     fmap = np.asarray(fmap, dtype=np.float64)
     h, w, c = fmap.shape
     lin, weights = _bilinear_corners(fmap.shape, pts)
-    terms = fmap.reshape(h * w, c)[lin]
+    terms = np.take(fmap.reshape(h * w, c), lin, axis=0)
     terms *= weights[..., None]
     # 0.0 + w0 f[i0] + w1 f[i1] + ...: the terms and order of the CSR product
     out = np.zeros(terms.shape[1:])

@@ -106,7 +106,13 @@ class Pose:
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """World points (..., 3) to camera frame."""
-        return np.asarray(points) @ self.rotation.T + self.translation
+        # a C-ordered R.T takes BLAS's faster no-transpose path, with the same
+        # sums; the translation is added one column at a time, since a
+        # broadcast over the length-3 last axis runs numpy's inner loop per point
+        x_cam = np.asarray(points) @ np.ascontiguousarray(self.rotation.T)
+        for j in range(3):
+            x_cam[..., j] += self.translation[j]
+        return x_cam
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +154,16 @@ def project_points(
     z = x_cam[:, 2]
     in_front = z > Z_EPS
     z_safe = np.where(in_front, z, 1.0)
-    u = cam.fx * x_cam[:, 0] / z_safe + cam.cx
-    v = cam.fy * x_cam[:, 1] / z_safe + cam.cy
-    in_image = (u >= 0) & (u <= cam.width - 1) & (v >= 0) & (v <= cam.height - 1)
-    valid = in_front & in_image
-    return np.stack([u, v], axis=1), z, valid
+    uv = np.empty((len(pts), 2))
+    valid = in_front  # narrowed in place to the points inside the image
+    for j, (f, c, size) in enumerate(((cam.fx, cam.cx, cam.width), (cam.fy, cam.cy, cam.height))):
+        coord = f * x_cam[:, j]  # f * x / z + c, then written into its column of uv
+        coord /= z_safe
+        coord += c
+        uv[:, j] = coord
+        valid &= coord >= 0
+        valid &= coord <= size - 1
+    return uv, z, valid
 
 
 def _camera_rays(uv: np.ndarray, cam: Intrinsics) -> np.ndarray:

@@ -10,6 +10,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from helpers import plane_sweep_reference
 
@@ -115,6 +116,26 @@ class TestZncc:
     def test_stack_of_other_shape_rejected(self):
         with pytest.raises(ValueError, match="image shapes differ"):
             window_zncc(np.zeros((6, 5)))(np.zeros((3, 5, 6)))
+
+    def test_bytes_match_the_array_expressions(self):
+        rng = np.random.default_rng(8)
+        a = rng.random((14, 12))
+        stack = 0.5 * a + rng.random((3, 14, 12))
+        stack[1] = 0.3  # a flat image: every window inside it invalid
+
+        def windowed(img):
+            return uniform_filter(img, size=5, mode="constant", axes=(-2, -1))
+
+        a_mean, s_mean = windowed(a), windowed(stack)
+        a_var = windowed(a * a) - a_mean * a_mean
+        s_var = windowed(stack * stack) - s_mean * s_mean
+        cov = windowed(a * stack) - a_mean * s_mean
+        ok = (a_var >= 1e-12) & (s_var >= 1e-12)
+        want = np.where(ok, np.clip(cov / np.sqrt(np.where(ok, a_var * s_var, 1.0)), -1.0, 1.0),
+                        0.0)
+        zncc, got_ok = window_zncc(a)(stack)
+        assert zncc.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got_ok, ok)
 
     def test_matches_direct_formula_on_interior_windows(self):
         rng = np.random.default_rng(6)

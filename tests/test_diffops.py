@@ -7,6 +7,7 @@ ray march, finite differences, and adjoint dot-product identities.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import assert_vjp_matches_fd
 
 from voxelstereo.diffops import (
     GeomFeatureConfig,
+    _bilinear_corners,
     _bilinear_matrix,
     bilinear_sample,
     compare_exchange_sort,
@@ -102,6 +104,19 @@ class TestGatherMatchesSamplingMatrix:
         fmap = -np.ones((4, 4, 2))
         vals = bilinear_sample(fmap, [[-0.5, 1.0], [1.0, 3.5], [9.0, 9.0]])
         assert vals.tobytes() == np.zeros((3, 2)).tobytes()
+
+    def test_nonfinite_points_read_positive_zero_without_warning(self):
+        fmap = -np.ones((4, 5, 2))
+        pts = [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, 1.0], [-np.inf, 1.0],
+               [1.0, np.inf], [1.0, -np.inf], [np.inf, np.nan], [-np.inf, -np.inf]]
+        zeros = np.zeros((len(pts), 2)).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin, weights = _bilinear_corners(fmap.shape, pts)
+            assert bilinear_sample(fmap, pts).tobytes() == zeros
+            assert (_bilinear_matrix(fmap.shape, pts) @ fmap.reshape(-1, 2)).tobytes() == zeros
+        assert ((lin >= 0) & (lin < 20)).all()
+        assert not weights.any()
 
 
 class TestCompareExchangeSort:

@@ -73,6 +73,25 @@ class TestProjectPoint:
             assert a[0, 1] == pytest.approx(b[0, 1], abs=1e-9)
 
 
+    def test_bytes_match_the_pinhole_expressions(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            pose = look_at(rng.uniform(-3, 3, 3), rng.uniform(-0.3, 0.3, 3))
+            x = rng.uniform(-3, 3, (500, 3))
+            x_cam = x @ pose.rotation.T + pose.translation
+            z = x_cam[:, 2]
+            z_safe = np.where(z > Z_EPS, z, 1.0)
+            u = CAM.fx * x_cam[:, 0] / z_safe + CAM.cx
+            v = CAM.fy * x_cam[:, 1] / z_safe + CAM.cy
+            valid = (z > Z_EPS) & (u >= 0) & (u <= CAM.width - 1) & (v >= 0) & (v <= CAM.height - 1)
+            assert valid.any() and not valid.all()
+            assert pose.transform(x).tobytes() == x_cam.tobytes()
+            got_uv, got_z, got_valid = project_points(x, CAM, pose)
+            assert got_uv.tobytes() == np.stack([u, v], axis=1).tobytes()
+            assert got_z.tobytes() == z.tobytes()
+            np.testing.assert_array_equal(got_valid, valid)
+
+
 class TestVoxelCenters:
     def test_degenerate_single_voxel(self):
         c = voxel_centers(VoxelGridSpec(resolution=1))
