@@ -34,9 +34,11 @@ diffops.unproject, so both baselines see the same geometry as the network.
 Validity: a window score requires every warped sample of the window to be
 valid in the other view as project_points decides it (in front of the
 camera and inside the image) and both windows to carry variance above
-1e-12; a pixel is invalid when no plane collects a valid view score.
-Textureless regions therefore drop out instead of producing arbitrary
-depths.
+1e-12. A pixel's validity is read from its winning plane: it is invalid
+when that plane scores -inf, as a plane with no valid view score does, so
+when no plane collects one. Textureless regions therefore drop out instead
+of producing arbitrary depths. A reference camera that sees none of the
+unit cube, an empty depth range, raises a ValueError.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from scipy.ndimage import minimum_filter, uniform_filter
 
 from .diffops import (bilinear_sample, compare_exchange_sort, nearest_index, plane_depths,
                       unproject)
-from .geometry import Intrinsics, Pose, VoxelGridSpec, backproject, pixel_grid, project_points
+from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, camera_z_range, pixel_grid,
+                       project_points)
 
 _VAR_EPS = 1e-12
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -157,10 +160,13 @@ def plane_sweep_depth(
                              f"{(ocam.height, ocam.width)}")
 
     z_planes, spacing = plane_depths(pose, _PLANES)
+    if spacing == 0:
+        raise ValueError(f"the reference camera sees none of the unit cube: its depth range "
+                         f"{camera_z_range(pose)} is empty")
     score = window_zncc(ref)
     pixels = pixel_grid(cam).reshape(-1, 2)
     k = min(_TOP_K_VIEWS, len(grays))
-    score_volume = np.empty((_PLANES, h, w))
+    score_volume = np.zeros((_PLANES, h, w))
 
     def score_chunk(start):
         z = z_planes[start:start + _CHUNK]
@@ -180,38 +186,34 @@ def plane_sweep_depth(
         # a plane seen validly by fewer views cannot outscore one with full
         # support on a single chance correlation; with no valid view (the
         # best is -inf) the plane gets no score. The best k are the sort's
-        # last k, added best first to +0.0.
+        # last k, added best first to the chunk's planes, which start at +0.0.
         ranked = compare_exchange_sort(view_scores)[::-1][:k]
         seen = np.isfinite(ranked[0])
-        top_sum = np.zeros((len(z), h, w))
+        planes = score_volume[start:start + len(z)]
         for r in ranked:
             np.copyto(r, 0.0, where=~np.isfinite(r))
-            top_sum += r
-        planes = np.divide(top_sum, k, out=score_volume[start:start + len(z)])
+            planes += r
+        planes /= k
         np.copyto(planes, -np.inf, where=~seen)
 
     # each chunk writes only its own planes; list() raises a worker's error here
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         list(pool.map(score_chunk, range(0, _PLANES, _CHUNK)))
 
-    valid = np.isfinite(score_volume).any(axis=0)
+    # the winning plane and its neighbours; the best is -inf where no plane scored
     best_k = np.argmax(score_volume, axis=0)
-    best_score = np.take_along_axis(score_volume, best_k[None], axis=0)[0]
+    around = np.stack([np.maximum(best_k - 1, 0), best_k, np.minimum(best_k + 1, _PLANES - 1)])
+    s_m, best_score, s_p = np.take_along_axis(score_volume, around, axis=0)
+    valid = np.isfinite(best_score)
 
-    # parabolic refinement over (k-1, k, k+1) where all three are finite
+    # parabolic refinement over (k-1, k, k+1) where all three are finite; safe
+    # drops the arithmetic elsewhere, which may meet -inf
     depth = z_planes[best_k]
-    interior = (best_k > 0) & (best_k < _PLANES - 1) & valid
-    km = np.clip(best_k - 1, 0, _PLANES - 1)
-    kp = np.clip(best_k + 1, 0, _PLANES - 1)
-    s_m = np.take_along_axis(score_volume, km[None], axis=0)[0]
-    s_p = np.take_along_axis(score_volume, kp[None], axis=0)[0]
-    refinable = interior & np.isfinite(s_m) & np.isfinite(s_p)
-    s_m = np.where(refinable, s_m, 0.0)
-    s_p = np.where(refinable, s_p, 0.0)
-    s_0 = np.where(refinable, best_score, 0.0)
-    denom = s_m - 2.0 * s_0 + s_p
-    safe = refinable & (np.abs(denom) > 1e-12)
-    offset = np.where(safe, 0.5 * (s_m - s_p) / np.where(safe, denom, 1.0), 0.0)
+    refinable = (best_k > 0) & (best_k < _PLANES - 1) & np.isfinite(s_m) & np.isfinite(s_p)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = s_m - 2.0 * best_score + s_p
+        safe = refinable & (np.abs(denom) > 1e-12)
+        offset = np.where(safe, 0.5 * (s_m - s_p) / denom, 0.0)
     depth += np.clip(offset, -0.5, 0.5) * spacing
 
     depth = np.where(valid, depth, 0.0)

@@ -248,39 +248,38 @@ def plane_depths(pose: Pose, n_planes: int) -> tuple[np.ndarray, float]:
     return z_near + (np.arange(n_planes) + 0.5) * spacing, spacing
 
 
-def _project_matrix(grid_shape, spec: VoxelGridSpec, cam: Intrinsics, pose: Pose):
+def _project_matrix(grid_shape, cam: Intrinsics, pose: Pose):
     """Sampling matrix (H * W * V, V^3) of project on a grid of grid_shape.
 
     Rows run over (row, column, plane) of the pixel raster and the V depth
     planes; each holds a 1 at the sample's nearest voxel if that is in the grid.
     """
-    v = spec.resolution
-    if len(grid_shape) != 4 or tuple(grid_shape[:3]) != (v, v, v):
-        raise ValueError(f"grid of shape {tuple(grid_shape)} for a spec of (V, V, V) {(v, v, v)}")
+    if len(grid_shape) != 4 or not grid_shape[0] == grid_shape[1] == grid_shape[2]:
+        raise ValueError(f"grid of shape {tuple(grid_shape)} is not (V, V, V, C)")
+    v = grid_shape[0]
     z_values, _ = plane_depths(pose, v)
     points = backproject(pixel_grid(cam)[:, :, None], z_values, cam, pose)
-    g = spec.world_to_grid(points.reshape(-1, 3))
-    idx = nearest_index(g)
+    idx = nearest_index(VoxelGridSpec(v).world_to_grid(points.reshape(-1, 3)))
     inside = ((idx >= 0) & (idx < v)).all(axis=1, keepdims=True)
     lin = (idx[:, :1] * v + idx[:, 1:2]) * v + idx[:, 2:]
     return _sampling_matrix(np.where(inside, lin, 0), inside.astype(np.float64), v ** 3)
 
 
-def project(grid: np.ndarray, spec: VoxelGridSpec, cam: Intrinsics, pose: Pose) -> np.ndarray:
+def project(grid: np.ndarray, cam: Intrinsics, pose: Pose) -> np.ndarray:
     """Sample a (V, V, V, C) grid along each pixel's ray at V depths.
 
-    Returns (H, W, V * C) with plane k's channels at [k*C, (k+1)*C),
-    ascending in z. Samples outside the grid cube are zero.
+    V is the grid's edge. Returns (H, W, V * C) with plane k's channels at
+    [k*C, (k+1)*C), ascending in z. Samples outside the grid cube are zero.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    s = _project_matrix(grid.shape, spec, cam, pose)
+    s = _project_matrix(grid.shape, cam, pose)
     return (s @ grid.reshape(-1, grid.shape[3])).reshape(cam.height, cam.width, -1)
 
 
-def project_vjp(grid: np.ndarray, spec: VoxelGridSpec, cam: Intrinsics, pose: Pose,
+def project_vjp(grid: np.ndarray, cam: Intrinsics, pose: Pose,
                 upstream: np.ndarray) -> np.ndarray:
     """Gradient of <project(grid, ...), upstream> w.r.t. grid values."""
     shape = np.shape(grid)
-    s = _project_matrix(shape, spec, cam, pose)
+    s = _project_matrix(shape, cam, pose)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1, shape[3])
     return (s.T @ up).reshape(shape)

@@ -207,7 +207,7 @@ class ToyModel:
         n_reduce = len(_ray_reduce_chain(cfg))
         out = []
         for skip, feat_cam, pose in views:
-            x = tape.project(g, cfg.grid_spec, feat_cam, pose)
+            x = tape.project(g, feat_cam, pose)
             for i in range(n_reduce):
                 x = tape.conv(x, p[f"ray_reduce{i}.kernel"], p[f"ray_reduce{i}.bias"])
                 if i < n_reduce - 1:

@@ -338,12 +338,12 @@ def unproject(fmap, cam, pose, spec, gcfg):
                     lambda g: (diffops.unproject_vjp(fv, cam, pose, spec, gcfg, g),))
 
 
-def project(grid, spec, cam, pose):
+def project(grid, cam, pose):
     """Nearest-neighbor ray samples of the grid on one depth plane per voxel
-    of a grid edge: (V, V, V, C) gives (H, W, V * C)."""
+    of its edge V: (V, V, V, C) gives (H, W, V * C)."""
     gv = grid.value
-    out = diffops.project(gv, spec, cam, pose)
-    return TapeNode(out, (grid,), lambda g: (diffops.project_vjp(gv, spec, cam, pose, g),))
+    out = diffops.project(gv, cam, pose)
+    return TapeNode(out, (grid,), lambda g: (diffops.project_vjp(gv, cam, pose, g),))
 
 
 # --- reductions over view stacks ----------------------------------------------

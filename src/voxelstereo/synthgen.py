@@ -190,20 +190,17 @@ def render_view(scene: SceneSpec, cam: Intrinsics, pose: Pose):
     origin, dirs = rays_through_pixels(pixel_grid(cam).reshape(-1, 2), cam, pose)
     n = dirs.shape[0]
     t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    live = np.arange(n)  # the rays still marching
     hit = np.zeros(n, dtype=bool)
     t_max = np.linalg.norm(origin) + 2.0  # rays leaving this bound have missed
     for _ in range(MAX_MARCH_STEPS):
-        if not active.any():
+        if not live.size:
             break
-        pts = origin + t[active, None] * dirs[active]
-        d = sdf_eval(scene, pts)
+        d = sdf_eval(scene, origin + t[live, None] * dirs[live])
         newly_hit = d < HIT_TOL
-        idx = np.flatnonzero(active)
-        hit[idx[newly_hit]] = True
-        t[active] += np.maximum(d, 0.0)
-        still = ~newly_hit & (t[active] <= t_max)
-        active[idx] = still
+        hit[live[newly_hit]] = True
+        t[live] += np.maximum(d, 0.0)
+        live = live[~newly_hit & (t[live] <= t_max)]
 
     points = origin + t[:, None] * dirs
     z_cam = pose.transform(points)[:, 2]

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.ndimage import minimum_filter
 
-from voxelstereo import classical, diffops, geometry
+from voxelstereo import classical, diffops, geometry, synthgen
 from voxelstereo.nnkit import tape
 
 
@@ -151,3 +151,38 @@ def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_
     depth = np.where(valid, depth, 0.0)
     best_score = np.where(valid, best_score, 0.0)
     return depth, best_score, valid
+
+
+def render_view_reference(scene, cam, pose):
+    """synthgen.render_view as it was written with a boolean mask of active rays.
+
+    Each step re-reads the mask with flatnonzero and gathers and scatters
+    t through it; the live-ray renderer must return the same bytes.
+    """
+    h, w = cam.height, cam.width
+    origin, dirs = geometry.rays_through_pixels(geometry.pixel_grid(cam).reshape(-1, 2),
+                                                cam, pose)
+    n = dirs.shape[0]
+    t = np.zeros(n)
+    active = np.ones(n, dtype=bool)
+    hit = np.zeros(n, dtype=bool)
+    t_max = np.linalg.norm(origin) + 2.0
+    for _ in range(synthgen.MAX_MARCH_STEPS):
+        if not active.any():
+            break
+        d = synthgen.sdf_eval(scene, origin + t[active, None] * dirs[active])
+        newly_hit = d < synthgen.HIT_TOL
+        idx = np.flatnonzero(active)
+        hit[idx[newly_hit]] = True
+        t[active] += np.maximum(d, 0.0)
+        active[idx] = ~newly_hit & (t[active] <= t_max)
+
+    points = origin + t[:, None] * dirs
+    depth = np.where(hit, pose.transform(points)[:, 2], 0.0).reshape(h, w)
+    image = np.ones((n, 3))
+    if hit.any():
+        albedo = synthgen.texture_color(scene, points[hit])
+        lambert = np.clip(synthgen.sdf_normal(scene, points[hit]) @ synthgen._LIGHT_DIR,
+                          0.0, 1.0)
+        image[hit] = np.clip(albedo * (0.25 + 0.75 * lambert)[:, None], 0.0, 1.0)
+    return image.reshape(h, w, 3), depth

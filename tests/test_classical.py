@@ -245,6 +245,18 @@ class TestPlaneSweep:
         with pytest.raises(ValueError, match=rf"ref_index {ref_index} is outside \[0, 3\)"):
             cross_checked_sweep(images, [(cam, pose)] * 3, ref_index)
 
+    # looking away from the cube, from afar and from just outside a face
+    @pytest.mark.parametrize("position, target", [([0.0, 0.0, 2.0], [0.0, 0.0, 3.0]),
+                                                  ([0.7, 0.0, 0.0], [0.8, 0.0, 0.0])])
+    def test_rejects_a_reference_that_sees_none_of_the_cube(self, position, target):
+        cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
+        other = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
+        images = list(np.random.default_rng(0).random((2, 8, 8)))
+        with pytest.raises(ValueError, match=r"sees none of the unit cube: its depth range "
+                                             r"\(1e-06, 1e-06\) is empty"):
+            plane_sweep_depth(images[0], images[1:], (cam, look_at(position, target)),
+                              [(cam, other)])
+
     def test_requires_other_views(self):
         cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))

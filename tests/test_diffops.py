@@ -290,7 +290,7 @@ class TestProject:
     def test_constant_grid(self):
         spec = VoxelGridSpec(resolution=8)
         grid = np.full((8, 8, 8, 2), 4.5)
-        out = project(grid, spec, CAM, POSE_Z2)
+        out = project(grid, CAM, POSE_Z2)
         assert out.shape == (64, 64, 16)
         # oracle: a channel is 4.5 exactly when its sample point is in the cube
         for (u, v) in [(31.5, 31.5), (10.0, 50.0), (0.0, 0.0)]:
@@ -303,7 +303,7 @@ class TestProject:
         spec = VoxelGridSpec(resolution=32)
         grid = np.zeros((32, 32, 32, 1))
         grid[15, 15, 15, 0] = 1.0  # voxel nearest the origin under half-down ties
-        out = project(grid, spec, CAM, POSE_Z2)
+        out = project(grid, CAM, POSE_Z2)
         # full-map agreement with the per-pixel oracle on a probe set
         rng = np.random.default_rng(0)
         for u, v in rng.integers(0, 64, (20, 2)):
@@ -329,7 +329,7 @@ class TestProject:
         fmap[32, 32, 0] = 1.0  # the principal pixel
         grid = unproject(fmap, cam, pose, spec, NO_GEOM)
         assert grid[6, 9].sum() == pytest.approx(16.0)  # whole column lit
-        out = project(grid, spec, cam, pose)
+        out = project(grid, cam, pose)
         vals = out[32, 32].reshape(16, 1)
         z_values, _ = plane_depths(pose, 16)
         # every plane inside the cube re-samples a voxel on the delta ray
@@ -338,19 +338,17 @@ class TestProject:
         assert (vals[~inside, 0] == 0).all()
 
     def test_linearity(self):
-        spec = VoxelGridSpec(resolution=6)
         rng = np.random.default_rng(9)
         g1, g2 = rng.random((6, 6, 6, 2)), rng.random((6, 6, 6, 2))
-        lhs = project(2.0 * g1 - 0.5 * g2, spec, CAM, POSE_Z2)
-        rhs = 2.0 * project(g1, spec, CAM, POSE_Z2) - 0.5 * project(g2, spec, CAM, POSE_Z2)
+        lhs = project(2.0 * g1 - 0.5 * g2, CAM, POSE_Z2)
+        rhs = 2.0 * project(g1, CAM, POSE_Z2) - 0.5 * project(g2, CAM, POSE_Z2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestProjectVjp:
     def test_zero_upstream(self):
-        spec = VoxelGridSpec(resolution=4)
         grid = np.ones((4, 4, 4, 1))
-        grad = project_vjp(grid, spec, CAM, POSE_Z2, np.zeros((64, 64, 4)))
+        grad = project_vjp(grid, CAM, POSE_Z2, np.zeros((64, 64, 4)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_nearest_scatter_counts(self):
@@ -360,7 +358,7 @@ class TestProjectVjp:
         cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
         grid = np.zeros((4, 4, 4, 1))
         up = np.ones((8, 8, 4))
-        grad = project_vjp(grid, spec, cam, POSE_Z2, up)
+        grad = project_vjp(grid, cam, POSE_Z2, up)
         total = 0
         for u in range(8):
             for v in range(8):
@@ -370,28 +368,26 @@ class TestProjectVjp:
         assert grad.sum() == pytest.approx(total)
 
     def test_adjoint_dot_product(self):
-        spec = VoxelGridSpec(resolution=16)
         rng = np.random.default_rng(21)
         grid = rng.random((16, 16, 16, 8))
         cam = Intrinsics(fx=40.0, fy=40.0, cx=15.5, cy=15.5, width=32, height=32)
         pose = look_at([-1.2, 0.9, 1.4], [0, 0, 0])
         up = rng.standard_normal((32, 32, 16 * 8))
-        lhs = float(np.sum(project(grid, spec, cam, pose) * up))
-        rhs = float(np.sum(grid * project_vjp(grid, spec, cam, pose, up)))
+        lhs = float(np.sum(project(grid, cam, pose) * up))
+        rhs = float(np.sum(grid * project_vjp(grid, cam, pose, up)))
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))
 
-    @pytest.mark.parametrize("shape", [(4, 8, 2, 1), (8, 8, 8, 1), (4, 4, 4)])
-    def test_grid_not_of_the_specs_shape_rejected(self, shape):
+    @pytest.mark.parametrize("shape", [(4, 8, 2, 1), (8, 8, 4, 1), (4, 4, 4)])
+    def test_grid_not_a_cube_of_channels_rejected(self, shape):
         # (4, 8, 2, 1) holds the 64 voxels of a 4^3 grid, so a reshape alone
         # would read it in the wrong layout
-        spec = VoxelGridSpec(resolution=4)
         cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
         grid = np.ones(shape)
-        message = rf"grid of shape {re.escape(str(shape))} for a spec of \(V, V, V\) \(4, 4, 4\)"
+        message = rf"grid of shape {re.escape(str(shape))} is not \(V, V, V, C\)"
         with pytest.raises(ValueError, match=message):
-            project(grid, spec, cam, POSE_Z2)
+            project(grid, cam, POSE_Z2)
         with pytest.raises(ValueError, match=message):
-            project_vjp(grid, spec, cam, POSE_Z2, np.ones((8, 8, 4)))
+            project_vjp(grid, cam, POSE_Z2, np.ones((8, 8, 4)))
 
 
 class TestEpipolarConsistency:

@@ -100,12 +100,11 @@ def test_unproject_adjoint(seed, camera, v, geom):
 @given(seed=seeds, camera=cameras(), v=st.integers(1, 8))
 def test_project_adjoint(seed, camera, v):
     cam, pose = camera
-    spec = VoxelGridSpec(resolution=v)
     rng = np.random.default_rng(seed)
     grid = rng.standard_normal((v, v, v, 2))
-    rays = project(grid, spec, cam, pose)
+    rays = project(grid, cam, pose)
     up = rng.standard_normal(rays.shape)
-    assert_adjoint(rays, up, grid, project_vjp(grid, spec, cam, pose, up))
+    assert_adjoint(rays, up, grid, project_vjp(grid, cam, pose, up))
 
 
 @PROPERTY

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import render_view_reference
+
+from voxelstereo import synthgen
 from voxelstereo.geometry import Pose, VoxelGridSpec, backproject, look_at, voxel_centers
 from voxelstereo.synthgen import (
     Box,
@@ -91,6 +94,42 @@ class TestRender:
         vs, us = np.nonzero(depth > 0)
         pts = backproject(np.stack([us, vs], axis=1), depth[vs, us], cam, pose)
         assert (np.abs(sdf_eval(scene, pts)) < 1e-3).all()
+
+
+class TestLiveRays:
+    """render_view marches only the rays still live; it must return the
+    masked renderer's bytes."""
+
+    @staticmethod
+    def assert_reference_bytes(scene, cam, pose):
+        out, ref = render_view(scene, cam, pose), render_view_reference(scene, cam, pose)
+        for name, got, want in zip(("image", "depth"), out, ref):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        return out
+
+    @pytest.mark.parametrize("size", [16, 32])
+    @pytest.mark.parametrize("family", list(synthgen._FAMILIES))
+    def test_equals_masked_reference(self, family, size):
+        scene = make_scene(family, seed=7)
+        for pose in sample_poses(2, np.random.default_rng(size)):
+            _, depth = self.assert_reference_bytes(scene, default_intrinsics(size, size), pose)
+            assert (depth > 0).any() and not (depth > 0).all()
+
+    def test_every_ray_missing_equals_masked_reference(self, monkeypatch):
+        # facing away, every ray leaves the bound within a few steps, so both
+        # loops end on their no-ray-left exit rather than at the step limit
+        calls = []
+
+        def counted_sdf(scene, pts):
+            calls.append(len(pts))
+            return sdf_eval(scene, pts)
+
+        monkeypatch.setattr(synthgen, "sdf_eval", counted_sdf)
+        pose = look_at([0.0, 0.0, 2.0], [0.0, 0.0, 3.0])
+        image, depth = self.assert_reference_bytes(SPHERE, default_intrinsics(16, 16), pose)
+        assert (depth == 0).all() and (image == 1.0).all()
+        assert 0 < len(calls) < 2 * synthgen.MAX_MARCH_STEPS
 
 
 class TestVoxelize:
