@@ -215,9 +215,13 @@ def unproject(
     del s
     if gcfg.geometric:
         out[:, c] = z
-        rays = centers - pose.camera_center
-        norms = np.linalg.norm(rays, axis=1, keepdims=True)
-        np.divide(rays, norms, out=out[:, c + 1:], where=norms > 0)
+        # one column at a time: a broadcast over the length-3 last axis runs
+        # numpy's inner loop once per voxel; the norm sums in np.linalg.norm's order
+        rays = [centers[:, j] - pose.camera_center[j] for j in range(3)]
+        norms = np.sqrt(rays[0] * rays[0] + rays[1] * rays[1] + rays[2] * rays[2])
+        live = norms > 0
+        for j, ray in enumerate(rays):
+            np.divide(ray, norms, out=out[:, c + 1 + j], where=live)
     return out.reshape(v, v, v, -1)
 
 

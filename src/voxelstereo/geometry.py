@@ -180,7 +180,9 @@ def backproject(uv: np.ndarray, z: np.ndarray, cam: Intrinsics, pose: Pose) -> n
     """
     z = np.asarray(z, dtype=np.float64)
     x_cam = _camera_rays(np.asarray(uv, dtype=np.float64), cam) * z[..., None]
-    return (x_cam - pose.translation) @ pose.rotation  # R.T @ (x_cam - t), row form
+    for j in range(3):  # per column, as in Pose.transform
+        x_cam[..., j] -= pose.translation[j]
+    return x_cam @ pose.rotation  # R.T @ (x_cam - t), row form
 
 
 def pixel_grid(cam: Intrinsics) -> np.ndarray:

@@ -14,12 +14,13 @@ of a row-major (rows, C_in) matrix. The stride-1 output at padded position r
 reads row r + offset(tap) for each kernel tap, so every tap is one GEMM over
 a contiguous block of rows. Stride picks the positions slice(0, s, stride) of
 that stride-1 grid on an axis of input extent s: conv_forward keeps them and
-conv_vjp scatters the upstream into them. The kernel gradient and the
-strided input gradient, cropped to the input's interior, run the same loop
-over the taps. The input may be a list of channel blocks whose concatenation
-it is, the value of a tape.concat node (a GRU gate over [x, h], the depth
-head's refine conv): each block is copied straight into its channels of the
-padded buffer, so no joined copy is made and the bits are those of the
+conv_vjp scatters the upstream into them. The strided input gradient,
+cropped to the input's interior, runs the same loop over the taps, and the
+kernel gradient runs it inside a loop over row blocks (see below). The
+input may be a list of channel blocks whose concatenation it is, the value
+of a tape.concat node (a GRU gate over [x, h], the depth head's refine
+conv): each block is copied straight into its channels of the padded
+buffer, so no joined copy is made and the bits are those of the
 concatenation. conv_forward frees its padded rows once the taps are done,
 before it copies the output out of the padded grid, and at stride 1
 conv_vjp drops its padded input and upstream rows before the input
@@ -44,6 +45,21 @@ through scipy's BLAS: numpy and scipy each bundle their own OpenBLAS with its
 own thread pool, whose threads keep spinning after a call returns, and
 alternating between the two makes the pools contend for the same cores.
 
+The kernel gradient sums over every row, and OpenBLAS orders a long
+reduction by the thread count: one GEMM per tap over all the rows (about
+37k at 32^3) gave different bits at 1 and 2 threads. So the rows are cut
+into fixed blocks of _ROW_BLOCK, the block loop outside and the taps
+inside, and each tap's gradient adds its blocks in block order with
+beta = 1. Its bits then depend on the block size alone, a module constant,
+and training is bitwise the same at any thread count. The size is bounded
+on both sides. A GEMM of M * N * K <= 1e6 (C_in * C_out * rows) runs
+OpenBLAS's single-threaded small-matrix kernel; the fused GRU gates' joined
+36 x 32 kernel stays there up to 868 rows, as each of its 16-channel
+kernels does, so its gradient is bitwise one conv per kernel. At 1024 rows
+the joined GEMM left that path and its bits no longer matched. Small
+blocks cost calls: at 32^3 the 36 -> 32 gradient took about 83 ms at 256
+rows against 45 ms at 768.
+
 The norms compute their statistics in one helper with out= buffers: the
 forward allocates two full-size arrays (the normalized input, and the
 squared deviations, which become the output) and the VJP three. The VJP
@@ -53,7 +69,8 @@ about 50 MB to the 32^3 voxel/GRU training peak, while the recompute costs a
 mean, a subtract and a square.
 
 All arithmetic is float64. Taps are always accumulated in np.ndindex
-order, so outputs and gradients are bitwise reproducible run to run.
+order, and the kernel gradient's blocks in row order, so outputs and
+gradients are bitwise reproducible run to run.
 """
 
 from __future__ import annotations
@@ -62,6 +79,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 _EPS_NORM = 1e-5
+_ROW_BLOCK = 768  # rows per kernel-gradient block; the module docstring says why
 
 
 def _tap_rows(x, k_shape):
@@ -105,9 +123,10 @@ def _gemm_acc(c, a, b):
     A row-major operand is handed to BLAS as its transpose with the transpose
     flag set, so no operand is copied either.
     """
-    (a, trans_a), (b, trans_b) = (
-        (m, 0) if m.flags.f_contiguous else (m.T, 1) for m in (a, b))
-    out = dgemm(1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b, overwrite_c=True)
+    # positional arguments: keyword parsing cost about 1 us a call (4 us under
+    # tracemalloc), and the kernel gradient makes 27 calls per row block
+    f_a, f_b = a.flags.f_contiguous, b.flags.f_contiguous
+    out = dgemm(1.0, a if f_a else a.T, b if f_b else b.T, 1.0, c, not f_a, not f_b, True)
     if out is not c:
         # dgemm copied c (not Fortran-ordered), so the sum never reached it
         raise ValueError(f"dgemm did not write in place: c has strides {c.strides}")
@@ -170,8 +189,13 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
     grad_k = np.zeros((len(offsets), *kernel.shape[-2:]))
-    for off, g in zip(offsets, grad_k):
-        _gemm_acc(g.T, up_rows.T, rows[off:off + m])
+    grad_k_t = [g.T for g in grad_k]  # Fortran-ordered, so dgemm adds into them
+    for lo in range(0, m, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, m)
+        up_block = up_rows[lo:hi].T
+        for off, g in zip(offsets, grad_k_t):
+            _gemm_acc(g, up_block, rows[off + lo:off + hi])
+    del up_block  # the view would keep the upstream rows alive past their del below
     grad_k = grad_k.reshape(kernel.shape)
     grad_b = [u.reshape(-1, u.shape[-1]).sum(axis=0) for u in ups]
 

@@ -1,12 +1,18 @@
 """The learned pipeline end to end: gradients, training reproducibility and checkpoints.
 
 Everything runs on a tiny configuration (8^3 grid, 16x16 images, 2 views)
-over a dataset generated into a temporary directory.
+over a dataset generated into a temporary directory, except the check that
+training is bitwise the same at one and two BLAS threads, which trains at
+16^3 in subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,26 @@ from voxelstereo.nnkit.tape import backward
 from voxelstereo.nnkit.train import dataset_loss, train_toy
 from voxelstereo.synthgen import generate_dataset
 from voxelstereo.tensorio import write_tensor
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Two training iterations of each pipeline at 16^3 on the dataset in argv[1];
+# prints one sha256 of every parameter's name and bytes per pipeline.
+TRAIN_HASHES = """
+import hashlib, sys
+from voxelstereo.nnkit.model import ToyModelConfig
+from voxelstereo.nnkit.train import train_toy
+from voxelstereo.tensorio import DatasetManifest
+
+dataset = DatasetManifest.scan(sys.argv[1])
+for head, fusion in (("voxel", "gru"), ("depth", "mean")):
+    cfg = ToyModelConfig(head=head, fusion=fusion, grid_resolution=16, image_hw=(32, 32))
+    digest = hashlib.sha256()
+    for name, p in sorted(train_toy(cfg, dataset, iters=2).model.params.items()):
+        digest.update(name.encode())
+        digest.update(p.value.tobytes())
+    print(head, fusion, digest.hexdigest())
+"""
 
 PIPELINES = [("voxel", "gru"), ("depth", "mean")]
 
@@ -158,6 +184,22 @@ def test_same_seed_gives_bitwise_identical_losses(dataset, head, fusion):
     second = train_toy(cfg, dataset, iters=2).losses
     assert len(first) == 3 and np.isfinite(first).all()
     assert first == second
+
+
+def test_trained_parameters_are_bitwise_equal_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count once, at load, so each count runs in
+    # its own process, on one dataset written here
+    generate_dataset(2, 4, tmp_path, seed=0, resolution=16, image_size=(32, 32))
+    hashes = []
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", TRAIN_HASHES, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        hashes.append(done.stdout.split())
+    assert hashes[0][::3] == ["voxel", "depth"]
+    assert hashes[0] == hashes[1]
 
 
 def test_checkpoint_round_trip_is_exact(trained, tmp_path):

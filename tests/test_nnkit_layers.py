@@ -22,6 +22,7 @@ from helpers import (
 from voxelstereo.nnkit import tape
 from voxelstereo.nnkit.adam import LR, Adam, adam_step
 from voxelstereo.nnkit.layers import (
+    _ROW_BLOCK,
     _gemm_acc,
     conv_forward,
     conv_vjp,
@@ -165,10 +166,11 @@ class TestConv:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_list_of_kernels_is_bitwise_one_conv_per_kernel_at_any_thread_count(self,
                                                                                   threads):
-        # At 16^3 the kernel gradient's GEMM already takes a thread-dependent
-        # path (its bits differ between 1 and 2 threads), so the fused conv
-        # must match the separate ones at each count. Each count needs its
-        # own process: OpenBLAS reads it once, at load.
+        # The fused conv must match the separate ones at each thread count:
+        # a joined kernel's GEMMs are larger than a single kernel's, and a
+        # GEMM that leaves OpenBLAS's small-matrix path sums in another order
+        # (see the layers docstring on the kernel gradient's row blocks).
+        # Each count needs its own process: OpenBLAS reads it once, at load.
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", FUSED_CONV_CHECK], env=env,
@@ -270,6 +272,37 @@ class TestConvAtModelChannelCounts:
         for got, want in zip((y, *conv_vjp(x, kernel, stride, "same", up)), ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    # The kernel gradient sums its rows in blocks of _ROW_BLOCK. A 1-D conv of
+    # length n with a 3-tap kernel covers n rows per tap, so these lengths give
+    # fewer rows than one block, exactly one and two blocks, and a short last
+    # block.
+    @pytest.mark.parametrize("spatial,kernel_shape,stride", [
+        ((_ROW_BLOCK // 3,), (3, 36, 32), 1),
+        ((_ROW_BLOCK,), (3, 36, 32), 1),
+        ((2 * _ROW_BLOCK,), (3, 20, 16), 1),
+        ((2 * _ROW_BLOCK + 37,), (3, 16, 8), 1),
+        ((_ROW_BLOCK,), (3, 36, 16), 2),
+        ((2 * _ROW_BLOCK + 37,), (3, 20, 32), 2),
+        ((40, 30), (3, 3, 8, 16), 2),       # 1278 rows
+        ((9, 10, 11), (3, 3, 3, 36, 16), 1),  # 1376 rows
+    ])
+    def test_kernel_gradient_matches_einsum(self, spatial, kernel_shape, stride):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(spatial + kernel_shape[-2:-1])
+        kernel = rng.standard_normal(kernel_shape)
+        up = rng.standard_normal(conv_forward(x, kernel, None, stride).shape)
+        nd = len(spatial)
+        kspatial = kernel_shape[:nd]
+        xp = np.pad(x, [(k // 2, k // 2) for k in kspatial] + [(0, 0)])
+        # windows (*out, C_in, *kspatial) at the strided output positions
+        windows = np.lib.stride_tricks.sliding_window_view(xp, kspatial, axis=tuple(range(nd)))
+        windows = windows[(slice(None, None, stride),) * nd]
+        out, taps = "abc"[:nd], "xyz"[:nd]
+        want = np.einsum(f"{out}i{taps},{out}o->{taps}io", windows, up)
+        got = conv_vjp(x, kernel, stride, "same", up)[1]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_gemm_acc_raises_on_a_buffer_it_cannot_write_in_place(self):
         c = np.zeros((3, 5))  # C-contiguous: dgemm would add into a copy
