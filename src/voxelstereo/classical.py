@@ -8,16 +8,32 @@ plane-induced point transfer and correlating square 5 x 5 windows with
 zero-mean normalized cross correlation. Depth is winner-take-all over
 planes with a single parabolic refinement across the argmax neighborhood.
 
-The sweep scores the planes in chunks of 10: per chunk it back-projects
-the reference pixels onto every plane of the chunk at once and, per other
-view, projects and samples them in one call each, then filters and scores
-the (planes, H, W) stack over its last two axes only. The per-view scores
-are ordered by diffops.compare_exchange_sort, and the best three (all of
-them with fewer other views), added best first, make the plane's score.
-Every plane's score is the one a plane-by-plane sweep computes, bit for
-bit. Chunks are scored concurrently, on one thread per usable core, and
-each writes only its own planes of the score volume, so the result's bits
-do not depend on the number of workers.
+The warp is the plane-induced homography of the space-sweep (Collins,
+CVPR 1996; Gallup et al., CVPR 2007): reference pixel p on the plane at
+depth z lands at the other view's homogeneous pixel z * A[p] + B.
+geometry.plane_transfer computes A and B once per other view, and per
+plane each coordinate costs one multiply-add and a divide
+(geometry.transfer), where back-projecting every pixel to the world and
+projecting it again cost a 3 x 3 transform and a divide per point.
+
+The sweep scores the planes in chunks of 10: per chunk and other view it
+transfers and samples the pixels of all its planes in one call each, then
+filters and scores the (planes, H, W) stack over its last two axes only.
+The window means of the warped stack w, of w * w and of ref * w come from
+one uniform_filter call over the three stacked; the filter runs each
+image alone, so the stack changes no bit. The per-view scores are ordered
+by diffops.compare_exchange_sort, and the best three (all of them with
+fewer other views), added best first, make the plane's score. Every
+plane's score is the one a plane-by-plane sweep computes, bit for bit.
+Chunks are scored concurrently, on one thread per usable core, and each
+writes only its own planes of the score volume, so the result's bits do
+not depend on the number of workers.
+
+The whole-window validity test ANDs five shifted slices along rows, then
+along columns, into a False border (_window_all). A minimum filter over a
+uint8 copy gives the same flags, but it holds the GIL, so the sweep's
+threads ran it one at a time; the slices are numpy ops, which release it,
+and ran 5 to 7 times faster on one thread of a 2-core Xeon.
 
 window_zncc is the package's one ZNCC: the sweep builds it once per
 reference view and scores every chunk of warped planes of every other
@@ -25,18 +41,19 @@ view through it. The sweep's 300 planes, its 5 x 5 window, its
 best-3-views averaging, its chunk of 10 planes and the cross-check's
 3-plane tolerance are module constants.
 
-Image sampling (diffops.bilinear_sample), depth-plane placement
-(diffops.plane_depths), nearest-pixel rounding (diffops.nearest_index) and
-pixel back-projection (geometry.backproject) are the ones the learned
-pipeline uses, and the visual hull reads its masks through
-diffops.unproject, so both baselines see the same geometry as the network.
+Image sampling (diffops.bilinear_sample) and depth-plane placement
+(diffops.plane_depths) are the ones the learned pipeline uses; the
+cross-check's pixel back-projection (geometry.backproject) and
+nearest-pixel rounding (diffops.nearest_index) are too, and the visual
+hull reads its masks through diffops.unproject, so both baselines see the
+same geometry as the network.
 
 Validity: a window score requires every warped sample of the window to be
-valid in the other view as project_points decides it (in front of the
-camera and inside the image) and both windows to carry variance above
-1e-12. A pixel's validity is read from its winning plane: it is invalid
-when that plane scores -inf, as a plane with no valid view score does, so
-when no plane collects one. Textureless regions therefore drop out instead
+valid in the other view by project_points' rule (in front of the camera
+and inside the image) and both windows to carry variance above 1e-12.
+A pixel's validity is read from its winning plane: it is invalid when
+that plane scores -inf, as a plane with no valid view score does, so when
+no plane collects one. Textureless regions therefore drop out instead
 of producing arbitrary depths. A reference camera that sees none of the
 unit cube, an empty depth range, raises a ValueError.
 """
@@ -48,12 +65,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import minimum_filter, uniform_filter
+from scipy.ndimage import uniform_filter
 
 from .diffops import (bilinear_sample, compare_exchange_sort, nearest_index, plane_depths,
                       unproject)
-from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, camera_z_range, pixel_grid,
-                       project_points)
+from .geometry import (Intrinsics, Pose, VoxelGridSpec, backproject, camera_z_range,
+                       plane_transfer, project_points, transfer)
 
 _VAR_EPS = 1e-12
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -93,10 +110,31 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _IMAGE_AXES = (-2, -1)
 
 
-def _window_stats(img):
-    mean = uniform_filter(img, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
-    sq = uniform_filter(img * img, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
-    return mean, sq - mean * mean
+def _window_mean(stack):
+    return uniform_filter(stack, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
+
+
+def _window_all(ok: np.ndarray) -> np.ndarray:
+    """True where the whole 5 x 5 window about a pixel of ok (..., H, W) is True.
+
+    Windows past the border read False, so a pixel within 2 of the border,
+    or any pixel of an image under 5 pixels wide or high, is False. Rows,
+    then columns: each pass ANDs 5 shifted slices into a False border.
+    """
+    out = np.zeros_like(ok, dtype=bool)
+    r = _WINDOW // 2
+    h, w = ok.shape[-2:]
+    if h < _WINDOW or w < _WINDOW:
+        return out
+    # rows[..., i, :] ANDs rows i to i + 4 of ok, centred on row i + 2
+    rows = ok[..., :h - 2 * r, :].astype(bool)
+    for d in range(1, _WINDOW):
+        rows &= ok[..., d:h - 2 * r + d, :]
+    inner = out[..., r:h - r, r:w - r]
+    inner[...] = rows[..., :w - 2 * r]
+    for d in range(1, _WINDOW):
+        inner &= rows[..., d:w - 2 * r + d]
+    return out
 
 
 def window_zncc(ref: np.ndarray):
@@ -110,16 +148,23 @@ def window_zncc(ref: np.ndarray):
     reference's window statistics are computed once, here.
     """
     ref = np.asarray(ref, dtype=np.float64)
-    ref_mean, ref_var = _window_stats(ref)
+    ref_mean, ref_sq = _window_mean(np.stack([ref, ref * ref]))
+    ref_var = ref_sq - ref_mean * ref_mean
     ref_textured = ref_var >= _VAR_EPS
 
     def score(other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         other = np.asarray(other, dtype=np.float64)
         if other.shape[-2:] != ref.shape:
             raise ValueError(f"image shapes differ: {ref.shape} vs {other.shape}")
+        # the window means of w, w * w and ref * w in one filter call; each
+        # image of the stack is filtered alone, so the stack adds no bits
+        stack = np.empty((3, *other.shape))
+        stack[0] = other
+        np.multiply(other, other, out=stack[1])
+        np.multiply(ref, other, out=stack[2])
+        w_mean, w_var, cov = _window_mean(stack)
         # cov / sqrt(ref_var * w_var), written into the buffers made here
-        w_mean, w_var = _window_stats(other)
-        cov = uniform_filter(ref * other, size=_WINDOW, mode="constant", axes=_IMAGE_AXES)
+        w_var -= w_mean * w_mean
         cov -= np.multiply(ref_mean, w_mean, out=w_mean)
         ok = w_var >= _VAR_EPS
         ok &= ref_textured
@@ -164,22 +209,19 @@ def plane_sweep_depth(
         raise ValueError(f"the reference camera sees none of the unit cube: its depth range "
                          f"{camera_z_range(pose)} is empty")
     score = window_zncc(ref)
-    pixels = pixel_grid(cam).reshape(-1, 2)
+    transfers = [plane_transfer(cam, pose, ocam, opose) for ocam, opose in other_cameras]
     k = min(_TOP_K_VIEWS, len(grays))
     score_volume = np.zeros((_PLANES, h, w))
 
     def score_chunk(start):
         z = z_planes[start:start + _CHUNK]
-        pts_world = backproject(pixels, z[:, None], cam, pose).reshape(-1, 3)
         view_scores = []
-        for gray, (ocam, opose) in zip(grays, other_cameras):
-            uv, _, sample_ok = project_points(pts_world, ocam, opose)
+        for gray, (ocam, _), (a, b) in zip(grays, other_cameras, transfers):
+            uv, sample_ok = transfer(a, b, z, ocam)
             warped = bilinear_sample(gray[..., None], uv).reshape(len(z), h, w)
-            # whole window must be sampled validly
-            window_ok = minimum_filter(sample_ok.reshape(len(z), h, w).astype(np.uint8),
-                                       size=_WINDOW, mode="constant", axes=_IMAGE_AXES) > 0
             zncc, ok = score(warped)
-            ok &= window_ok
+            # whole window must be sampled validly
+            ok &= _window_all(sample_ok.reshape(len(z), h, w))
             np.copyto(zncc, -np.inf, where=~ok)
             view_scores.append(zncc)
         # sum of the k best valid view scores over a fixed denominator k:

@@ -152,7 +152,10 @@ def _bilinear_corners(fmap_shape, pts, valid=True):
     np.multiply(eu, dv, out=weights[2])
     np.multiply(eu, ev, out=weights[0])
     np.multiply(du, dv, out=weights[3])
-    np.copyto(weights, 0.0, where=~keep)
+    # indexing the dropped columns took half the time of a where= broadcast
+    # over (4, N), and a boolean index 1.5 times as long; scaling by keep
+    # would keep the sign of a -0.0 factor, which a -0.0 coordinate gives
+    weights[:, np.flatnonzero(~keep)] = 0.0
     return lin, weights
 
 

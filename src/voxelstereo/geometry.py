@@ -22,6 +22,13 @@ Pixels:
 Depth is camera-frame z in world length units. Points with z <= Z_EPS are
 behind (or numerically on) the camera plane and project invalidly.
 
+backproject is the one pixel -> world map and project_points the one world
+-> pixel map. plane_transfer and transfer are the plane sweep's pixel ->
+pixel map: the two composed for a fronto-parallel plane of the first
+camera, folded into one multiply-add per coordinate. Both paths agree to
+rounding; a point on the image border may come out valid by one and
+invalid by the other.
+
 Voxel grid:
   - Scenes live in the unit cube [-0.5, 0.5]^3 centred at the world origin,
     and every voxel grid splits exactly that cube; only its resolution
@@ -183,6 +190,48 @@ def backproject(uv: np.ndarray, z: np.ndarray, cam: Intrinsics, pose: Pose) -> n
     for j in range(3):  # per column, as in Pose.transform
         x_cam[..., j] -= pose.translation[j]
     return x_cam @ pose.rotation  # R.T @ (x_cam - t), row form
+
+
+def plane_transfer(cam: Intrinsics, pose: Pose, other_cam: Intrinsics,
+                   other_pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (A, B) of the plane-induced map from every pixel of cam to other_cam.
+
+    Pixel p of cam (row-major) on the fronto-parallel plane at camera depth z
+    lands at homogeneous pixel z * A[:, p] + B of the other camera, whose
+    last entry is the point's depth there:
+    A = K_o R_o R^T K^-1 [u, v, 1]^T, (3, H * W), and B = K_o (t_o - R_o R^T t).
+    transfer applies it; it is backproject and project_points folded into
+    one multiply-add per coordinate.
+    """
+    r = other_pose.rotation @ pose.rotation.T
+    k = np.array([[other_cam.fx, 0.0, other_cam.cx], [0.0, other_cam.fy, other_cam.cy],
+                  [0.0, 0.0, 1.0]])
+    rays = _camera_rays(pixel_grid(cam).reshape(-1, 2), cam)
+    return (k @ r) @ rays.T, k @ (other_pose.translation - r @ pose.translation)
+
+
+def transfer(a: np.ndarray, b: np.ndarray, z: np.ndarray,
+             cam: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coords (len(z) * P, 2) and validity of plane_transfer's (A, B) at depths z.
+
+    Rows run over (plane, pixel). Validity is project_points' rule: depth in
+    the camera above Z_EPS and (u, v) inside [0, width-1] x [0, height-1],
+    with (u, v) computed against depth 1 where it is not. uv is column-major,
+    so each coordinate is written, and read by the sampler, contiguously.
+    """
+    z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
+    depth = (z * a[2]).reshape(-1)
+    depth += b[2]
+    valid = depth > Z_EPS  # narrowed in place to the points inside the image
+    np.copyto(depth, 1.0, where=~valid)
+    uv = np.empty((2, len(depth)))
+    for coord, a_j, b_j, size in zip(uv, a, b, (cam.width, cam.height)):
+        np.multiply(z, a_j, out=coord.reshape(len(z), -1))  # (z * a + b) / depth
+        coord += b_j
+        coord /= depth
+        valid &= coord >= 0
+        valid &= coord <= size - 1
+    return uv.T, valid
 
 
 def pixel_grid(cam: Intrinsics) -> np.ndarray:

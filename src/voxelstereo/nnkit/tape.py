@@ -245,12 +245,38 @@ def layer_norm_channels(x, gain, shift):
 
 
 def softmax_channels(a):
-    """Softmax over the last axis."""
+    """Softmax over the last axis.
+
+    Forward and VJP run one channel column at a time: a reduction over a
+    short last axis runs numpy's inner loop once per position. The max is
+    np.maximum over the columns, the sums add them left to right; below 8
+    channels numpy's reductions add in that order too, so the bytes,
+    NaN and infinite rows included, are those of the whole-axis form.
+    """
     x = a.value
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return TapeNode(p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
+    cols = [x[..., c] for c in range(x.shape[-1])]
+    m = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(m, col, out=m)
+    exps = [np.exp(col - m) for col in cols]
+    total = exps[0].copy()
+    for e in exps[1:]:
+        total += e
+    p = np.empty(x.shape)
+    for c, e in enumerate(exps):
+        np.divide(e, total, out=p[..., c])
+
+    def vjp(g):
+        # p * (g - sum_c g_c p_c), the sum left to right
+        dot = g[..., 0] * p[..., 0]
+        for c in range(1, p.shape[-1]):
+            dot += g[..., c] * p[..., c]
+        grad = np.empty(p.shape)
+        for c in range(p.shape[-1]):
+            np.multiply(p[..., c], g[..., c] - dot, out=grad[..., c])
+        return (grad,)
+
+    return TapeNode(p, (a,), vjp)
 
 
 # --- convolutions and resampling ---------------------------------------------

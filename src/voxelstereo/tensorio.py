@@ -17,8 +17,10 @@ A dataset is a directory of scene folders. A scene of K views holds five
 files: images.lsmt ((K, H, W, 3) f32 in [0, 1]), depths.lsmt ((K, H, W)
 f32, finite and >= 0), occupancy.lsmt ((V, V, V) u8), cameras.txt (K
 lines, each H x W) and scene.json. Depth 0 marks pixels off the object; a
-silhouette is the pixels with depth. load_scene rejects a scene that breaks
-any of these.
+silhouette is the pixels with depth. Every camera sees the whole unit cube
+at the origin, the one voxel grid: its 8 corners lie in front of it and
+inside its image, and every depth of its view lies within the cube's depth
+range in that camera. load_scene rejects a scene that breaks any of these.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Intrinsics, Pose
+from .geometry import CUBE_CORNERS, Z_EPS, Intrinsics, Pose
 
 MAGIC = b"LSMT"
 VERSION = 1
@@ -163,6 +165,44 @@ def write_scene(scene_dir, images, depths, cameras, occupancy, meta) -> None:
     (scene_dir / "scene.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
+def _check_views_of_cube(scene_dir, cameras, depths) -> None:
+    """Every camera sees all of the unit cube, and every depth lies in its range.
+
+    Each cube corner must lie in front of each camera (z > Z_EPS) and inside
+    its pixel extent [-0.5, w - 0.5] x [-0.5, h - 0.5]. Each view's
+    foreground depths must then lie within its camera_z_range, the corners'
+    depths, with the ends rounded to float32 like the depths: rounding is
+    monotone, so a depth inside the range stays inside. A scene not centred
+    at the origin breaks this. One array check covers all the cameras.
+    """
+    x_cam = np.stack([pose.transform(CUBE_CORNERS) for _, pose in cameras])  # (K, 8, 3)
+    intr = np.array([[cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height]
+                     for cam, _ in cameras]).T[..., None]  # (6, K, 1)
+    fx, fy, cx, cy, w, h = intr
+    z = x_cam[..., 2]
+    in_front = z > Z_EPS
+    z_safe = np.where(in_front, z, 1.0)
+    u = fx * x_cam[..., 0] / z_safe + cx
+    v = fy * x_cam[..., 1] / z_safe + cy
+    sees = in_front & (u >= -0.5) & (u <= w - 0.5) & (v >= -0.5) & (v <= h - 0.5)
+    blind = np.flatnonzero(~sees.all(axis=1))
+    if len(blind):
+        i = int(blind[0])
+        raise ValueError(f"{scene_dir}: camera {i} of cameras.txt does not see the whole unit "
+                         f"cube: {int((~sees[i]).sum())} of its 8 corners lie behind it or "
+                         f"outside its image")
+    # every corner is in front, so camera_z_range is the corner depths' extent
+    z_near, z_far = z.min(axis=1).astype(np.float32), z.max(axis=1).astype(np.float32)
+    lo = np.where(depths > 0, depths, np.inf).min(axis=(1, 2))  # inf for an empty view
+    hi = depths.max(axis=(1, 2))
+    outside = np.flatnonzero((lo < z_near) | (hi > z_far))
+    if len(outside):
+        i = int(outside[0])
+        raise ValueError(f"{scene_dir}: view {i} of depths.lsmt holds depths in "
+                         f"[{lo[i]}, {hi[i]}], outside the unit cube's depth range "
+                         f"[{z_near[i]}, {z_far[i]}] in its camera")
+
+
 def load_scene(scene_dir) -> SceneData:
     scene_dir = Path(scene_dir)
     images = read_tensor(scene_dir / "images.lsmt")
@@ -186,6 +226,7 @@ def load_scene(scene_dir) -> SceneData:
         raise ValueError(f"{scene_dir}: images.lsmt holds values outside [0, 1] or NaN")
     if not (depths.min(initial=0) >= 0 and depths.max(initial=0) < np.inf):
         raise ValueError(f"{scene_dir}: depths.lsmt holds negative or non-finite values")
+    _check_views_of_cube(scene_dir, cameras, depths)
     occupancy = read_tensor(scene_dir / "occupancy.lsmt")
     if occupancy.dtype != np.uint8:
         raise ValueError(f"{scene_dir}: occupancy.lsmt is {occupancy.dtype}, not uint8")

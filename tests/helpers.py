@@ -101,12 +101,35 @@ def gru_fold_reference(grids, params):
     return h
 
 
+def bilinear_corners_reference(fmap_shape, pts, valid=True):
+    """diffops._bilinear_corners as it was written with a broadcast where= zeroing.
+
+    The corner table's bytes must not depend on how the dropped weights
+    are zeroed.
+    """
+    h, w = fmap_shape[0], fmap_shape[1]
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    u, v = pts[:, 0], pts[:, 1]
+    uc = np.fmin(np.fmax(u, 0), w - 1)
+    vc = np.fmin(np.fmax(v, 0), h - 1)
+    keep = (uc == u) & (vc == v) & valid
+    u0 = np.minimum(uc.astype(np.int64), max(w - 2, 0))
+    v0 = np.minimum(vc.astype(np.int64), max(h - 2, 0))
+    du, dv = uc - u0, vc - v0
+    step_u, step_v = min(1, w - 1), w * min(1, h - 1)
+    lin = (v0 * w + u0) + np.array([[0], [step_u], [step_v], [step_v + step_u]])
+    weights = np.stack([(1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv])
+    np.copyto(weights, 0.0, where=~keep)
+    return lin, weights
+
+
 def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_planes):
     """classical.plane_sweep_depth as it was written plane by plane.
 
-    One backproject, one project_points, one CSR sample, one 2D window
-    score per plane and other view, and a full np.sort for the best k
-    views; the chunked sweep must return the same bytes.
+    One plane-induced transfer, one CSR sample, one 2D window score and
+    one minimum_filter window check per plane and other view, and a full
+    np.sort for the best k views; the chunked sweep must return the same
+    bytes.
     """
     cam, pose = ref_camera
     h, w = cam.height, cam.width
@@ -114,13 +137,12 @@ def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_
     grays = [classical.to_grayscale(im) for im in other_images]
     z_planes, spacing = diffops.plane_depths(pose, n_planes)
     score = classical.window_zncc(ref)
-    pixels = geometry.pixel_grid(cam).reshape(-1, 2)
     score_volume = np.full((n_planes, h, w), -np.inf)
     for k_plane, z in enumerate(z_planes):
-        pts_world = geometry.backproject(pixels, z, cam, pose)
         view_scores = np.full((len(grays), h, w), -np.inf)
         for j, (gray, (ocam, opose)) in enumerate(zip(grays, other_cameras)):
-            uv, _, sample_ok = geometry.project_points(pts_world, ocam, opose)
+            a, b = geometry.plane_transfer(cam, pose, ocam, opose)
+            uv, sample_ok = geometry.transfer(a, b, [z], ocam)
             warped = diffops._bilinear_matrix(gray.shape, uv) @ gray.reshape(-1, 1)
             window_ok = minimum_filter(sample_ok.reshape(h, w).astype(np.uint8),
                                        size=classical._WINDOW, mode="constant") > 0

@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import minimum_filter, uniform_filter
 
 from helpers import plane_sweep_reference
 
@@ -171,6 +171,37 @@ def render_plane(cam, cam_center, z_plane, seed=0):
     x = cam_center[0] + depth * (uu - cam.cx) / cam.fx
     y = cam_center[1] + depth * (vv - cam.cy) / cam.fy
     return plane_texture(np.stack([x, y], axis=-1), seed)
+
+
+class TestWindowAll:
+    """The sweep's window test ANDs shifted slices; it must equal a 5 x 5
+    minimum filter over the stack's last two axes with a zero border."""
+
+    @staticmethod
+    def reference(ok):
+        return minimum_filter(ok.astype(np.uint8), size=classical._WINDOW, mode="constant",
+                              axes=(-2, -1)) > 0
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (2, 9, 13), (10, 64, 64), (5, 5), (1, 6, 5),
+                                       (2, 4, 9), (2, 9, 4), (1, 1, 1), (3, 2, 30), (0, 8, 8)])
+    @pytest.mark.parametrize("fill", ["random", "sparse", "true", "false"])
+    def test_equals_minimum_filter(self, shape, fill):
+        rng = np.random.default_rng(sum(shape))
+        ok = {"random": lambda: rng.random(shape) < 0.9,
+              "sparse": lambda: rng.random(shape) < 0.5,
+              "true": lambda: np.ones(shape, dtype=bool),
+              "false": lambda: np.zeros(shape, dtype=bool)}[fill]()
+        got = classical._window_all(ok)
+        assert got.dtype == bool and got.shape == ok.shape
+        np.testing.assert_array_equal(got, self.reference(ok))
+        if min(shape[-2:]) < classical._WINDOW:
+            assert not got.any()
+
+    def test_input_is_left_alone(self):
+        ok = np.random.default_rng(0).random((2, 12, 12)) < 0.8
+        before = ok.copy()
+        classical._window_all(ok)
+        np.testing.assert_array_equal(ok, before)
 
 
 class TestPlaneSweep:

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_vjp_matches_fd
+from helpers import assert_vjp_matches_fd, bilinear_corners_reference
 
 from voxelstereo.diffops import (
     GeomFeatureConfig,
@@ -117,6 +117,30 @@ class TestGatherMatchesSamplingMatrix:
             assert (_bilinear_matrix(fmap.shape, pts) @ fmap.reshape(-1, 2)).tobytes() == zeros
         assert ((lin >= 0) & (lin < 20)).all()
         assert not weights.any()
+
+
+class TestCornerTable:
+    """_bilinear_corners zeroes dropped weights with one boolean index; its
+    bytes must be those of the broadcast where= form."""
+
+    @pytest.mark.parametrize("hw", [(7, 5), (1, 6), (6, 1), (1, 1), (64, 64)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bytes_match_the_where_form(self, hw, masked):
+        h, w = hw
+        rng = np.random.default_rng(h * 100 + w + masked)
+        pts = np.concatenate([
+            TestGatherMatchesSamplingMatrix.points(h, w, rng),
+            [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0], [0.0, np.inf],
+             [0.0, -np.inf], [np.nan, np.inf], [-0.0, 0.0], [w - 1, -0.0]]])
+        valid = rng.random(len(pts)) < 0.7 if masked else True
+        lin, weights = _bilinear_corners((h, w), pts, valid)
+        want_lin, want_weights = bilinear_corners_reference((h, w), pts, valid)
+        assert lin.dtype == want_lin.dtype and lin.shape == want_lin.shape == (4, len(pts))
+        assert lin.tobytes() == want_lin.tobytes()
+        assert weights.dtype == want_weights.dtype and weights.shape == want_weights.shape
+        assert weights.tobytes() == want_weights.tobytes()
+        if masked:
+            assert not weights[:, ~valid].any()
 
 
 class TestCompareExchangeSort:

@@ -387,6 +387,30 @@ class TestPointwise:
             lambda xx: tape_value(tape.softmax_channels, xx),
             lambda xx, u: tape_vjp(tape.softmax_channels, xx, u), x, up)
 
+    @pytest.mark.parametrize("channels", [1, 2, 3, 7])
+    def test_softmax_bytes_match_the_whole_axis_form(self, channels):
+        # the columns' max, left-to-right sums and divide give the bytes of the
+        # whole-axis reductions, on non-finite rows too
+        rng = np.random.default_rng(channels)
+        x = 30 * rng.standard_normal((6, 5, 4, channels))
+        x[0, :, :, 0] = np.nan
+        x[1, :, :, -1] = np.inf
+        x[2, :, :, 0] = -np.inf
+        x[3] = -np.inf
+        x[4] = np.inf
+        x[5, 0] = -0.0
+        g = rng.standard_normal(x.shape)
+        g[5, 1, :, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            m = x.max(axis=-1, keepdims=True)
+            e = np.exp(x - m)
+            p = e / e.sum(axis=-1, keepdims=True)
+            want_grad = p * (g - (g * p).sum(axis=-1, keepdims=True))
+            got = tape_value(tape.softmax_channels, x)
+            got_grad = tape_vjp(tape.softmax_channels, x, g)
+        assert got.tobytes() == p.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
     def test_upsample_round_trip_vjp(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 2))

@@ -23,12 +23,22 @@ from hypothesis import strategies as st
 from voxelstereo.diffops import (
     GeomFeatureConfig,
     bilinear_sample,
+    plane_depths,
     project,
     project_vjp,
     unproject,
     unproject_vjp,
 )
-from voxelstereo.geometry import Intrinsics, VoxelGridSpec, backproject, look_at, project_points
+from voxelstereo.geometry import (
+    Intrinsics,
+    VoxelGridSpec,
+    backproject,
+    look_at,
+    pixel_grid,
+    plane_transfer,
+    project_points,
+    transfer,
+)
 from voxelstereo.nnkit.layers import conv_forward, conv_vjp
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -117,6 +127,29 @@ def test_project_points_inverts_backproject(seed, camera):
     uv_back, z_back, _ = project_points(backproject(uv, z, cam, pose).reshape(-1, 3), cam, pose)
     np.testing.assert_allclose(uv_back, uv.reshape(-1, 2), rtol=0, atol=1e-9)
     np.testing.assert_allclose(z_back, z.ravel(), rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(camera=cameras(), other=cameras(), n_planes=st.integers(1, 40))
+def test_plane_transfer_matches_backproject_and_project_points(camera, other, n_planes):
+    # the sweep's pixel -> pixel map over its own planes, against the
+    # pixel -> world -> pixel path it replaces
+    cam, pose = camera
+    ocam, opose = other
+    z, _ = plane_depths(pose, n_planes)
+    a, b = plane_transfer(cam, pose, ocam, opose)
+    uv, valid = transfer(a, b, z, ocam)
+    pts = backproject(pixel_grid(cam).reshape(-1, 2), z[:, None], cam, pose)
+    uv_ref, _, valid_ref = project_points(pts.reshape(-1, 3), ocam, opose)
+    assert uv.shape == uv_ref.shape and valid.shape == valid_ref.shape
+    # a point on the image border (as when both cameras are one) is inside
+    # or outside by the last bit of either path; any other keeps its validity
+    on_border = np.zeros(len(uv), dtype=bool)
+    for coord, size in ((uv_ref[:, 0], ocam.width), (uv_ref[:, 1], ocam.height)):
+        on_border |= (np.abs(coord) <= 1e-9) | (np.abs(coord - (size - 1)) <= 1e-9)
+    np.testing.assert_array_equal(valid[~on_border], valid_ref[~on_border])
+    both = valid & valid_ref
+    np.testing.assert_allclose(uv[both], uv_ref[both], rtol=0, atol=1e-9)
 
 
 @st.composite

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from voxelstereo.geometry import Intrinsics, Pose, look_at, scale_intrinsics
-from voxelstereo.synthgen import generate_dataset
+from voxelstereo.synthgen import SceneSpec, Sphere, generate_dataset, render_view
 from voxelstereo.tensorio import (
     DatasetManifest,
     TensorFormatError,
@@ -286,3 +286,45 @@ class TestSceneLayout:
         write_tensor(scene_dir / "occupancy.lsmt", np.zeros((8, 8, 4), np.uint8), "u8")
         with pytest.raises(ValueError, match=r"scene: occupancy of shape \(8, 8, 4\) is not"):
             load_scene(scene_dir)
+
+
+class TestCamerasSeeTheCube:
+    """load_scene rejects a camera that does not see the whole unit cube, and
+    depths that the cube at the origin cannot produce."""
+
+    @pytest.mark.parametrize("position, target", [
+        pytest.param([0.1, 0.0, 0.0], [0.5, 0.0, 0.0], id="inside-the-cube"),
+        pytest.param([0.0, 0.0, 2.0], [0.0, 0.0, 3.0], id="looking-away"),
+        pytest.param([0.7, 0.0, 0.0], [0.8, 0.05, 0.0], id="beside-a-face"),
+        pytest.param([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], id="too-close"),
+    ])
+    def test_camera_that_misses_the_cube_rejected(self, scene_source, tmp_path, position,
+                                                  target):
+        scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
+        cameras = load_cameras(scene_dir / "cameras.txt")
+        save_cameras(scene_dir / "cameras.txt",
+                     [cameras[0], (cameras[1][0], look_at(position, target))])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{scene_dir}: camera 1 of cameras.txt does not see the whole unit cube")):
+            load_scene(scene_dir)
+
+    def test_scene_not_centred_at_the_origin_rejected(self, scene_source, tmp_path):
+        # a sphere on camera 0's axis, 0.8 from it: nearer than any cube corner
+        scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
+        cameras = load_cameras(scene_dir / "cameras.txt")
+        center = 0.6 * cameras[0][1].camera_center
+        shifted = SceneSpec(nodes=[("union", Sphere(center=tuple(center), radius=0.1))],
+                            family="sphere")
+        depths = np.stack([render_view(shifted, cam, pose)[1] for cam, pose in cameras])
+        assert (depths[0] > 0).any()
+        write_tensor(scene_dir / "depths.lsmt", depths, "f32")
+        with pytest.raises(ValueError, match=re.escape(f"{scene_dir}: view 0 of depths.lsmt "
+                                                       "holds depths in [0.")):
+            load_scene(scene_dir)
+
+    @pytest.mark.parametrize("size", [64, 32, 16])
+    def test_generated_datasets_load(self, tmp_path, size):
+        manifest = generate_dataset(3, 6, tmp_path, seed=size, resolution=8,
+                                    image_size=(size, size))
+        for scene in manifest.load_all():
+            assert scene.n_views == 6 and scene.images.shape[1:3] == (size, size)
