@@ -48,12 +48,14 @@ nearest-pixel rounding (diffops.nearest_index) are too, and the visual
 hull reads its masks through diffops.unproject, so both baselines see the
 same geometry as the network.
 
-Validity: a window score requires every warped sample of the window to be
-valid in the other view by project_points' rule (in front of the camera
-and inside the image) and both windows to carry variance above 1e-12.
-A pixel's validity is read from its winning plane: it is invalid when
-that plane scores -inf, as a plane with no valid view score does, so when
-no plane collects one. Textureless regions therefore drop out instead
+Validity: a window score requires both windows to carry variance above
+1e-12, and every warped sample of the window to be valid in the other view
+by project_points' rule (in front of the camera and inside the image).
+window_zncc marks a window that fails the first -inf, and the sweep marks
+one that fails the second -inf, so a view's score is valid where it is
+finite. A pixel's validity is read from its winning plane: it is invalid
+when that plane scores -inf, as a plane with no valid view score does, so
+when no plane collects one. Textureless regions therefore drop out instead
 of producing arbitrary depths. A reference camera that sees none of the
 unit cube, an empty depth range, raises a ValueError.
 """
@@ -140,10 +142,10 @@ def _window_all(ok: np.ndarray) -> np.ndarray:
 def window_zncc(ref: np.ndarray):
     """Windowed zero-mean normalized cross correlation against one image.
 
-    Returns score(other) -> (zncc, ok), each the shape of other, which is
-    one image the shape of ref or a stack (..., H, W) of them: zncc[..., i, j]
-    correlates the 5 x 5 windows centred at (i, j) in ref and in each image
-    of other, clipped to [-1, 1]; ok is False, and zncc 0, where either window
+    Returns score(other) -> zncc, the shape of other, which is one image the
+    shape of ref or a stack (..., H, W) of them: zncc[..., i, j] correlates
+    the 5 x 5 windows centred at (i, j) in ref and in each image of other,
+    clipped to [-1, 1], and is -inf, an unscored window, where either window
     has variance below 1e-12. Windows past the border read zeros. The
     reference's window statistics are computed once, here.
     """
@@ -152,7 +154,7 @@ def window_zncc(ref: np.ndarray):
     ref_var = ref_sq - ref_mean * ref_mean
     ref_textured = ref_var >= _VAR_EPS
 
-    def score(other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def score(other: np.ndarray) -> np.ndarray:
         other = np.asarray(other, dtype=np.float64)
         if other.shape[-2:] != ref.shape:
             raise ValueError(f"image shapes differ: {ref.shape} vs {other.shape}")
@@ -172,8 +174,8 @@ def window_zncc(ref: np.ndarray):
         np.copyto(denom, 1.0, where=~ok)
         cov /= np.sqrt(denom, out=denom)
         np.clip(cov, -1.0, 1.0, out=cov)
-        np.copyto(cov, 0.0, where=~ok)
-        return cov, ok
+        np.copyto(cov, -np.inf, where=~ok)
+        return cov
 
     return score
 
@@ -219,10 +221,9 @@ def plane_sweep_depth(
         for gray, (ocam, _), (a, b) in zip(grays, other_cameras, transfers):
             uv, sample_ok = transfer(a, b, z, ocam)
             warped = bilinear_sample(gray[..., None], uv).reshape(len(z), h, w)
-            zncc, ok = score(warped)
+            zncc = score(warped)
             # whole window must be sampled validly
-            ok &= _window_all(sample_ok.reshape(len(z), h, w))
-            np.copyto(zncc, -np.inf, where=~ok)
+            np.copyto(zncc, -np.inf, where=~_window_all(sample_ok.reshape(len(z), h, w)))
             view_scores.append(zncc)
         # sum of the k best valid view scores over a fixed denominator k:
         # a plane seen validly by fewer views cannot outscore one with full

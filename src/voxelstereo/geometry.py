@@ -23,7 +23,8 @@ Depth is camera-frame z in world length units. Points with z <= Z_EPS are
 behind (or numerically on) the camera plane and project invalidly.
 
 backproject is the one pixel -> world map and project_points the one world
--> pixel map. plane_transfer and transfer are the plane sweep's pixel ->
+-> pixel map; tensorio.load_scene places the cube's corners in each camera
+through it too. plane_transfer and transfer are the plane sweep's pixel ->
 pixel map: the two composed for a fronto-parallel plane of the first
 camera, folded into one multiply-add per coordinate. Both paths agree to
 rounding; a point on the image border may come out valid by one and

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CUBE_CORNERS, Z_EPS, Intrinsics, Pose
+from .geometry import CUBE_CORNERS, Z_EPS, Intrinsics, Pose, camera_z_range, project_points
 
 MAGIC = b"LSMT"
 VERSION = 1
@@ -168,39 +168,31 @@ def write_scene(scene_dir, images, depths, cameras, occupancy, meta) -> None:
 def _check_views_of_cube(scene_dir, cameras, depths) -> None:
     """Every camera sees all of the unit cube, and every depth lies in its range.
 
-    Each cube corner must lie in front of each camera (z > Z_EPS) and inside
-    its pixel extent [-0.5, w - 0.5] x [-0.5, h - 0.5]. Each view's
-    foreground depths must then lie within its camera_z_range, the corners'
-    depths, with the ends rounded to float32 like the depths: rounding is
-    monotone, so a depth inside the range stays inside. A scene not centred
-    at the origin breaks this. One array check covers all the cameras.
+    One project_points call per camera places the cube's corners: each must
+    lie in front of the camera (z > Z_EPS) and inside its pixel extent
+    [-0.5, w - 0.5] x [-0.5, h - 0.5], wider than project_points' own
+    [0, w - 1] x [0, h - 1] validity. Once every camera passes, one
+    camera_z_range call per camera bounds its view's foreground depths, with
+    the ends rounded to float32 like the depths: rounding is monotone, so a
+    depth inside the range stays inside. A scene not centred at the origin
+    breaks this.
     """
-    x_cam = np.stack([pose.transform(CUBE_CORNERS) for _, pose in cameras])  # (K, 8, 3)
-    intr = np.array([[cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height]
-                     for cam, _ in cameras]).T[..., None]  # (6, K, 1)
-    fx, fy, cx, cy, w, h = intr
-    z = x_cam[..., 2]
-    in_front = z > Z_EPS
-    z_safe = np.where(in_front, z, 1.0)
-    u = fx * x_cam[..., 0] / z_safe + cx
-    v = fy * x_cam[..., 1] / z_safe + cy
-    sees = in_front & (u >= -0.5) & (u <= w - 0.5) & (v >= -0.5) & (v <= h - 0.5)
-    blind = np.flatnonzero(~sees.all(axis=1))
-    if len(blind):
-        i = int(blind[0])
-        raise ValueError(f"{scene_dir}: camera {i} of cameras.txt does not see the whole unit "
-                         f"cube: {int((~sees[i]).sum())} of its 8 corners lie behind it or "
-                         f"outside its image")
-    # every corner is in front, so camera_z_range is the corner depths' extent
-    z_near, z_far = z.min(axis=1).astype(np.float32), z.max(axis=1).astype(np.float32)
+    for i, (cam, pose) in enumerate(cameras):
+        uv, z, _ = project_points(CUBE_CORNERS, cam, pose)
+        inside = (uv >= -0.5) & (uv <= [cam.width - 0.5, cam.height - 0.5])
+        sees = (z > Z_EPS) & inside.all(axis=1)
+        if not sees.all():
+            raise ValueError(f"{scene_dir}: camera {i} of cameras.txt does not see the whole "
+                             f"unit cube: {int((~sees).sum())} of its 8 corners lie behind it "
+                             f"or outside its image")
     lo = np.where(depths > 0, depths, np.inf).min(axis=(1, 2))  # inf for an empty view
     hi = depths.max(axis=(1, 2))
-    outside = np.flatnonzero((lo < z_near) | (hi > z_far))
-    if len(outside):
-        i = int(outside[0])
-        raise ValueError(f"{scene_dir}: view {i} of depths.lsmt holds depths in "
-                         f"[{lo[i]}, {hi[i]}], outside the unit cube's depth range "
-                         f"[{z_near[i]}, {z_far[i]}] in its camera")
+    for i, (_, pose) in enumerate(cameras):
+        z_near, z_far = np.float32(camera_z_range(pose))
+        if lo[i] < z_near or hi[i] > z_far:
+            raise ValueError(f"{scene_dir}: view {i} of depths.lsmt holds depths in "
+                             f"[{lo[i]}, {hi[i]}], outside the unit cube's depth range "
+                             f"[{z_near}, {z_far}] in its camera")
 
 
 def load_scene(scene_dir) -> SceneData:

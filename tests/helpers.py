@@ -146,8 +146,7 @@ def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_
             warped = diffops._bilinear_matrix(gray.shape, uv) @ gray.reshape(-1, 1)
             window_ok = minimum_filter(sample_ok.reshape(h, w).astype(np.uint8),
                                        size=classical._WINDOW, mode="constant") > 0
-            zncc, ok = score(warped.reshape(h, w))
-            view_scores[j] = np.where(window_ok & ok, zncc, -np.inf)
+            view_scores[j] = np.where(window_ok, score(warped.reshape(h, w)), -np.inf)
         k = min(classical._TOP_K_VIEWS, len(grays))
         ranked = -np.sort(-view_scores, axis=0)[:k]
         top_sum = np.where(np.isfinite(ranked), ranked, 0.0).sum(axis=0)
@@ -173,6 +172,42 @@ def plane_sweep_reference(ref_image, other_images, ref_camera, other_cameras, n_
     depth = np.where(valid, depth, 0.0)
     best_score = np.where(valid, best_score, 0.0)
     return depth, best_score, valid
+
+
+def views_of_cube_reference(scene_dir, cameras, depths) -> None:
+    """tensorio._check_views_of_cube as it was written with its own pinhole map.
+
+    One array check over all the cameras: a (6, K, 1) intrinsics array,
+    fx * x / z + cx against a clamped depth, and the corners' depth extent
+    as each camera's range. The check through project_points and
+    camera_z_range must accept and reject the same scenes with the same
+    messages.
+    """
+    x_cam = np.stack([pose.transform(geometry.CUBE_CORNERS) for _, pose in cameras])
+    intr = np.array([[cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height]
+                     for cam, _ in cameras]).T[..., None]
+    fx, fy, cx, cy, w, h = intr
+    z = x_cam[..., 2]
+    in_front = z > geometry.Z_EPS
+    z_safe = np.where(in_front, z, 1.0)
+    u = fx * x_cam[..., 0] / z_safe + cx
+    v = fy * x_cam[..., 1] / z_safe + cy
+    sees = in_front & (u >= -0.5) & (u <= w - 0.5) & (v >= -0.5) & (v <= h - 0.5)
+    blind = np.flatnonzero(~sees.all(axis=1))
+    if len(blind):
+        i = int(blind[0])
+        raise ValueError(f"{scene_dir}: camera {i} of cameras.txt does not see the whole unit "
+                         f"cube: {int((~sees[i]).sum())} of its 8 corners lie behind it or "
+                         f"outside its image")
+    z_near, z_far = z.min(axis=1).astype(np.float32), z.max(axis=1).astype(np.float32)
+    lo = np.where(depths > 0, depths, np.inf).min(axis=(1, 2))
+    hi = depths.max(axis=(1, 2))
+    outside = np.flatnonzero((lo < z_near) | (hi > z_far))
+    if len(outside):
+        i = int(outside[0])
+        raise ValueError(f"{scene_dir}: view {i} of depths.lsmt holds depths in "
+                         f"[{lo[i]}, {hi[i]}], outside the unit cube's depth range "
+                         f"[{z_near[i]}, {z_far[i]}] in its camera")
 
 
 def render_view_reference(scene, cam, pose):

@@ -1,4 +1,4 @@
-"""No module of the package or of its tests imports a name it never reads.
+"""No module of the package, its tests or its benchmark imports a name it never reads.
 
 The scan is a plain AST walk: a module-level or local import binds names,
 and a binding counts as used when any Name node, or an entry of the
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+SCANNED = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -6,9 +6,12 @@ inside the grid, grazing views that see only part of the cube, and sample
 points outside the image. Back-projection must invert projection.
 Convolution must match a direct per-output-position sum, and its VJP must be
 the adjoint in the input and in the kernel, over non-cubic grids, size-1
-axes, strides up to 3 and odd kernels wider than the input. Examples are
-derandomized, so every run checks the same cases. A falsified property must
-be reported as a test failure under the project's pytest configuration.
+axes, strides up to 3 and odd kernels wider than the input. The scene
+check of tensorio.load_scene must accept and reject the same camera sets
+and depth maps, with the same messages, as the array check it replaced.
+Examples are derandomized, so every run checks the same cases. A falsified
+property must be reported as a test failure under the project's pytest
+configuration.
 """
 
 import subprocess
@@ -19,6 +22,8 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from helpers import views_of_cube_reference
 
 from voxelstereo.diffops import (
     GeomFeatureConfig,
@@ -33,6 +38,7 @@ from voxelstereo.geometry import (
     Intrinsics,
     VoxelGridSpec,
     backproject,
+    camera_z_range,
     look_at,
     pixel_grid,
     plane_transfer,
@@ -40,6 +46,7 @@ from voxelstereo.geometry import (
     transfer,
 )
 from voxelstereo.nnkit.layers import conv_forward, conv_vjp
+from voxelstereo.tensorio import _check_views_of_cube
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -150,6 +157,52 @@ def test_plane_transfer_matches_backproject_and_project_points(camera, other, n_
     np.testing.assert_array_equal(valid[~on_border], valid_ref[~on_border])
     both = valid & valid_ref
     np.testing.assert_allclose(uv[both], uv_ref[both], rtol=0, atol=1e-9)
+
+
+def _f32_step(x, toward):
+    return np.nextafter(np.float32(x), np.float32(toward))
+
+
+@st.composite
+def views_of_cube(draw):
+    """One to four cameras around the unit cube, with depth maps at its range ends.
+
+    Cameras sit 1.6 to 3.5 from the origin, look near it and have focal
+    lengths of 0.4 to 1.0 image widths, so that some see the whole cube and
+    some do not. Each view holds up to three depths, each at, just inside or
+    just outside an end of its camera's float32 depth range, and 0 elsewhere.
+    """
+    width, height = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    cameras, depths = [], np.zeros((draw(st.integers(1, 4)), height, width), dtype=np.float32)
+    for view in depths:
+        direction = draw(coords(-1.0, 1.0))
+        assume(np.linalg.norm(direction) > 0.1)
+        position = direction / np.linalg.norm(direction) * draw(st.floats(1.6, 3.5))
+        focal = draw(st.floats(0.4, 1.0)) * width
+        cam = Intrinsics(fx=focal, fy=focal, cx=(width - 1) / 2, cy=(height - 1) / 2,
+                         width=width, height=height)
+        pose = look_at(position, draw(coords(-0.3, 0.3)))
+        cameras.append((cam, pose))
+        near, far = np.float32(camera_z_range(pose))
+        ends = [near, _f32_step(near, np.inf), _f32_step(near, 0.0),
+                far, _f32_step(far, 0.0), _f32_step(far, np.inf)]
+        values = draw(st.lists(st.sampled_from(ends), max_size=3))
+        view.flat[:len(values)] = values
+    return cameras, depths
+
+
+@PROPERTY
+@given(scene=views_of_cube())
+def test_views_of_cube_check_matches_the_array_reference(scene):
+    cameras, depths = scene
+    messages = []
+    for check in (_check_views_of_cube, views_of_cube_reference):
+        try:
+            check("scene", cameras, depths)
+            messages.append(None)
+        except ValueError as e:
+            messages.append(str(e))
+    assert messages[0] == messages[1]
 
 
 @st.composite
