@@ -49,9 +49,9 @@ widths the result and every gradient are bitwise those of the fold from an
 explicit zero state; a test pins this, since BLAS may sum a narrower GEMM in
 another order.
 
-Note the layer norm removes any constant shift of its input, so a gate is
-forced open/closed through the LN shift parameter, not the convolution
-bias.
+A gate keeps its bias b: the layer norm, over channels, cancels only b's
+mean across channels, not its differences. A gate is still forced open or
+closed through the LN shift, which the norm does not rescale.
 """
 
 from __future__ import annotations

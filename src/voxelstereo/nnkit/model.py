@@ -16,7 +16,10 @@ and raises ValueError when the scene's image (H, W) is not cfg.image_hw.
 
 Layer widths are the constants ENCODER_CHANNELS, REASONER_CHANNELS and
 GRU_HIDDEN, and unprojection always appends each voxel's depth and ray
-direction (GEOM_FEATURES); ToyModelConfig holds what runs vary.
+direction (GEOM_FEATURES); ToyModelConfig holds what runs vary. A conv that
+feeds an instance norm (enc1-enc3, reason1, reason2) has no bias: the norm
+subtracts each channel's mean, which cancels one exactly, so its gradient
+would be rounding noise. The rest keep theirs; fusion says why the GRU's do.
 
 Every learnable parameter, the GRU gates included, is a leaf tape node in
 ToyModel.params under its checkpoint name. A checkpoint is a directory with
@@ -94,11 +97,9 @@ class ToyModelConfig:
 
 
 def _conv_block(rng, params, name, kshape):
-    c_out = kshape[-1]
     params[f"{name}.kernel"] = TapeNode(he_normal(rng, kshape))
-    params[f"{name}.bias"] = TapeNode(np.zeros(c_out))
-    params[f"{name}.gain"] = TapeNode(np.ones(c_out))
-    params[f"{name}.shift"] = TapeNode(np.zeros(c_out))
+    params[f"{name}.gain"] = TapeNode(np.ones(kshape[-1]))
+    params[f"{name}.shift"] = TapeNode(np.zeros(kshape[-1]))
 
 
 def _ray_reduce_chain(cfg: ToyModelConfig) -> list[tuple[int, int]]:
@@ -154,7 +155,7 @@ class ToyModel:
 
     def _conv_in_relu(self, x, name, stride=1):
         p = self.params
-        y = tape.conv(x, p[f"{name}.kernel"], p[f"{name}.bias"], stride=stride)
+        y = tape.conv(x, p[f"{name}.kernel"], stride=stride)
         y = tape.instance_norm(y, p[f"{name}.gain"], p[f"{name}.shift"])
         return tape.relu(y)
 
@@ -287,6 +288,7 @@ def load_checkpoint(ckpt_dir) -> ToyModel:
         if values.dtype != np.float64:
             raise ValueError(f"checkpoint entry {name} is {values.dtype}, not float64")
         if values.shape != p.value.shape:
-            raise ValueError(f"checkpoint entry {name} does not match the model")
+            raise ValueError(f"checkpoint entry {name} has shape {values.shape}, "
+                             f"the model's is {p.value.shape}")
         p.value = values
     return model

@@ -299,9 +299,9 @@ class _Blocks(list):
                        self.shape)
 
 
-def conv(x, kernel, bias, stride=1):
-    """Same-padded convolution plus bias. x may be a concat, whose blocks
-    the conv reads and keeps in place of a joined copy.
+def conv(x, kernel, bias=None, stride=1):
+    """Same-padded convolution plus bias; a single kernel may have no bias
+    node. x may be a concat, whose blocks the conv reads and keeps.
 
     kernel and bias may be lists of nodes, of convs that read the same x:
     then one conv runs over all the kernels, and the result is a list of
@@ -312,8 +312,10 @@ def conv(x, kernel, bias, stride=1):
     xv = x.value
     if not isinstance(kernel, list):
         kv = kernel.value
-        return TapeNode(layers.conv_forward(xv, kv, bias.value, stride), (x, kernel, bias),
-                        lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
+        parents = (x, kernel) if bias is None else (x, kernel, bias)
+        y = layers.conv_forward(xv, kv, None if bias is None else bias.value, stride)
+        return TapeNode(y, parents,
+                        lambda g: layers.conv_vjp(xv, kv, stride, "same", g)[:len(parents)])
     kvs = [k.value for k in kernel]
     y = layers.conv_forward(xv, kvs, [b.value for b in bias], stride)
     shape, widths = y.shape, [k.shape[-1] for k in kvs]

@@ -25,18 +25,18 @@ class TrainResult:
     losses: list[float]          # per-iteration batch loss, entry 0 = initial
 
 
-def _draw_views(rng, scene, k: int):
-    """k distinct view indices of scene, in a random order."""
+def _leading_views(scene, k: int):
+    """The indices 0, ..., k - 1 of scene's first k views; ValueError if it has fewer."""
     if k > scene.n_views:
         raise ValueError(f"scene {scene.name} has {scene.n_views} views, asked for {k}")
-    return rng.permutation(scene.n_views)[:k]
+    return np.arange(k)
 
 
 def _batches(scenes, cfg: ToyModelConfig, iters: int):
     rng = np.random.default_rng([cfg.seed, 1])
     for _ in range(iters + 1):
         scene = scenes[rng.integers(len(scenes))]
-        yield scene, _draw_views(rng, scene, cfg.views)
+        yield scene, rng.permutation(scene.n_views)[_leading_views(scene, cfg.views)]
 
 
 def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
@@ -68,19 +68,18 @@ def train_toy(cfg: ToyModelConfig, dataset: DatasetManifest, iters: int,
 
 
 def dataset_loss(model: ToyModel, dataset: DatasetManifest, views: int) -> float:
-    """Mean loss over all scenes with a fixed per-scene view draw (seed [0, 2]).
+    """Mean loss over all scenes, each from its first `views` views.
 
-    views is the number of views drawn per scene. Each forward runs under
-    tape.no_record(): nothing differentiates it, so it holds only the
-    arrays it is computing, and the loss is the same double as a recorded
-    forward's.
+    These are the views evalkit.view_count_sweep gives a method. Each forward
+    runs under tape.no_record(): nothing differentiates it, so it holds only
+    the arrays it is computing, and the loss is the same double as a
+    recorded forward's.
     """
     if views < 1:
         raise ValueError(f"need at least one view, got {views}")
-    rng = np.random.default_rng([0, 2])
     total = 0.0
     scenes = dataset.load_all()
     for scene in scenes:
         with no_record():
-            total += float(model.loss(scene, _draw_views(rng, scene, views)).value)
+            total += float(model.loss(scene, _leading_views(scene, views)).value)
     return total / len(scenes)

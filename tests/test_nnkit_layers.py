@@ -154,6 +154,19 @@ class TestConv:
 
         assert run(tape.concat) == run(joined_concat)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_tape_conv_without_a_bias_node_records_x_and_kernel_only(self, stride):
+        rng = np.random.default_rng(7)
+        x, kernel = rng.standard_normal((7, 6, 3)), rng.standard_normal((3, 3, 3, 4))
+        nodes = [tape.TapeNode(x), tape.TapeNode(kernel)]
+        y = tape.conv(*nodes, stride=stride)
+        assert y.value.tobytes() == conv_forward(x, kernel, None, stride).tobytes()
+        assert y.slot.parents == tuple(n.slot for n in nodes)
+        up = rng.standard_normal(y.value.shape)
+        tape.backward(TapeDot(y, up))
+        expected = conv_vjp(x, kernel, stride, "same", up)[:2]
+        assert [n.grad.tobytes() for n in nodes] == [g.tobytes() for g in expected]
+
     def test_vjp_rejects_an_upstream_that_does_not_match_the_kernels(self):
         x = np.zeros((4, 4, 2))
         kernels = [np.zeros((3, 3, 2, 3)), np.zeros((3, 3, 2, 1))]
@@ -342,6 +355,19 @@ class TestInstanceNorm:
         assert_vjp_matches_fd(
             lambda ss: instance_norm(x, gain, ss),
             lambda ss, u: instance_norm_vjp(x, gain, u)[2], shift, up)
+
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 6, 3)])
+    def test_a_per_channel_bias_cancels(self, shape):
+        # why the model's convs that feed an instance norm carry no bias
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[-1])
+        gain, shift = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+        up = rng.standard_normal(shape)
+        np.testing.assert_allclose(instance_norm(y + b, gain, shift),
+                                   instance_norm(y, gain, shift), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(instance_norm_vjp(y + b, gain, up)[0],
+                                   instance_norm_vjp(y, gain, up)[0], rtol=0, atol=1e-12)
 
     def test_layer_norm_gradcheck(self):
         rng = np.random.default_rng(5)
