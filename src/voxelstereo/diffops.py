@@ -34,6 +34,9 @@ with one row per sample and one column per map pixel or grid voxel; a row
 holds the sample's bilinear weights, or project's one nearest voxel, and an
 invalid sample is a zero row. The forward is S @ values.reshape(-1, C) and
 the VJP is S.T @ upstream, so the adjoint identity holds by construction.
+unproject's product is its output: S times the map with one zero column
+appended per geometric channel, whose feature columns are the row sums of
+S @ values; the geometric channels are then written over the zero columns.
 CSR products add each output's terms in a fixed order, so forwards and
 gradients repeat bitwise. project's rows run over (pixel row, pixel column,
 plane), so its (H, W, V * C) output is a plain reshape of S @ grid, and
@@ -205,16 +208,16 @@ def unproject(
     Every voxel center is projected into the image and bilinearly sampled;
     invalid projections (behind the camera or out of frame) get zero
     features. Geometric channels (camera depth, unit world ray direction)
-    are filled for every voxel regardless of projection validity. All the
-    channels are written into one output, and the sampling matrix is freed
-    before the geometric ones are computed.
+    are filled for every voxel regardless of projection validity. The map
+    gets a zero column per geometric channel, so the product of S with it
+    is the output, and the sampling matrix is freed before the geometric
+    channels are written over their zero columns.
     """
     fmap = np.asarray(fmap, dtype=np.float64)
     h, w, c = fmap.shape
     v = spec.resolution
     centers, z, s = _unproject_geometry(fmap.shape, cam, pose, spec)
-    out = np.zeros((v ** 3, gcfg.out_channels(c)))
-    out[:, :c] = s @ fmap.reshape(h * w, c)
+    out = s @ np.pad(fmap.reshape(h * w, c), ((0, 0), (0, gcfg.out_channels(c) - c)))
     del s
     if gcfg.geometric:
         out[:, c] = z

@@ -176,7 +176,8 @@ class ToyModel:
         views holds one (skip feature, feature camera, pose) per image; the
         feature camera is the image camera scaled to the encoder's output.
         The K unprojected grids are dropped once fused, so only the fused
-        grid, and whatever a recorded graph keeps, is live while reasoning.
+        grid, and whatever a recorded graph keeps, is live while reasoning:
+        mean fusion's graph keeps none of them, the GRU's gate convs each one.
         """
         cfg = self.cfg
         grids = []

@@ -7,13 +7,16 @@ a constant, enters as a leaf TapeNode(x); only arguments that are not
 differentiated (a target, a mask, a camera, a scale) stay plain values.
 
 The graph links slots, not nodes: a node is its value plus its slot, and a
-slot holds only its parents' slots, its VJP and its cotangent. So once a
+slot holds only its parents' slots, its VJP and its cotangent. A VJP
+captures arrays and plain values (a count, a shape, a stride), never a node
+or a list of nodes: a captured node would keep its value alive. So once a
 forward returns, the graph keeps alive exactly the arrays the VJP closures
 captured; an intermediate value no VJP reads (a norm output that feeds
-sigmoid or relu, a grid that is only scaled) is freed as soon as the
-caller drops its node. backward() consumes the graph: it runs each slot's VJP
-once, in anti-topological order, adds gradients at fan-out and unlinks each
-slot as it goes, so a second backward over the same root reaches only it.
+sigmoid or relu, a grid that is only scaled or averaged) is freed as soon
+as the caller drops its node. backward() consumes the graph: it runs each
+slot's VJP once, in anti-topological order, adds gradients at fan-out and
+unlinks each slot as it goes, so a second backward over the same root
+reaches only it.
 
 The VJPs capture one array per value they need and recompute what is cheap:
 sigmoid, tanh and relu keep their outputs, not their inputs; lerp
@@ -314,8 +317,8 @@ def conv(x, kernel, bias=None, stride=1):
         kv = kernel.value
         parents = (x, kernel) if bias is None else (x, kernel, bias)
         y = layers.conv_forward(xv, kv, None if bias is None else bias.value, stride)
-        return TapeNode(y, parents,
-                        lambda g: layers.conv_vjp(xv, kv, stride, "same", g)[:len(parents)])
+        n = len(parents)
+        return TapeNode(y, parents, lambda g: layers.conv_vjp(xv, kv, stride, "same", g)[:n])
     kvs = [k.value for k in kernel]
     y = layers.conv_forward(xv, kvs, [b.value for b in bias], stride)
     shape, widths = y.shape, [k.shape[-1] for k in kvs]
@@ -408,8 +411,9 @@ def mean_stack(nodes):
         while ordered:  # popping frees each summand once added
             acc += ordered.pop(0)
         acc /= len(nodes)
-    inv_n = 1.0 / len(nodes)
-    return TapeNode(value, tuple(nodes), lambda g: (g * inv_n,) * len(nodes))
+    n = len(nodes)
+    inv_n = 1.0 / n
+    return TapeNode(value, tuple(nodes), lambda g: (g * inv_n,) * n)
 
 
 # --- losses --------------------------------------------------------------------

@@ -227,6 +227,9 @@ def load_scene(scene_dir) -> SceneData:
     if occupancy.ndim != 3 or len(set(occupancy.shape)) != 1:
         raise ValueError(f"{scene_dir}: occupancy of shape {occupancy.shape} is not a cube")
     meta = json.loads((scene_dir / "scene.json").read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{scene_dir}: scene.json holds a {type(meta).__name__}, "
+                         "not a JSON object")
     return SceneData(name=scene_dir.name, images=images, depths=depths, cameras=cameras,
                      occupancy=occupancy, meta=meta)
 

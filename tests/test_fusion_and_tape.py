@@ -500,6 +500,18 @@ class TestTape:
         np.testing.assert_array_equal(
             fmap.grad, diffops.unproject_vjp(fmap.value, cam, pose, spec, gcfg, upstream))
 
+    def test_grids_that_are_only_averaged_are_freed_before_backward(self):
+        rng = np.random.default_rng(20)
+        xs = leaves([rng.standard_normal((2, 3, 2, 4)) for _ in range(3)])
+        grids = [tape.scale(x, 2.0) for x in xs]
+        unread = [weakref.ref(g.value) for g in grids]
+        root = TapeSum(tape.mean_stack(grids))  # mean_stack's VJP keeps only the count
+        del grids
+        assert all(ref() is None for ref in unread)
+        tape.backward(root)
+        for x in xs:
+            np.testing.assert_array_equal(x.grad, np.full(x.value.shape, 2.0 / 3.0))
+
     def test_a_concat_holds_its_blocks_arrays_and_a_leaf_holds_an_array(self):
         a, b = leaves([np.zeros((2, 3, 4)), np.ones((2, 3, 1))])
         joined = tape.concat([a, b])

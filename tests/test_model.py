@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -151,6 +152,62 @@ def test_a_voxel_gru_forward_keeps_no_layer_norm_output(dataset, monkeypatch):
     backward(root)
     Adam(model.parameters()).step()
     assert all(np.isfinite(p.value).all() for p in model.parameters())
+
+
+@pytest.mark.parametrize("head", ["voxel", "depth"])
+def test_a_mean_fusion_forward_keeps_no_unprojected_grid(dataset, monkeypatch, head):
+    # mean_stack's VJP reads nothing of its inputs, and unproject's reads the
+    # feature map, so once loss returns nothing holds an unprojected grid
+    grids = []
+    unproject = tape.unproject
+
+    def recorded(*args):
+        node = unproject(*args)
+        grids.append(weakref.ref(node.value))
+        return node
+
+    monkeypatch.setattr(tape, "unproject", recorded)
+    model = ToyModel.create(tiny_config(head, "mean"))
+    root = model.loss(dataset.load_all()[0], [0, 1])
+    assert len(grids) == 2 and all(ref() is None for ref in grids)
+    backward(root)
+    Adam(model.parameters()).step()
+    assert all(np.isfinite(p.value).all() for p in model.parameters())
+
+
+def tape_nodes_in(obj, seen):
+    """The TapeNodes obj reaches through closure cells, of nested functions too,
+    and through lists and tuples."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, tape.TapeNode):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, types.FunctionType):
+        items = [cell.cell_contents for cell in obj.__closure__ or ()]
+    else:
+        return []
+    return [node for item in items for node in tape_nodes_in(item, seen)]
+
+
+@pytest.mark.parametrize("head", ["voxel", "depth"])
+@pytest.mark.parametrize("fusion", ["gru", "mean"])
+def test_no_vjp_of_a_recorded_loss_holds_a_tape_node(dataset, head, fusion):
+    # a VJP that captured a node would keep the node's value alive until backward
+    model = ToyModel.create(tiny_config(head, fusion))
+    root = model.loss(dataset.load_all()[0], [0, 1])
+    slots, stack, seen = [], [root.slot], set()
+    while stack:
+        slot = stack.pop()
+        if id(slot) not in seen:
+            seen.add(id(slot))
+            slots.append(slot)
+            stack.extend(slot.parents)
+    vjps = [slot.vjp for slot in slots if slot.vjp is not None]
+    assert len(vjps) > 20
+    assert [vjp.__qualname__ for vjp in vjps if tape_nodes_in(vjp, set())] == []
 
 
 @pytest.mark.parametrize("head,fusion", PIPELINES)

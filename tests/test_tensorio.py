@@ -281,6 +281,20 @@ class TestSceneLayout:
             with pytest.raises(ValueError, match=re.escape(f"'{name}' is not a scene")):
                 manifest.load(name)
 
+    @pytest.mark.parametrize("text,kind", [
+        pytest.param('["not", "an", "object"]', "list", id="list"),
+        pytest.param('"family"', "str", id="string"),
+        pytest.param("3", "int", id="number"),
+        pytest.param("null", "NoneType", id="null"),
+    ])
+    def test_scene_json_that_is_not_an_object_rejected(self, scene_source, tmp_path, text,
+                                                       kind):
+        scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
+        (scene_dir / "scene.json").write_text(text + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{scene_dir}: scene.json holds a {kind}, not a JSON object")):
+            load_scene(scene_dir)
+
     def test_occupancy_that_is_not_a_cube_rejected(self, scene_source, tmp_path):
         scene_dir = shutil.copytree(scene_source, tmp_path / "scene")
         write_tensor(scene_dir / "occupancy.lsmt", np.zeros((8, 8, 4), np.uint8), "u8")
