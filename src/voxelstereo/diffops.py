@@ -127,14 +127,18 @@ def _bilinear_corners(fmap_shape, pts, valid=True):
     lower corner stops one short of the last row and column, where the upper
     corner takes the whole weight. A NaN coordinate clamps to 0, so its
     point takes index 0 and zero weights, and a NaN or infinite point reads
-    exactly +0.0 from a finite map.
+    exactly +0.0 from a finite map. A clamped coordinate of -0.0 is +0.0, so
+    the table's bytes do not depend on where in the array a point sits.
     """
     h, w = fmap_shape[0], fmap_shape[1]
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     u, v = pts[:, 0], pts[:, 1]
-    # fmax/fmin drop a NaN where np.clip would keep it
+    # fmax/fmin drop a NaN where np.clip would keep it; fmax(-0.0, 0) is +0.0
+    # in numpy's SIMD body and -0.0 in its scalar tail, and + 0.0 makes both +0.0
     uc = np.fmin(np.fmax(u, 0), w - 1)
+    uc += 0.0
     vc = np.fmin(np.fmax(v, 0), h - 1)
+    vc += 0.0
     keep = uc == u
     keep &= vc == v
     keep &= valid

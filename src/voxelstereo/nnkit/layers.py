@@ -1,4 +1,5 @@
-"""Convolution and the two norms as plain array functions with explicit VJPs.
+"""Convolution, the two norms and the sigmoid as plain array functions, with
+explicit VJPs for the conv and the norms.
 
 Layout conventions: feature maps are channels-last, (H, W, C) in 2D and
 (D, H, W, C) in 3D. Convolution kernels are (*kspatial, C_in, C_out) and
@@ -17,22 +18,22 @@ that stride-1 grid on an axis of input extent s: conv_forward keeps them and
 conv_vjp scatters the upstream into them. The strided input gradient,
 cropped to the input's interior, runs the same loop over the taps, and the
 kernel gradient runs it inside a loop over row blocks (see below). The
-input may be a list of channel blocks whose concatenation it is, the value
-of a tape.concat node (a GRU gate over [x, h], the depth head's refine
-conv): each block is copied straight into its channels of the padded
-buffer, so no joined copy is made and the bits are those of the
-concatenation. conv_forward frees its padded rows once the taps are done,
+input may be a list of channel blocks whose concatenation it is (a GRU
+gate's [x, h], or the value of a tape.concat node, which the depth head's
+refine conv reads): each block is copied straight into its channels of
+the padded buffer, so no joined copy is made and the bits are those of
+the concatenation. conv_forward frees its padded rows once the taps are done,
 before it copies the output out of the padded grid, and at stride 1
 conv_vjp drops its padded input and upstream rows before the input
 gradient, a conv_forward over the upstream, pads its own.
 
 The kernel may also be a list of kernels over the same input, the GRU
 gates that read one input: the forward runs one conv over them joined on
-the output axis, and conv_vjp takes one upstream block per kernel, copies
-each straight into its channels of the padded upstream rows and runs the
-kernel gradient as one pass over all the output channels. Its input
-gradient is one transposed conv per kernel, added, since a single one over
-all the channels would sum in another order. Outputs and gradients are the
+the output axis, and conv_vjp takes the cotangent of that joined output
+and runs the kernel gradient as one pass over all the output channels.
+Its input gradient is one transposed conv per kernel, over that kernel's
+channels of the upstream, added, since a single one over all the channels
+would sum in another order. Outputs and gradients are the
 bits of one conv per kernel at stride 1. The joined kernel is built anew on
 each call, so a caller keeps only the separate kernels.
 
@@ -61,12 +62,13 @@ blocks cost calls: at 32^3 the 36 -> 32 gradient took about 83 ms at 256
 rows against 45 ms at 768.
 
 The norms compute their statistics in one helper with out= buffers: the
-forward allocates two full-size arrays (the normalized input, and the
-squared deviations, which become the output) and the VJP three. The VJP
-recomputes xhat and the variance from x rather than have the forward keep
-xhat alive in its tape closure: one cached array per norm node would add
-about 50 MB to the 32^3 voxel/GRU training peak, while the recompute costs a
-mean, a subtract and a square.
+forward allocates two full-size arrays (the normalized input xhat, and the
+squared deviations, which become the output) and returns xhat and the
+variance with the output; the VJP reads those two in place of x, so it
+recomputes no statistic, and allocates two more. Keeping xhat costs no
+memory where the norm's input is dropped once it is normalized, as every
+conv output the model normalizes is: the VJP's state is then xhat, the size
+of x, and the variance, one value per normalized row or channel.
 
 All arithmetic is float64. Taps are always accumulated in np.ndindex
 order, and the kernel gradient's blocks in row order, so outputs and
@@ -165,27 +167,25 @@ def conv_vjp(x, kernel, stride, padding, upstream):
 
     x may be a list of channel blocks, as in conv_forward; the input
     gradient is then that of their concatenation. With a list of kernels,
-    upstream is the list of their output blocks' cotangents, and the kernel
-    and bias gradients are lists, one per kernel.
+    upstream is the cotangent of the joined output, and the kernel and bias
+    gradients are lists, one per kernel.
     """
     if padding != "same":
         raise ValueError(f"only same padding is supported, got {padding!r}")
     several = isinstance(kernel, list)
     kernels = kernel if several else [kernel]
-    ups = [np.asarray(u, dtype=np.float64) for u in (upstream if several else [upstream])]
-    if [np.shape(k)[-1] for k in kernels] != [u.shape[-1] for u in ups]:
-        raise ValueError(f"upstream channels {[u.shape[-1] for u in ups]} for kernels of "
-                         f"{[np.shape(k)[-1] for k in kernels]} output channels")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    widths = [np.shape(k)[-1] for k in kernels]
+    if sum(widths) != upstream.shape[-1]:
+        raise ValueError(f"upstream of {upstream.shape[-1]} channels for kernels of "
+                         f"{widths} output channels")
     kernel = _joined(kernel)
     rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
     c_out = kernel.shape[-1]
     # upstream on the stride-1 grid of conv_forward, zero where no output is
     up_rows = np.zeros((*padded, c_out))
     outputs = tuple(slice(0, i.stop - i.start, stride) for i in interior)
-    lo = 0
-    for u in ups:
-        up_rows[(*outputs, slice(lo, lo + u.shape[-1]))] = u
-        lo += u.shape[-1]
+    up_rows[outputs] = upstream
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
     grad_k = np.zeros((len(offsets), *kernel.shape[-2:]))
@@ -197,8 +197,9 @@ def conv_vjp(x, kernel, stride, padding, upstream):
             _gemm_acc(g, up_block, rows[off + lo:off + hi])
     del up_block  # the view would keep the upstream rows alive past their del below
     grad_k = grad_k.reshape(kernel.shape)
-    grad_b = [u.reshape(-1, u.shape[-1]).sum(axis=0) for u in ups]
+    grad_b = upstream.reshape(-1, c_out).sum(axis=0)
 
+    bounds = np.cumsum([0, *widths])
     if stride == 1:
         # transposed conv: same-padded (k - 1 - p = p) correlation with the flipped
         # kernel, one per kernel, summed; the padded input and upstream rows are
@@ -206,9 +207,9 @@ def conv_vjp(x, kernel, stride, padding, upstream):
         nd = kernel.ndim - 2
         del rows, up_rows, kernel
         grad_x = None
-        for k, u in zip(kernels, ups):
+        for k, lo, hi in zip(kernels, bounds[:-1], bounds[1:]):
             k_t = np.flip(np.asarray(k, dtype=np.float64), axis=tuple(range(nd)))
-            g = conv_forward(u, k_t.swapaxes(nd, nd + 1))
+            g = conv_forward(upstream[..., lo:hi], k_t.swapaxes(nd, nd + 1))
             grad_x = g if grad_x is None else np.add(grad_x, g, out=grad_x)
     else:
         grad_rows = np.zeros_like(rows)
@@ -216,9 +217,8 @@ def conv_vjp(x, kernel, stride, padding, upstream):
             _gemm_acc(grad_rows[off:off + m].T, k, up_rows.T)
         grad_x = grad_rows.reshape(*padded, -1)[interior]
     if not several:
-        return grad_x, grad_k, grad_b[0]
-    splits = np.cumsum([u.shape[-1] for u in ups])[:-1]
-    return grad_x, np.split(grad_k, splits, axis=-1), grad_b
+        return grad_x, grad_k, grad_b
+    return grad_x, np.split(grad_k, bounds[1:-1], axis=-1), np.split(grad_b, bounds[1:-1])
 
 
 def he_normal(rng, shape):
@@ -238,45 +238,66 @@ def _norm_stats(x, axes):
 
 
 def _norm_forward(x, gain, shift, axes):
-    xhat, _, out = _norm_stats(x, axes)
+    xhat, var, out = _norm_stats(x, axes)
     np.multiply(gain, xhat, out=out)
     out += shift
-    return out
+    return out, xhat, var
 
 
-def _norm_vjp(x, gain, axes, param_axes, upstream):
+def _norm_vjp(xhat, var, gain, axes, param_axes, upstream):
     # axes: normalization axes; param_axes: broadcast axes of gain/shift
-    xhat, var, buf = _norm_stats(x, axes)
+    buf = np.empty(xhat.shape)
     grad_gain = np.multiply(upstream, xhat, out=buf).sum(axis=param_axes)
     grad_shift = upstream.sum(axis=param_axes)
     grad_x = upstream * gain
     proj = np.multiply(grad_x, xhat, out=buf).mean(axis=axes, keepdims=True)
     grad_x -= grad_x.mean(axis=axes, keepdims=True)
-    grad_x -= np.multiply(xhat, proj, out=xhat)
+    grad_x -= np.multiply(xhat, proj, out=buf)
     grad_x *= 1.0 / np.sqrt(var + _EPS_NORM)
     return grad_x, grad_gain, grad_shift
 
 
 def instance_norm(x, gain, shift):
-    """Zero mean / unit variance per channel over the spatial axes, then affine."""
+    """Zero mean / unit variance per channel over the spatial axes, then affine.
+
+    Returns (y, xhat, var): the output, the normalized input and its
+    per-channel variance, the two that instance_norm_vjp reads.
+    """
     x = np.asarray(x, dtype=np.float64)
     return _norm_forward(x, np.asarray(gain), np.asarray(shift), tuple(range(x.ndim - 1)))
 
 
-def instance_norm_vjp(x, gain, upstream):
-    x = np.asarray(x, dtype=np.float64)
-    axes = tuple(range(x.ndim - 1))
-    return _norm_vjp(x, np.asarray(gain), axes, axes, np.asarray(upstream))
+def instance_norm_vjp(xhat, var, gain, upstream):
+    """Gradients w.r.t. (x, gain, shift), from instance_norm's xhat and var."""
+    axes = tuple(range(xhat.ndim - 1))
+    return _norm_vjp(xhat, var, np.asarray(gain), axes, axes, np.asarray(upstream))
 
 
 def layer_norm_channels(x, gain, shift):
-    """Zero mean / unit variance over the channel axis per position, then affine."""
+    """Zero mean / unit variance over the channel axis per position, then affine.
+
+    Returns (y, xhat, var): the output, the normalized input and its
+    per-position variance, the two that layer_norm_channels_vjp reads.
+    """
     x = np.asarray(x, dtype=np.float64)
     return _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,))
 
 
-def layer_norm_channels_vjp(x, gain, upstream):
-    x = np.asarray(x, dtype=np.float64)
-    param_axes = tuple(range(x.ndim - 1))  # gain/shift are per channel
-    return _norm_vjp(x, np.asarray(gain), (x.ndim - 1,), param_axes, np.asarray(upstream))
+def layer_norm_channels_vjp(xhat, var, gain, upstream):
+    """Gradients w.r.t. (x, gain, shift), from layer_norm_channels' xhat and var."""
+    param_axes = tuple(range(xhat.ndim - 1))  # gain/shift are per channel
+    return _norm_vjp(xhat, var, np.asarray(gain), (xhat.ndim - 1,), param_axes,
+                     np.asarray(upstream))
 
+
+def sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    never overflows: both are e' / (1 + e) with e = exp(-|x|), where e' is 1
+    for x >= 0 and e below. Both branches are evaluated over the whole array
+    instead of gathered and scattered by a boolean mask, which gives the same
+    bits."""
+    e = np.abs(x, dtype=np.float64)
+    np.exp(np.negative(e, out=e), out=e)
+    s = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, s, out=s)

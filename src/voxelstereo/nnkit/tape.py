@@ -12,24 +12,21 @@ captures arrays and plain values (a count, a shape, a stride), never a node
 or a list of nodes: a captured node would keep its value alive. So once a
 forward returns, the graph keeps alive exactly the arrays the VJP closures
 captured; an intermediate value no VJP reads (a norm output that feeds
-sigmoid or relu, a grid that is only scaled or averaged) is freed as soon
-as the caller drops its node. backward() consumes the graph: it runs each
-slot's VJP once, in anti-topological order, adds gradients at fan-out and
-unlinks each slot as it goes, so a second backward over the same root
-reaches only it.
+relu, a conv output that feeds a norm, a grid that is only scaled or
+averaged) is freed as soon as the caller drops its node. backward()
+consumes the graph: it runs each slot's VJP once, in anti-topological
+order, adds gradients at fan-out and unlinks each slot as it goes, so a
+second backward over the same root reaches only it.
 
 The VJPs capture one array per value they need and recompute what is cheap:
-sigmoid, tanh and relu keep their outputs, not their inputs; lerp
-recomputes 1 - t; a concat's value is its blocks' arrays, which conv
+relu keeps its output, not its input; instance_norm keeps the normalized
+input and its per-channel variance, not the input, which the conv that
+made it then frees; a concat's value is its blocks' arrays, which conv
 reads as channel blocks, so no joined copy is written and a block that
-several convs or other VJPs read is held once. A conv over a list of
-kernels runs once and returns one node per kernel, a view of its channels
-of the output; their cotangents reach the conv as the blocks of a private
-_Blocks cotangent, which backward's + merges, so no joined cotangent is
-written either. None of this changes a bit of any value or gradient:
-where the cotangents of two convs met at fan-out, a conv over both kernels
-adds the same two terms itself, and a sum of two is the same in either
-order.
+several convs or other VJPs read is held once. The GRU step
+(fusion.gru_step_node) is one op whose VJP is written out by hand: it
+holds its input, its state and each gate's normalized pre-activation, and
+rebuilds the gate activations from them in backward.
 
 Under no_record(), a forward whose result is never differentiated (an
 evaluation, the loss after the last training step) records nothing: an op's
@@ -41,14 +38,14 @@ would seed it with ones and reach nothing, so backward raises instead. Used
 as an input to an op recorded later, it acts as a constant. The flag is a
 context variable, so it holds for the current thread only.
 
-Each op's forward and VJP are written in the op itself, except conv and the
-two norms: they keep their array math in nnkit.layers, where the benchmark's
-tracer finds them by name, and their ops here only record it on the tape.
-unproject and project likewise call diffops.
+Each op's forward and VJP are written in the op itself, except conv and
+instance_norm: they keep their array math in nnkit.layers, where the
+benchmark's tracer finds them by name, and their ops here only record it on
+the tape. unproject and project likewise call diffops.
 
-This is not a general autodiff system: only the operators defined here are
-composable, which is all the toy pipelines need: conv is same-padded and
-project samples the nearest voxel.
+This is not a general autodiff system: only the operators defined here and
+the GRU step are composable, which is all the toy pipelines need: conv is
+same-padded and project samples the nearest voxel.
 """
 
 from __future__ import annotations
@@ -104,8 +101,7 @@ class TapeNode:
     input images among them, are TapeNode(x): an empty slot, and the value is
     x as float64; grad accumulates until Adam.step uses it. An op under
     no_record() keeps neither parents nor VJP. Only concat's value is a
-    list, of its blocks' arrays, and only conv reads one. Only a conv over
-    a list of kernels has a cotangent that is not an array: _Blocks.
+    list, of its blocks' arrays, and only conv reads one.
     """
 
     __slots__ = ("value", "slot")
@@ -166,21 +162,8 @@ def add(a, b):
     return TapeNode(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def mul(a, b):
-    av, bv = a.value, b.value
-    return TapeNode(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-
 def scale(a, s: float):
     return TapeNode(a.value * s, (a,), lambda g: (g * s,))
-
-
-def lerp(a, b, t):
-    """(1 - t) * a + t * b. The VJP recomputes 1 - t rather than keep it; its
-    cotangent for t is g * b - g * a, the bits of -(g * a) + g * b."""
-    av, bv, tv = a.value, b.value, t.value
-    return TapeNode((1.0 - tv) * av + tv * bv, (a, b, t),
-                    lambda g: (g * (1.0 - tv), g * tv, g * bv - g * av))
 
 
 def concat(nodes):
@@ -215,36 +198,11 @@ def relu(a):
     return TapeNode(y, (a,), lambda g: (np.where(y > 0, g, 0.0),))
 
 
-def sigmoid(a):
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
-    never overflows: both are e' / (1 + e) with e = exp(-|x|), where e' is 1
-    for x >= 0 and e below. Both branches are evaluated over the whole array
-    instead of gathered and scattered by a boolean mask, which gives the same
-    bits."""
-    x = a.value
-    e = np.abs(x, dtype=np.float64)
-    np.exp(np.negative(e, out=e), out=e)
-    s = 1.0 + e
-    np.copyto(e, 1.0, where=x >= 0)
-    np.divide(e, s, out=s)
-    return TapeNode(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a):
-    t = np.tanh(a.value)
-    return TapeNode(t, (a,), lambda g: (g * (1.0 - t * t),))
-
-
 def instance_norm(x, gain, shift):
-    xv, gv = x.value, gain.value
-    return TapeNode(layers.instance_norm(xv, gv, shift.value), (x, gain, shift),
-                    lambda g: layers.instance_norm_vjp(xv, gv, g))
-
-
-def layer_norm_channels(x, gain, shift):
-    xv, gv = x.value, gain.value
-    return TapeNode(layers.layer_norm_channels(xv, gv, shift.value), (x, gain, shift),
-                    lambda g: layers.layer_norm_channels_vjp(xv, gv, g))
+    """The VJP reads the normalized input and the variance, not the input."""
+    gv = gain.value
+    y, xhat, var = layers.instance_norm(x.value, gv, shift.value)
+    return TapeNode(y, (x, gain, shift), lambda g: layers.instance_norm_vjp(xhat, var, gv, g))
 
 
 def softmax_channels(a):
@@ -284,63 +242,14 @@ def softmax_channels(a):
 
 # --- convolutions and resampling ---------------------------------------------
 
-class _Blocks(list):
-    """The cotangent of a conv over a list of kernels, held as one block per
-    kernel's output channels (None where none arrived), so no joined copy is
-    written; + merges two. Like any cotangent, its shape is its value's:
-    the joined output's, which np.shape reads."""
-
-    __slots__ = ("shape",)
-
-    def __init__(self, blocks, shape):
-        super().__init__(blocks)
-        self.shape = shape
-
-    def __add__(self, other):
-        # each view's cotangent fills its own block, so no block arrives twice
-        return _Blocks([b if a is None else a for a, b in zip(self, other, strict=True)],
-                       self.shape)
-
-
 def conv(x, kernel, bias=None, stride=1):
-    """Same-padded convolution plus bias; a single kernel may have no bias
-    node. x may be a concat, whose blocks the conv reads and keeps.
-
-    kernel and bias may be lists of nodes, of convs that read the same x:
-    then one conv runs over all the kernels, and the result is a list of
-    nodes, each a view of its kernel's channels of the one output. Their
-    cotangents reach the conv as _Blocks, and its VJP joins the kernels
-    again rather than keep the joined copy.
-    """
-    xv = x.value
-    if not isinstance(kernel, list):
-        kv = kernel.value
-        parents = (x, kernel) if bias is None else (x, kernel, bias)
-        y = layers.conv_forward(xv, kv, None if bias is None else bias.value, stride)
-        n = len(parents)
-        return TapeNode(y, parents, lambda g: layers.conv_vjp(xv, kv, stride, "same", g)[:n])
-    kvs = [k.value for k in kernel]
-    y = layers.conv_forward(xv, kvs, [b.value for b in bias], stride)
-    shape, widths = y.shape, [k.shape[-1] for k in kvs]
-
-    def vjp(g):
-        for i, w in enumerate(widths):
-            if g[i] is None:
-                g[i] = np.zeros((*shape[:-1], w))
-        grad_x, grad_k, grad_b = layers.conv_vjp(xv, kvs, stride, "same", g)
-        return (grad_x, *grad_k, *grad_b)
-
-    node = TapeNode(y, (x, *kernel, *bias), vjp)
-
-    def view(i, lo, hi):
-        def view_vjp(g):
-            blocks = [None] * len(widths)
-            blocks[i] = g
-            return (_Blocks(blocks, shape),)
-        return TapeNode(y[..., lo:hi], (node,), view_vjp)
-
-    bounds = np.cumsum([0, *widths])
-    return [view(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    """Same-padded convolution plus bias; the bias node may be None. x may be
+    a concat, whose blocks the conv reads and keeps."""
+    xv, kv = x.value, kernel.value
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    y = layers.conv_forward(xv, kv, None if bias is None else bias.value, stride)
+    n = len(parents)
+    return TapeNode(y, parents, lambda g: layers.conv_vjp(xv, kv, stride, "same", g)[:n])
 
 
 def upsample_nearest(x, factor):

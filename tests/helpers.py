@@ -4,7 +4,7 @@ import numpy as np
 from scipy.ndimage import minimum_filter
 
 from voxelstereo import classical, diffops, geometry, synthgen
-from voxelstereo.nnkit import tape
+from voxelstereo.nnkit import layers, tape
 
 
 def fd_gradient(func, x, step=1e-3):
@@ -61,6 +61,32 @@ def _one_minus(a):
     return tape.TapeNode(1.0 - a.value, (a,), lambda g: (-g,))
 
 
+# Tape ops that the package composes only inside fusion.gru_step_node's one
+# op, written as the separate ops the reference fold and the tape tests use.
+
+def tape_mul(a, b):
+    av, bv = a.value, b.value
+    return tape.TapeNode(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+
+def tape_sigmoid(a):
+    """Keeps its output, not its input."""
+    s = layers.sigmoid(a.value)
+    return tape.TapeNode(s, (a,), lambda g: (g * s * (1.0 - s),))
+
+
+def tape_tanh(a):
+    t = np.tanh(a.value)
+    return tape.TapeNode(t, (a,), lambda g: (g * (1.0 - t * t),))
+
+
+def tape_layer_norm_channels(x, gain, shift):
+    gv = gain.value
+    y, xhat, var = layers.layer_norm_channels(x.value, gv, shift.value)
+    return tape.TapeNode(y, (x, gain, shift),
+                         lambda g: layers.layer_norm_channels_vjp(xhat, var, gv, g))
+
+
 def joined_concat(nodes):
     """Channel concatenation as one joined array, split back in the VJP."""
     splits = np.cumsum([n.value.shape[-1] for n in nodes])[:-1]
@@ -69,35 +95,35 @@ def joined_concat(nodes):
 
 
 def gru_fold_reference(grids, params):
-    """fusion.fuse_recurrent_node as it was written with whole concatenations.
+    """fusion.fuse_recurrent_node as it was written with separate tape ops.
 
-    Every gate conv reads a joined copy, not tape.concat's channel blocks,
-    and the blend h' = (1 - z) * h + z * c is one_minus, two muls and an
-    add, so the graph keeps 1 - z and both concatenated copies; the first
-    step, from the zero state, convolves x with the x rows of each kernel
-    alone. The fold must give the same bytes, in its value and every
-    gradient.
+    One conv per gate, each reading a joined copy of its input, not channel
+    blocks; the blend h' = (1 - z) * h + z * c is one_minus, two muls and an
+    add, so the graph keeps 1 - z, both concatenated copies and every
+    activation; the first step, from the zero state, convolves x with the x
+    rows of each kernel alone. The fold's one op per step must give the same
+    bytes, in its value and every gradient.
     """
     def preact(xh, gate, rows=None):
         p = f"gru.{gate}."
         kernel = params[p + "kernel"]
         if rows is not None:
             kernel = tape.take(kernel, slice(0, rows), axis=3)
-        return tape.layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"]),
+        return tape_layer_norm_channels(tape.conv(xh, kernel, params[p + "bias"]),
                                         params[p + "ln_gain"], params[p + "ln_shift"])
 
     h = None
     for x in grids:
         if h is None:
             c_in = x.value.shape[-1]
-            z = tape.sigmoid(preact(x, "update", rows=c_in))
-            h = tape.mul(z, tape.tanh(preact(x, "candidate", rows=c_in)))
+            z = tape_sigmoid(preact(x, "update", rows=c_in))
+            h = tape_mul(z, tape_tanh(preact(x, "candidate", rows=c_in)))
             continue
         xh = joined_concat([x, h])
-        z = tape.sigmoid(preact(xh, "update"))
-        r = tape.sigmoid(preact(xh, "reset"))
-        c = tape.tanh(preact(joined_concat([x, tape.mul(r, h)]), "candidate"))
-        h = tape.add(tape.mul(_one_minus(z), h), tape.mul(z, c))
+        z = tape_sigmoid(preact(xh, "update"))
+        r = tape_sigmoid(preact(xh, "reset"))
+        c = tape_tanh(preact(joined_concat([x, tape_mul(r, h)]), "candidate"))
+        h = tape.add(tape_mul(_one_minus(z), h), tape_mul(z, c))
     return h
 
 
@@ -110,8 +136,8 @@ def bilinear_corners_reference(fmap_shape, pts, valid=True):
     h, w = fmap_shape[0], fmap_shape[1]
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     u, v = pts[:, 0], pts[:, 1]
-    uc = np.fmin(np.fmax(u, 0), w - 1)
-    vc = np.fmin(np.fmax(v, 0), h - 1)
+    uc = np.fmin(np.fmax(u, 0), w - 1) + 0.0
+    vc = np.fmin(np.fmax(v, 0), h - 1) + 0.0
     keep = (uc == u) & (vc == v) & valid
     u0 = np.minimum(uc.astype(np.int64), max(w - 2, 0))
     v0 = np.minimum(vc.astype(np.int64), max(h - 2, 0))

@@ -142,6 +142,17 @@ class TestCornerTable:
         if masked:
             assert not weights[:, ~valid].any()
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_negative_zero_coordinate_gets_the_same_bytes_anywhere(self, axis):
+        # numpy's fmax(-0.0, 0) is +0.0 in its SIMD body and -0.0 in its
+        # scalar tail: with 65 points the first and last fall in each
+        pts = np.full((65, 2), 1.5)
+        pts[[0, 64], axis] = -0.0
+        lin, weights = _bilinear_corners((4, 4), pts)
+        assert lin[:, 0].tobytes() == lin[:, 64].tobytes()
+        assert weights[:, 0].tobytes() == weights[:, 64].tobytes()
+        assert not np.signbit(weights).any()
+
 
 class TestCompareExchangeSort:
     @pytest.mark.parametrize("n", range(1, 7))

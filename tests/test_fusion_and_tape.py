@@ -9,7 +9,16 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import TapeDot, fd_gradient, gru_fold_reference, max_rel_error
+from helpers import (
+    TapeDot,
+    fd_gradient,
+    gru_fold_reference,
+    max_rel_error,
+    tape_layer_norm_channels,
+    tape_mul,
+    tape_sigmoid,
+    tape_tanh,
+)
 
 from voxelstereo import diffops
 from voxelstereo.diffops import GeomFeatureConfig
@@ -201,7 +210,7 @@ class TestGruStep:
             h_node = tape.TapeNode(h)
             out = gru_step_node(h_node, tape.TapeNode(x), params)
             diff = tape.add(out, tape.TapeNode(-target))
-            return tape.mul(diff, diff), h_node
+            return tape_mul(diff, diff), h_node
 
         sq, h_node = loss_value()
         loss = TapeSum(sq)
@@ -238,13 +247,10 @@ class TestGruStep:
                                  for name in ("kernel", "bias", "ln_gain", "ln_shift"))
             pre = (layers.conv_forward(x, k[..., :c_in, :], b)
                    + layers.conv_forward(state, k[..., c_in:, :]))
-            return layers.layer_norm_channels(pre, gain, shift)
+            return layers.layer_norm_channels(pre, gain, shift)[0]
 
-        def sigmoid(v):
-            return tape.sigmoid(tape.TapeNode(v)).value
-
-        z = sigmoid(preact("update", h))
-        r = sigmoid(preact("reset", h))
+        z = layers.sigmoid(preact("update", h))
+        r = layers.sigmoid(preact("reset", h))
         c = np.tanh(preact("candidate", r * h))
         expected = (1.0 - z) * h + z * c
         out = gru_step_node(tape.TapeNode(h), tape.TapeNode(x), params).value
@@ -301,8 +307,9 @@ class TestZeroStateFold:
 
 
 class TestFoldAgainstReference:
-    """The fold keeps channel blocks and blends with tape.lerp; the reference
-    reads whole concatenations and blends with one_minus, mul and add."""
+    """The fold is one op per step, whose VJP rebuilds the activations; the
+    reference is separate tape ops, one conv per gate over a whole
+    concatenation, blended with one_minus, mul and add."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_value_and_every_gradient_equal_the_reference_as_bytes(self, k):
@@ -327,11 +334,14 @@ class TestFoldAgainstReference:
 
     def test_a_recorded_fold_holds_no_concatenated_copy(self):
         # 3 views at 16^3, 20 -> 16 channels. Held beyond the inputs, in
-        # states of 16 channels: step 1 keeps two conv outputs, z and c; each
-        # later step three conv outputs, z, r, c and r * h; and each step's
-        # result. That is 21 states and the kernels' x rows. A fold whose
-        # convs keep whole concatenations held 30: in place of r * h, each
-        # later step kept two 36-channel copies and 1 - z.
+        # states of 16 channels: each gate's normalized pre-activation xhat
+        # (two in step 1, three in each later step) and its variance (1/16
+        # of a state), and each step's result. That is 11.5 states. The
+        # fold of separate tape ops held 21: in place of xhat, step 1 kept
+        # two conv outputs, z and c, and each later step three conv outputs,
+        # z, r, c and r * h. One whose convs kept whole concatenations held
+        # 30: in place of r * h, each later step kept two 36-channel copies
+        # and 1 - z.
         params = init_gru_params(20, 16, rng=np.random.default_rng(32))
         rng = np.random.default_rng(33)
         grids = leaves(rng.standard_normal((16, 16, 16, 20)) for _ in range(3))
@@ -343,13 +353,14 @@ class TestFoldAgainstReference:
         finally:
             tracemalloc.stop()
         assert h.value.nbytes == state_bytes
-        assert held <= 22 * state_bytes
+        assert held <= 12 * state_bytes
 
     def test_a_recorded_fold_peaks_without_a_joined_copy(self):
-        # The same fold as above: a concat holds its blocks, so no step
-        # writes a 36-channel joined copy (2.25 states) on top of what it
-        # holds. A fold that writes the two joined copies peaks at 28.2
-        # states, this one at 23.7.
+        # The same fold as above: each gate conv reads the blocks [x, h], so
+        # no step writes a 36-channel joined copy (2.25 states) on top of
+        # what it holds. A fold that writes the two joined copies peaked at
+        # 28.2 states, the fold of separate tape ops at 22.9, this one at
+        # 17.3.
         params = init_gru_params(20, 16, rng=np.random.default_rng(32))
         rng = np.random.default_rng(33)
         grids = leaves(rng.standard_normal((16, 16, 16, 20)) for _ in range(3))
@@ -360,14 +371,15 @@ class TestFoldAgainstReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25 * state_bytes
+        assert peak <= 18 * state_bytes
 
-    def test_a_fold_and_its_backward_peak_below_29_states(self):
-        # The same fold, then backward. The gates that read one input run as
-        # one conv, their cotangents reach it as blocks, and each conv frees
-        # its padded rows before it copies its output out: the peak read
-        # 27.8 states. One conv per gate, with the padded rows held through
-        # the output copy, peaked at 29.2.
+    def test_a_fold_and_its_backward_peak_below_23_states(self):
+        # The same fold, then backward. Each step's VJP drops each array it
+        # holds once read, the gates that read one input run as one conv,
+        # and each conv frees its padded rows before it copies its output
+        # out: the peak read 22.0 states. The fold of separate tape ops
+        # peaked at 27.8; one conv per gate, with the padded rows held
+        # through the output copy, at 29.2.
         params = init_gru_params(20, 16, rng=np.random.default_rng(32))
         rng = np.random.default_rng(33)
         grids = leaves(rng.standard_normal((16, 16, 16, 20)) for _ in range(3))
@@ -380,7 +392,7 @@ class TestFoldAgainstReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 29 * state_bytes
+        assert peak <= 23 * state_bytes
 
 
 def TapeSum(node):
@@ -392,13 +404,13 @@ def TapeSum(node):
 class TestTape:
     def test_fanout_accumulates(self):
         x = tape.TapeNode(np.array([2.0]))
-        y = tape.add(tape.mul(x, x), tape.scale(x, 3.0))  # x^2 + 3x
+        y = tape.add(tape_mul(x, x), tape.scale(x, 3.0))  # x^2 + 3x
         tape.backward(TapeSum(y))
         np.testing.assert_allclose(x.grad, [7.0])  # 2x + 3
 
     def test_each_node_visited_once(self):
         x = tape.TapeNode(np.array([1.0, 2.0]))
-        shared = tape.mul(x, x)
+        shared = tape_mul(x, x)
         out = tape.add(shared, shared)  # 2x^2
         tape.backward(TapeSum(out))
         np.testing.assert_allclose(x.grad, 4.0 * x.value)
@@ -406,7 +418,7 @@ class TestTape:
     def test_backward_keeps_gradients_on_leaves_only(self):
         x = tape.TapeNode(np.array([2.0, -1.0]))
         c = tape.TapeNode(np.array([3.0, 4.0]))  # a second leaf
-        inner = tape.mul(x, c)
+        inner = tape_mul(x, c)
         tape.backward(TapeSum(inner))
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
         np.testing.assert_array_equal(c.grad, [2.0, -1.0])
@@ -414,7 +426,7 @@ class TestTape:
 
     def test_backward_releases_what_the_vjps_captured(self):
         x = tape.TapeNode(np.array([0.5, -2.0]))
-        hidden = tape.tanh(x)
+        hidden = tape_tanh(x)
         root = TapeSum(tape.relu(hidden))  # tanh's VJP captures hidden's value
         captured = weakref.ref(hidden.value)
         del hidden
@@ -428,8 +440,8 @@ class TestTape:
         rng = np.random.default_rng(15)
         x = tape.TapeNode(rng.standard_normal((3, 4)))
         c = tape.TapeNode(rng.standard_normal((3, 4)))
-        shared = tape.mul(x, c)
-        root = TapeSum(tape.add(tape.sigmoid(shared), shared))
+        shared = tape_mul(x, c)
+        root = TapeSum(tape.add(tape_sigmoid(shared), shared))
         tape.backward(root)
         first = [x.grad.tobytes(), c.grad.tobytes()]
         tape.backward(root)
@@ -456,14 +468,16 @@ class TestTape:
         rng = np.random.default_rng(16)
         x, gain, shift = leaves([rng.standard_normal((2, 3, 2, 4)),
                                  rng.standard_normal(4), rng.standard_normal(4)])
-        normed = tape.layer_norm_channels(x, gain, shift)
+        normed = tape_layer_norm_channels(x, gain, shift)
         unread = weakref.ref(normed.value)
-        s = tape.sigmoid(normed)  # sigmoid's VJP captures its own output, not its input
+        s = tape_sigmoid(normed)  # sigmoid's VJP captures its own output, not its input
         root = TapeSum(s)
         del normed
         assert unread() is None
         tape.backward(root)
-        expected = layers.layer_norm_channels_vjp(x.value, gain.value, s.value * (1.0 - s.value))
+        _, xhat, var = layers.layer_norm_channels(x.value, gain.value, shift.value)
+        expected = layers.layer_norm_channels_vjp(xhat, var, gain.value,
+                                                  s.value * (1.0 - s.value))
         for leaf, g in zip((x, gain, shift), expected, strict=True):
             np.testing.assert_array_equal(leaf.grad, g)
 
@@ -478,7 +492,8 @@ class TestTape:
         del normed
         assert unread() is None
         tape.backward(root)
-        expected = layers.instance_norm_vjp(x.value, gain.value, (y.value > 0).astype(float))
+        _, xhat, var = layers.instance_norm(x.value, gain.value, shift.value)
+        expected = layers.instance_norm_vjp(xhat, var, gain.value, (y.value > 0).astype(float))
         for leaf, g in zip((x, gain, shift), expected, strict=True):
             np.testing.assert_array_equal(leaf.grad, g)
 
@@ -525,7 +540,7 @@ class TestTape:
                                  rng.standard_normal(4), rng.standard_normal(4)])
 
         def forward():
-            return tape.sigmoid(tape.layer_norm_channels(tape.mul(x, x), gain, shift))
+            return tape_sigmoid(tape_layer_norm_channels(tape_mul(x, x), gain, shift))
 
         with tape.no_record():
             free = forward()
@@ -538,7 +553,7 @@ class TestTape:
     def test_backward_refuses_a_root_built_under_no_record(self):
         x = tape.TapeNode(np.array([1.0, -2.0]))
         with tape.no_record():
-            root = TapeSum(tape.mul(x, x))
+            root = TapeSum(tape_mul(x, x))
         with pytest.raises(ValueError, match="no_record"):
             tape.backward(root)
         assert x.grad is None and root.grad is None
@@ -564,13 +579,13 @@ class TestTape:
         made = {}
 
         def other():
-            made["root"] = TapeSum(tape.mul(x, x))
+            made["root"] = TapeSum(tape_mul(x, x))
 
         with tape.no_record():
             worker = threading.Thread(target=other)
             worker.start()
             worker.join(timeout=30)
-            mine = tape.mul(x, x)
+            mine = tape_mul(x, x)
         assert not worker.is_alive()
         assert mine.slot.parents == ()
         tape.backward(made["root"])

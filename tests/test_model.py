@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxelstereo.nnkit import tape, train
+from voxelstereo.nnkit import layers, tape, train
 from voxelstereo.nnkit.adam import Adam
 from voxelstereo.nnkit.model import ToyModel, ToyModelConfig, load_checkpoint, save_checkpoint
 from voxelstereo.nnkit.tape import backward
@@ -135,20 +135,35 @@ CHECKPOINT_NAMES = {
 
 
 def test_a_voxel_gru_forward_keeps_no_layer_norm_output(dataset, monkeypatch):
-    # every GRU layer norm feeds sigmoid or tanh, whose VJPs capture their own
-    # outputs, so once loss returns nothing holds a layer-norm output
-    outputs = []
-    layer_norm = tape.layer_norm_channels
+    # each GRU step keeps x, h and its gates' normalized pre-activations and
+    # rebuilds the rest in backward, so once loss returns nothing holds a
+    # conv output, a layer-norm output (z and r before their sigmoid, c
+    # after its tanh, which runs in place), a sigmoid output or r * h
+    made = {"conv_forward": [], "layer_norm_channels": [], "sigmoid": []}
+    blocks = []  # the h, then the r * h, each later GRU step's gate convs read
 
-    def recorded(x, gain, shift):
-        node = layer_norm(x, gain, shift)
-        outputs.append(weakref.ref(node.value))
-        return node
+    def record(name):
+        f = getattr(layers, name)
 
-    monkeypatch.setattr(tape, "layer_norm_channels", recorded)
+        def recorded(*args):
+            out = f(*args)
+            made[name].append(weakref.ref(out[0] if name == "layer_norm_channels" else out))
+            if name == "conv_forward" and isinstance(args[0], list):
+                blocks.append(weakref.ref(args[0][1]))
+            return out
+        monkeypatch.setattr(layers, name, recorded)
+
+    for name in made:
+        record(name)
     model = ToyModel.create(tiny_config("voxel", "gru"))
-    root = model.loss(dataset.load_all()[0], [0, 1])
-    assert outputs and all(ref() is None for ref in outputs)
+    root = model.loss(dataset.load_all()[0], [0, 1, 2])
+    # 3 views: 9 encoder convs, 5 gate convs, 2 reasoner convs and the head
+    assert [len(refs) for refs in made.values()] == [17, 8, 5]
+    assert all(ref() is None for refs in made.values() for ref in refs)
+    states, products = blocks[0::2], blocks[1::2]
+    assert len(states) == len(products) == 2
+    assert all(ref() is not None for ref in states)  # the step's VJP holds h
+    assert all(ref() is None for ref in products)
     backward(root)
     Adam(model.parameters()).step()
     assert all(np.isfinite(p.value).all() for p in model.parameters())
