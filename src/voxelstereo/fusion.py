@@ -20,15 +20,19 @@ names gru.<gate>.kernel, .bias, .ln_gain and .ln_shift for gate in update,
 reset and candidate.
 
 gru_step_node records each step as one tape op, whose VJP is written out
-here. The op holds x, h and, for each gate, the normalized pre-activation
-xhat and its variance that layers.layer_norm_channels returns: 22.8 MB a
+here. The op holds h and, for each gate, the normalized pre-activation
+xhat and its variance that layers.layer_norm_channels returns: 17.6 MB a
 step at 32^3 and the model's widths. It holds no conv output and none of
-z, r, c or r * h. The VJP rebuilds z, r and c from xhat (gain * xhat +
-shift, then sigmoid or tanh: the forward's bits) and r * h from r and h;
-it hands xhat and the variance to layers.layer_norm_channels_vjp and the
-blocks to layers.conv_vjp, and drops each array once it has read it, so
-its working set shrinks as it goes. Only elementwise work is recomputed;
-no conv runs twice.
+z, r, c or r * h. In place of x it holds tape.recall(x): for a recorded
+tape.unproject, the model's case, a rebuild that unprojects the view's
+feature map again (one 32^3 unproject, some 4 ms), so the step keeps no
+5.2 MB grid alive; for any other node, x's value. The VJP rebuilds z, r
+and c from xhat (gain * xhat + shift, then sigmoid or tanh: the forward's
+bits), x where it first reads it, and r * h from r and h; it hands xhat
+and the variance to layers.layer_norm_channels_vjp and the blocks to
+layers.conv_vjp, and drops each array once it has read it, its cotangent
+too, so its working set shrinks as it goes. Only elementwise work and the
+unproject are recomputed; no conv runs twice.
 
 The value and every gradient are the bits of the graph of separate tape
 ops (sigmoid, tanh, mul, lerp, a concat, a conv per gate) that the op
@@ -77,7 +81,7 @@ import numpy as np
 
 from .nnkit import layers
 from .nnkit.layers import he_normal
-from .nnkit.tape import TapeNode
+from .nnkit.tape import TapeNode, recall
 
 
 def init_gru_params(c_in, c_hidden, rng) -> dict[str, TapeNode]:
@@ -145,18 +149,19 @@ def gru_step_node(h, x, params) -> TapeNode:
     del r
     c = np.tanh(c, out=c)
     out = (1.0 - z) * hv + z * c
-    saved = [xv, hv, xhat_z, var_z, xhat_r, var_r, xhat_c, var_c]
+    saved = [recall(x), hv, xhat_z, var_z, xhat_r, var_r, xhat_c, var_c]
 
     def vjp(g):
-        # each array is dropped once read; each term and sum is the one the
-        # separate ops' graph made
-        x, h, xhat_z, var_z, xhat_r, var_r, xhat_c, var_c = saved
+        # each array is dropped once read, g too, which backward hands over;
+        # each term and sum is the one the separate ops' graph made
+        get_x, h, xhat_z, var_z, xhat_r, var_r, xhat_c, var_c = saved
         saved.clear()
         z = _activation(layers.sigmoid, xhat_z, gain_z, shift_z)
         c = _activation(np.tanh, xhat_c, gain_c, shift_c)
         grad_h = g * (1.0 - z)  # the blend (1 - z) * h + z * c
         grad_c = g * z
         grad_z = g * c - g * h
+        del g
         grad_z *= z  # sigmoid
         grad_z *= 1.0 - z
         del z
@@ -169,6 +174,7 @@ def gru_step_node(h, x, params) -> TapeNode:
             xhat_c, var_c, gain_c, grad_c)
         del xhat_c, var_c
         r = _activation(layers.sigmoid, xhat_r, gain_r, shift_r)
+        x = get_x()
         grad_xrh, (grad_k_c,), (grad_b_c,) = layers.conv_vjp([x, r * h], [k_c], 1, "same",
                                                             grad_c)
         del grad_c
@@ -210,16 +216,17 @@ def _zero_state_step(x, params):
     z = layers.sigmoid(z)
     c = np.tanh(c, out=c)
     out = z * c
-    saved = [xv, xhat_z, var_z, xhat_c, var_c]
+    saved = [recall(x), xhat_z, var_z, xhat_c, var_c]
     shape = params["gru.update.kernel"].value.shape  # all three gate kernels share it
 
     def vjp(g):
-        x, xhat_z, var_z, xhat_c, var_c = saved
+        get_x, xhat_z, var_z, xhat_c, var_c = saved
         saved.clear()
         z = _activation(layers.sigmoid, xhat_z, gain_z, shift_z)
         c = _activation(np.tanh, xhat_c, gain_c, shift_c)
         grad_z = g * c  # z * c
         grad_c = g * z
+        del g
         grad_z *= z  # sigmoid
         grad_z *= 1.0 - z
         del z
@@ -234,8 +241,8 @@ def _zero_state_step(x, params):
         # the gates' one conv takes the cotangent of its joined output
         grad_zc = np.concatenate([grad_z, grad_c], axis=-1)
         del grad_z, grad_c
-        grad_x, grad_ks, (grad_b_z, grad_b_c) = layers.conv_vjp(x, [k_z, k_c], 1, "same",
-                                                                grad_zc)
+        grad_x, grad_ks, (grad_b_z, grad_b_c) = layers.conv_vjp(get_x(), [k_z, k_c], 1,
+                                                                "same", grad_zc)
         # the h rows of each kernel met only zeros: their gradient is zero
         grad_k_z, grad_k_c = np.zeros(shape), np.zeros(shape)
         grad_k_z[..., :c_in, :], grad_k_c[..., :c_in, :] = grad_ks
@@ -246,11 +253,16 @@ def _zero_state_step(x, params):
 
 
 def fuse_recurrent_node(grids, params) -> TapeNode:
-    """Fold gru_step_node over the views in the given order from the zero state."""
-    grids = list(grids)
-    if not grids:
-        raise ValueError("need at least one grid")
+    """Fold gru_step_node over the views in the given order from the zero state.
+
+    grids may be any iterable, read once and lazily: the fold drops each grid
+    node once its step is recorded, before it asks for the next, so a
+    generator that unprojects one view at a time has one grid alive at once.
+    """
     h = None
     for g in grids:
         h = gru_step_node(h, g, params)
+        del g
+    if h is None:
+        raise ValueError("need at least one grid")
     return h

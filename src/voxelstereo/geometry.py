@@ -87,14 +87,20 @@ class Intrinsics:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """World -> camera rigid transform: X_cam = rotation @ X_world + translation."""
+    """World -> camera rigid transform: X_cam = rotation @ X_world + translation.
+
+    The pose keeps read-only float64 copies of the arrays it is given, so a
+    later write into those arrays leaves the validated pose as it was, and a
+    write into the pose's own raises: geometry recomputed from a pose, in a
+    VJP say, is that of the camera the forward saw.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        r = np.array(self.rotation, dtype=np.float64)
+        t = np.array(np.reshape(self.translation, 3), dtype=np.float64)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         for name, value in (("rotation", r), ("translation", t)):
@@ -104,6 +110,7 @@ class Pose:
             raise ValueError("rotation is not orthonormal")
         if not np.isclose(np.linalg.det(r), 1.0, atol=_ROT_TOL):
             raise ValueError(f"rotation determinant {np.linalg.det(r)} != 1")
+        r.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 

@@ -166,30 +166,36 @@ class ToyModel:
         return self._conv_in_relu(x, "enc3"), skip
 
     def fuse(self, grids):
+        """The fused grid node of an iterable of grid nodes, read once."""
         if self.cfg.fusion == "gru":
             return fuse_recurrent_node(grids, self.params)
-        return tape.mean_stack(grids)
+        return tape.mean_stack(list(grids))
 
     def reasoned_grid(self, images, cameras):
         """Images (K, H, W, 3), cameras [(Intrinsics, Pose)] -> grid node, views.
 
         views holds one (skip feature, feature camera, pose) per image; the
         feature camera is the image camera scaled to the encoder's output.
-        The K unprojected grids are dropped once fused, so only the fused
-        grid, and whatever a recorded graph keeps, is live while reasoning:
-        mean fusion's graph keeps none of them, the GRU's gate convs each one.
+        Each view is encoded and unprojected only when fuse asks for its
+        grid, so the GRU, which folds the views one at a time, has one
+        unprojected grid alive at once; mean fusion takes all K together.
+        Neither fusion's graph keeps a grid: mean_stack's VJP reads none,
+        and each GRU step rebuilds its view's grid in backward from the
+        feature map that the unproject's VJP holds. So once fused, only the
+        fused grid and what the graph keeps are live while reasoning.
         """
         cfg = self.cfg
-        grids = []
         views = []
-        for image, (cam, pose) in zip(images, cameras):
-            feat, skip = self.encode(TapeNode(image))
-            fh, fw = feat.value.shape[:2]
-            feat_cam = scale_intrinsics(cam, fw, fh)
-            grids.append(tape.unproject(feat, feat_cam, pose, cfg.grid_spec, GEOM_FEATURES))
-            views.append((skip, feat_cam, pose))
-        fused = self.fuse(grids)
-        del grids
+
+        def grids():
+            for image, (cam, pose) in zip(images, cameras):
+                feat, skip = self.encode(TapeNode(image))
+                fh, fw = feat.value.shape[:2]
+                feat_cam = scale_intrinsics(cam, fw, fh)
+                views.append((skip, feat_cam, pose))
+                yield tape.unproject(feat, feat_cam, pose, cfg.grid_spec, GEOM_FEATURES)
+
+        fused = self.fuse(grids())
         g = self._conv_in_relu(fused, "reason1")
         g = self._conv_in_relu(g, "reason2")
         return g, views

@@ -16,7 +16,12 @@ relu, a conv output that feeds a norm, a grid that is only scaled or
 averaged) is freed as soon as the caller drops its node. backward()
 consumes the graph: it runs each slot's VJP once, in anti-topological
 order, adds gradients at fan-out and unlinks each slot as it goes, so a
-second backward over the same root reaches only it.
+second backward over the same root reaches only it. It takes the cotangent
+out of the slot before it calls the VJP and keeps no other reference, so a
+VJP that deletes its argument after its last read frees it before it
+returns (CPython 3.11 and later move a call's arguments into the callee's
+frame; on 3.10 the caller's stack keeps the argument until the call
+returns, and the cotangent is freed then, as before).
 
 The VJPs capture one array per value they need and recompute what is cheap:
 relu keeps its output, not its input; instance_norm keeps the normalized
@@ -25,8 +30,19 @@ made it then frees; a concat's value is its blocks' arrays, which conv
 reads as channel blocks, so no joined copy is written and a block that
 several convs or other VJPs read is held once. The GRU step
 (fusion.gru_step_node) is one op whose VJP is written out by hand: it
-holds its input, its state and each gate's normalized pre-activation, and
-rebuilds the gate activations from them in backward.
+holds its state and each gate's normalized pre-activation, and rebuilds
+the gate activations from them in backward.
+
+A value that is cheap to recompute from what the graph holds anyway need
+not be held at all: a recorded unproject's node carries a rebuild, a
+function of no arguments that runs the same diffops.unproject on the
+feature map, camera and pose its own VJP captures, and so returns the
+value's bits. A VJP may hold recall(node) in place of a parent's value:
+the rebuild where there is one, else a function that returns the held
+value, as for a leaf or any other op. The GRU step holds its input x this
+way and calls it where its VJP first reads x. A node made under
+no_record() gets no rebuild: it would keep alive a feature map that
+nothing else holds.
 
 Under no_record(), a forward whose result is never differentiated (an
 evaluation, the loss after the last training step) records nothing: an op's
@@ -91,6 +107,11 @@ class _Slot:
         self.vjp = vjp
         self.grad = None
 
+    def pop_grad(self):
+        """The cotangent, which the slot then no longer holds."""
+        g, self.grad = self.grad, None
+        return g
+
 
 class TapeNode:
     """A value plus its slot in the graph.
@@ -101,13 +122,16 @@ class TapeNode:
     input images among them, are TapeNode(x): an empty slot, and the value is
     x as float64; grad accumulates until Adam.step uses it. An op under
     no_record() keeps neither parents nor VJP. Only concat's value is a
-    list, of its blocks' arrays, and only conv reads one.
+    list, of its blocks' arrays, and only conv reads one. rebuild is None,
+    except on a recorded unproject: there it is a function of no arguments
+    that returns the value's bits anew (see recall).
     """
 
-    __slots__ = ("value", "slot")
+    __slots__ = ("value", "slot", "rebuild")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
+        self.rebuild = None
         if parents and not _recording.get():
             self.slot = _Slot((), _NOT_RECORDED)
         else:
@@ -151,9 +175,22 @@ def backward(root: TapeNode) -> None:
     while order:
         slot = order.pop()
         if slot.parents:
-            for parent, g in zip(slot.parents, slot.vjp(slot.grad), strict=True):
+            # the VJP gets the cotangent's only reference, so it may free it
+            grads = slot.vjp(slot.pop_grad())
+            for parent, g in zip(slot.parents, grads, strict=True):
                 parent.grad = g if parent.grad is None else parent.grad + g
-            slot.parents, slot.vjp, slot.grad = (), None, None
+            del grads, g
+            slot.parents, slot.vjp = (), None
+
+
+def recall(node):
+    """A function of no arguments that returns node's value, for a VJP to
+    hold in its place: a recorded unproject's rebuild, which holds only what
+    the unproject's own VJP holds, or else one that holds the value."""
+    if node.rebuild is not None:
+        return node.rebuild
+    value = node.value
+    return lambda: value
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -272,10 +309,16 @@ def upsample_nearest(x, factor):
 # --- grid transfer ------------------------------------------------------------
 
 def unproject(fmap, cam, pose, spec, gcfg):
+    """Recorded, the node's rebuild recomputes its value from the feature
+    map its VJP holds anyway; under no_record() it has none, so the node
+    does not keep the feature map alive."""
     fv = fmap.value
     out = diffops.unproject(fv, cam, pose, spec, gcfg)
-    return TapeNode(out, (fmap,),
+    node = TapeNode(out, (fmap,),
                     lambda g: (diffops.unproject_vjp(fv, cam, pose, spec, gcfg, g),))
+    if _recording.get():
+        node.rebuild = lambda: diffops.unproject(fv, cam, pose, spec, gcfg)
+    return node
 
 
 def project(grid, cam, pose):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -395,6 +396,112 @@ class TestFoldAgainstReference:
         assert peak <= 23 * state_bytes
 
 
+# Feature maps of the model's encoder width, unprojected into 6^3 grids with
+# the geometric channels: 16 + 4 = 20 channels, the GRU's input width.
+UNPROJECT_CAM = Intrinsics(fx=12.0, fy=12.0, cx=3.5, cy=3.5, width=8, height=8)
+UNPROJECT_SPEC = VoxelGridSpec(resolution=6)
+UNPROJECT_GEOM = GeomFeatureConfig(geometric=True)
+UNPROJECT_POSES = [look_at(eye, [0, 0, 0]) for eye in
+                   ([0.4, 0.7, -1.9], [1.8, 0.3, 0.6], [-1.2, 0.9, 1.3], [-0.5, -1.6, -1.0])]
+
+
+def unprojected(fmap, pose):
+    """The tape node of fmap unprojected through UNPROJECT_CAM at pose."""
+    return tape.unproject(fmap, UNPROJECT_CAM, pose, UNPROJECT_SPEC, UNPROJECT_GEOM)
+
+
+class TestFoldOverUnprojectedGrids:
+    """Each step holds a recorded unproject's rebuild in place of its grid."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_value_and_every_gradient_equal_a_fold_over_leaf_copies_as_bytes(self, k):
+        rng = np.random.default_rng(40)
+        maps = [rng.standard_normal((8, 8, 16)) for _ in range(k)]
+        u = rng.standard_normal((6, 6, 6, 16))
+        poses = UNPROJECT_POSES[:k]
+
+        def run(over_nodes):
+            params = init_gru_params(20, 16, rng=np.random.default_rng(41))
+            fmaps = leaves(maps)
+            if over_nodes:
+                grids = (unprojected(f, pose) for f, pose in zip(fmaps, poses))
+            else:
+                grids = leaves(unprojected(f, pose).value.copy()
+                               for f, pose in zip(fmaps, poses))
+            h = fuse_recurrent_node(grids, params)
+            tape.backward(TapeDot(h, u))
+            grads = {name: None if p.grad is None else p.grad.tobytes()
+                     for name, p in params.items()}
+            if over_nodes:
+                map_grads = [f.grad for f in fmaps]
+            else:  # the unproject VJP, applied by hand to each leaf's gradient
+                map_grads = [diffops.unproject_vjp(m, UNPROJECT_CAM, pose, UNPROJECT_SPEC,
+                                                   UNPROJECT_GEOM, g.grad)
+                             for m, pose, g in zip(maps, poses, grids)]
+            return h.value.tobytes(), grads, [g.tobytes() for g in map_grads]
+
+        h, grads, map_grads = run(over_nodes=True)
+        h_ref, grads_ref, map_grads_ref = run(over_nodes=False)
+        assert h == h_ref
+        assert grads == grads_ref and len(grads) == 12
+        assert map_grads == map_grads_ref
+
+    def test_each_step_rebuilds_its_grid_once_in_backward(self, monkeypatch):
+        calls = []
+        unproject = diffops.unproject
+
+        def counted(*args):
+            calls.append(args[2])
+            return unproject(*args)
+
+        monkeypatch.setattr(diffops, "unproject", counted)
+        rng = np.random.default_rng(42)
+        params = init_gru_params(20, 16, rng=rng)
+        fmaps = leaves(rng.standard_normal((8, 8, 16)) for _ in range(3))
+        h = fuse_recurrent_node((unprojected(f, pose) for f, pose in zip(fmaps, UNPROJECT_POSES)),
+                                params)
+        assert calls == UNPROJECT_POSES[:3]
+        tape.backward(TapeDot(h, rng.standard_normal(h.value.shape)))
+        assert calls == UNPROJECT_POSES[:3] + UNPROJECT_POSES[2::-1]  # last step's VJP first
+
+    def test_a_recorded_unproject_rebuilds_its_value_from_the_map_its_vjp_holds(self):
+        fmap = tape.TapeNode(np.random.default_rng(43).standard_normal((8, 8, 16)))
+        held = weakref.ref(fmap.value)
+        node = unprojected(fmap, UNPROJECT_POSES[0])
+        del fmap
+        assert held() is not None
+        assert node.rebuild().tobytes() == node.value.tobytes()
+
+    def test_a_node_recorded_under_no_record_keeps_no_feature_map(self):
+        fmap = tape.TapeNode(np.random.default_rng(44).standard_normal((8, 8, 16)))
+        held = weakref.ref(fmap.value)
+        with tape.no_record():
+            node = unprojected(fmap, UNPROJECT_POSES[0])
+        del fmap
+        assert held() is None
+        assert node.rebuild is None and node.value.shape == (6, 6, 6, 20)
+
+    def test_an_empty_iterator_raises(self):
+        params = init_gru_params(20, 16, rng=np.random.default_rng(45))
+        with pytest.raises(ValueError, match="at least one grid"):
+            fuse_recurrent_node(iter([]), params)
+
+    def test_a_generator_gives_the_bits_of_a_list(self):
+        rng = np.random.default_rng(46)
+        arrays = [rng.standard_normal((6, 6, 6, 20)) for _ in range(3)]
+        u = rng.standard_normal((6, 6, 6, 16))
+
+        def run(as_list):
+            params = init_gru_params(20, 16, rng=np.random.default_rng(47))
+            grids = leaves(arrays)
+            h = fuse_recurrent_node(grids if as_list else (g for g in grids), params)
+            tape.backward(TapeDot(h, u))
+            return ([h.value.tobytes()] + [g.grad.tobytes() for g in grids]
+                    + [p.grad.tobytes() for p in params.values()])
+
+        assert run(as_list=False) == run(as_list=True)
+
+
 def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
     return tape.TapeNode(node.value.sum(), (node,),
@@ -435,6 +542,28 @@ class TestTape:
         assert root.slot.parents == () and root.slot.vjp is None
         assert root.value == np.tanh(0.5)
         np.testing.assert_allclose(x.grad, [1.0 - np.tanh(0.5) ** 2, 0.0], rtol=1e-15)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before CPython 3.11 the caller's stack keeps a call's "
+                               "arguments until it returns, so no VJP can free its cotangent")
+    @pytest.mark.parametrize("fan_out", [False, True])
+    def test_a_vjp_that_drops_its_cotangent_frees_it_before_it_returns(self, fan_out):
+        # backward hands each VJP the cotangent's only reference, a sum of
+        # fan-out terms included
+        x = tape.TapeNode(np.array([1.0, 2.0]))
+        freed = []
+
+        def vjp(g):
+            cotangent = weakref.ref(g)
+            grad = 2.0 * g
+            del g
+            freed.append(cotangent() is None)
+            return (grad,)
+
+        mid = tape.TapeNode(2.0 * x.value, (x,), vjp)
+        tape.backward(TapeSum(tape.add(mid, mid) if fan_out else mid))
+        assert freed == [True]
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0] if fan_out else [2.0, 2.0])
 
     def test_second_backward_over_the_same_root_changes_no_leaf(self):
         rng = np.random.default_rng(15)

@@ -194,6 +194,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             Pose(rotation=r, translation=np.zeros(3))
 
+    def test_pose_keeps_read_only_copies_of_its_arrays(self):
+        r = look_at([1.0, 0.8, -1.5], [0, 0, 0]).rotation.copy()
+        t = np.array([0.1, -0.2, 2.0])
+        pose = Pose(rotation=r, translation=t)
+        r_kept, t_kept = r.copy(), t.copy()
+        r[0] *= 2.0  # no longer a rotation
+        t[:] = 0.0
+        np.testing.assert_array_equal(pose.rotation, r_kept)
+        np.testing.assert_array_equal(pose.translation, t_kept)
+        with pytest.raises(ValueError, match="read-only"):
+            pose.rotation[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            pose.translation[2] += 1.0
+        np.testing.assert_array_equal(pose.rotation, r_kept)
+        np.testing.assert_array_equal(pose.translation, t_kept)
+
     def test_negative_focal_rejected(self):
         with pytest.raises(ValueError):
             Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)

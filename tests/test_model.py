@@ -190,6 +190,43 @@ def test_a_mean_fusion_forward_keeps_no_unprojected_grid(dataset, monkeypatch, h
     assert all(np.isfinite(p.value).all() for p in model.parameters())
 
 
+@pytest.mark.parametrize("head", ["voxel", "depth"])
+def test_a_gru_forward_holds_one_unprojected_grid_at_a_time(dataset, monkeypatch, head):
+    # each view is encoded and unprojected only when the fold asks for its
+    # grid, and each GRU step holds a rebuild in its place, so the forward
+    # never holds two grids and once loss returns nothing holds one
+    grids = []
+    most_alive = [0]
+
+    def count_alive():
+        most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in grids))
+
+    unproject = tape.unproject
+
+    def recorded(*args):
+        count_alive()
+        node = unproject(*args)
+        grids.append(weakref.ref(node.value))
+        count_alive()
+        return node
+
+    conv_forward = layers.conv_forward
+
+    def conv_counted(*args):
+        count_alive()
+        return conv_forward(*args)
+
+    monkeypatch.setattr(tape, "unproject", recorded)
+    monkeypatch.setattr(layers, "conv_forward", conv_counted)
+    model = ToyModel.create(tiny_config(head, "gru"))
+    root = model.loss(dataset.load_all()[0], [0, 1, 2])
+    assert len(grids) == 3 and most_alive[0] == 1
+    assert all(ref() is None for ref in grids)
+    backward(root)
+    Adam(model.parameters()).step()
+    assert all(np.isfinite(p.value).all() for p in model.parameters())
+
+
 def tape_nodes_in(obj, seen):
     """The TapeNodes obj reaches through closure cells, of nested functions too,
     and through lists and tuples."""
