@@ -31,6 +31,11 @@ class Adam:
         self._v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
+        # checked before any update, so a refused step changes no parameter
+        for i, p in enumerate(self.params):
+            if p.grad is not None and np.shape(p.grad) != p.value.shape:
+                raise ValueError(f"parameter {i}: gradient of shape {np.shape(p.grad)} for a "
+                                 f"value of shape {p.value.shape}")
         self.t += 1
         for i, p in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.value)

@@ -4,27 +4,29 @@ explicit VJPs for the conv and the norms.
 Layout conventions: feature maps are channels-last, (H, W, C) in 2D and
 (D, H, W, C) in 3D. Convolution kernels are (*kspatial, C_in, C_out) and
 implement cross-correlation, always same-padded: kernels must be odd and the
-input is zero-padded by k // 2 per side; stride subsamples the output grid.
-conv_vjp's padding must be "same": it stays only because the benchmark's
-tracer reads conv_vjp's upstream as its fifth positional argument.
+input is zero-padded by k // 2 per side; stride, at least 1, subsamples the
+output grid. conv_vjp's padding must be "same": it stays only because the
+benchmark's tracer reads conv_vjp's upstream as its fifth positional
+argument. conv_vjp gives no bias gradient, the upstream summed over
+positions: the callers with a bias, tape.conv and the GRU gates, take it.
 
 Both entry points prepare their input with one call to _tap_rows: it checks
-that channel blocks share one spatial shape, the kernel is odd and the input
-channels equal the kernel's, then pads the input once and reads it as rows
-of a row-major (rows, C_in) matrix. The stride-1 output at padded position r
-reads row r + offset(tap) for each kernel tap, so every tap is one GEMM over
-a contiguous block of rows. Stride picks the positions slice(0, s, stride) of
-that stride-1 grid on an axis of input extent s: conv_forward keeps them and
-conv_vjp scatters the upstream into them. The strided input gradient,
-cropped to the input's interior, runs the same loop over the taps, and the
-kernel gradient runs it inside a loop over row blocks (see below). The
-input may be a list of channel blocks whose concatenation it is (a GRU
-gate's [x, h], or the value of a tape.concat node, which the depth head's
-refine conv reads): each block is copied straight into its channels of
-the padded buffer, so no joined copy is made and the bits are those of
-the concatenation. conv_forward frees its padded rows once the taps are done,
-before it copies the output out of the padded grid, and at stride 1
-conv_vjp drops its padded input and upstream rows before the input
+the stride, that channel blocks share one spatial shape, that the kernel is
+odd and that the input channels equal the kernel's, then pads the input once
+and reads it as rows of a row-major (rows, C_in) matrix. The stride-1 output
+at padded position r reads row r + offset(tap) for each kernel tap, so every
+tap is one GEMM over a contiguous block of rows. Stride picks the positions
+slice(0, s, stride) of that stride-1 grid on an axis of input extent s:
+conv_forward keeps them and conv_vjp scatters the upstream into them. The
+strided input gradient, cropped to the input's interior, runs the same loop
+over the taps, and the kernel gradient runs it inside a loop over row blocks
+(see below). The input may be a list of channel blocks whose concatenation
+it is (a GRU gate's [x, h], or the value of a tape.concat node, which the
+depth head's refine conv reads): each block is copied straight into its
+channels of the padded buffer, so no joined copy is made and the bits are
+those of the concatenation. conv_forward frees its padded rows once the taps
+are done, before it copies the output out of the padded grid, and at
+stride 1 conv_vjp drops its padded input and upstream rows before the input
 gradient, a conv_forward over the upstream, pads its own.
 
 The kernel may also be a list of kernels over the same input, the GRU
@@ -84,16 +86,18 @@ _EPS_NORM = 1e-5
 _ROW_BLOCK = 768  # rows per kernel-gradient block; the module docstring says why
 
 
-def _tap_rows(x, k_shape):
+def _tap_rows(x, k_shape, stride):
     """The one preparation of a same-padded conv input for a kernel of shape k_shape.
 
     x is one array or a list of channel blocks whose concatenation is the
     input. Returns the zero-padded input as (rows, C_in), the padded grid
-    shape, the input's slices within it, the row offset of every tap in
-    np.ndindex order, and the number of rows each tap's GEMM covers. Each
-    block is copied straight into its channels of the padded buffer, so no
-    concatenated copy is made.
+    shape, the input's slices within it, the output positions within it
+    at `stride`, the row offset of every tap in np.ndindex order, and the
+    number of rows each tap's GEMM covers. Each block is copied straight
+    into its channels of the padded buffer, so no concatenated copy is made.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     blocks = [np.asarray(b, dtype=np.float64) for b in (x if isinstance(x, list) else [x])]
     spatial = blocks[0].shape[:-1]
     for b in blocks[1:]:
@@ -114,9 +118,10 @@ def _tap_rows(x, k_shape):
     for b in blocks:
         xp[(*interior, slice(lo, lo + b.shape[-1]))] = b
         lo += b.shape[-1]
+    outputs = tuple(slice(0, s, stride) for s in spatial)
     offsets = [int(np.ravel_multi_index(tap, padded)) for tap in np.ndindex(*kspatial)]
     rows = xp.reshape(-1, c_in)
-    return rows, padded, interior, offsets, len(rows) - offsets[-1]
+    return rows, padded, interior, outputs, offsets, len(rows) - offsets[-1]
 
 
 def _gemm_acc(c, a, b):
@@ -150,12 +155,11 @@ def conv_forward(x, kernel, bias=None, stride=1):
     a list of their biases: the output joins theirs on the channel axis.
     """
     kernel = _joined(kernel)
-    rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
+    rows, padded, _, outputs, offsets, m = _tap_rows(x, kernel.shape, stride)
     y = np.zeros((len(rows), kernel.shape[-1]))
     for off, k in zip(offsets, kernel.reshape(-1, *kernel.shape[-2:])):
         _gemm_acc(y[:m].T, k.T, rows[off:off + m].T)
     del rows  # the padded input is freed before the output is copied out
-    outputs = tuple(slice(0, i.stop - i.start, stride) for i in interior)
     y = np.ascontiguousarray(y.reshape(*padded, -1)[outputs])
     if bias is not None:
         y += _joined(bias)
@@ -163,12 +167,13 @@ def conv_forward(x, kernel, bias=None, stride=1):
 
 
 def conv_vjp(x, kernel, stride, padding, upstream):
-    """Gradients of <conv_forward(x, kernel, bias, stride), upstream> w.r.t. (x, kernel, bias).
+    """(grad_x, grad_kernel) of <conv_forward(x, kernel, bias, stride), upstream>.
 
+    The bias gradient, upstream summed over positions, is the caller's.
     x may be a list of channel blocks, as in conv_forward; the input
     gradient is then that of their concatenation. With a list of kernels,
-    upstream is the cotangent of the joined output, and the kernel and bias
-    gradients are lists, one per kernel.
+    upstream is the cotangent of the joined output, and the kernel gradient
+    is a list, one per kernel.
     """
     if padding != "same":
         raise ValueError(f"only same padding is supported, got {padding!r}")
@@ -180,11 +185,10 @@ def conv_vjp(x, kernel, stride, padding, upstream):
         raise ValueError(f"upstream of {upstream.shape[-1]} channels for kernels of "
                          f"{widths} output channels")
     kernel = _joined(kernel)
-    rows, padded, interior, offsets, m = _tap_rows(x, kernel.shape)
+    rows, padded, interior, outputs, offsets, m = _tap_rows(x, kernel.shape, stride)
     c_out = kernel.shape[-1]
     # upstream on the stride-1 grid of conv_forward, zero where no output is
     up_rows = np.zeros((*padded, c_out))
-    outputs = tuple(slice(0, i.stop - i.start, stride) for i in interior)
     up_rows[outputs] = upstream
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
@@ -197,7 +201,6 @@ def conv_vjp(x, kernel, stride, padding, upstream):
             _gemm_acc(g, up_block, rows[off + lo:off + hi])
     del up_block  # the view would keep the upstream rows alive past their del below
     grad_k = grad_k.reshape(kernel.shape)
-    grad_b = upstream.reshape(-1, c_out).sum(axis=0)
 
     bounds = np.cumsum([0, *widths])
     if stride == 1:
@@ -217,8 +220,8 @@ def conv_vjp(x, kernel, stride, padding, upstream):
             _gemm_acc(grad_rows[off:off + m].T, k, up_rows.T)
         grad_x = grad_rows.reshape(*padded, -1)[interior]
     if not several:
-        return grad_x, grad_k, grad_b
-    return grad_x, np.split(grad_k, bounds[1:-1], axis=-1), np.split(grad_b, bounds[1:-1])
+        return grad_x, grad_k
+    return grad_x, np.split(grad_k, bounds[1:-1], axis=-1)
 
 
 def he_normal(rng, shape):

@@ -29,9 +29,7 @@ input and its per-channel variance, not the input, which the conv that
 made it then frees; a concat's value is its blocks' arrays, which conv
 reads as channel blocks, so no joined copy is written and a block that
 several convs or other VJPs read is held once. The GRU step
-(fusion.gru_step_node) is one op whose VJP is written out by hand: it
-holds its state and each gate's normalized pre-activation, and rebuilds
-the gate activations from them in backward.
+(fusion.gru_step_node) is one op whose VJP is written out by hand.
 
 A value that is cheap to recompute from what the graph holds anyway need
 not be held at all: a recorded unproject's node carries a rebuild, a
@@ -216,6 +214,8 @@ def take(a, index, axis):
     """a's entries at `index` (an int or a slice) along `axis`; the VJP puts
     the cotangent there and zeros everywhere else."""
     shape = a.value.shape
+    if not -len(shape) <= axis < len(shape):
+        raise ValueError(f"axis {axis} is out of range for an array of {len(shape)} axes")
     key = (slice(None),) * (axis % len(shape)) + (index,)
 
     def vjp(g):
@@ -281,12 +281,18 @@ def softmax_channels(a):
 
 def conv(x, kernel, bias=None, stride=1):
     """Same-padded convolution plus bias; the bias node may be None. x may be
-    a concat, whose blocks the conv reads and keeps."""
+    a concat, whose blocks the conv reads and keeps. A bias's cotangent is
+    g summed over positions; layers.conv_vjp gives x's and the kernel's."""
     xv, kv = x.value, kernel.value
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     y = layers.conv_forward(xv, kv, None if bias is None else bias.value, stride)
-    n = len(parents)
-    return TapeNode(y, parents, lambda g: layers.conv_vjp(xv, kv, stride, "same", g)[:n])
+    if bias is None:
+        return TapeNode(y, (x, kernel), lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
+
+    def vjp(g):
+        return (*layers.conv_vjp(xv, kv, stride, "same", g),
+                g.reshape(-1, g.shape[-1]).sum(axis=0))
+
+    return TapeNode(y, (x, kernel, bias), vjp)
 
 
 def upsample_nearest(x, factor):

@@ -777,3 +777,9 @@ class TestTape:
         rest[key] = 0.0
         assert not rest.any()
         np.testing.assert_array_equal(a.grad[key], u)
+
+    @pytest.mark.parametrize("axis", [3, 5, -4])
+    def test_take_refuses_an_axis_outside_the_rank(self, axis):
+        # axis % ndim would read axis 0 for 3 and axis 2 for 5 and -4
+        with pytest.raises(ValueError, match=f"axis {axis} is out of range for an array of 3"):
+            tape.take(tape.TapeNode(np.zeros((2, 3, 4))), 0, axis)

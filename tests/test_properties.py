@@ -5,10 +5,11 @@ exact adjoint: <A x, y> = <x, A^T y> for every camera, including cameras
 inside the grid, grazing views that see only part of the cube, and sample
 points outside the image. Back-projection must invert projection.
 Convolution must match a direct per-output-position sum, and its VJP must be
-the adjoint in the input and in the kernel, over non-cubic grids, size-1
-axes, strides up to 3 and odd kernels wider than the input. The scene
-check of tensorio.load_scene must accept and reject the same camera sets
-and depth maps, with the same messages, as the array check it replaced.
+the adjoint in the input and in the kernel, and tape.conv's in the bias, over
+non-cubic grids, size-1 axes, strides up to 3 and odd kernels wider than the
+input. The scene check of tensorio.load_scene must accept and reject the
+same camera sets and depth maps, with the same messages, as the array check
+it replaced.
 The GRU step's hand-written VJP must match central differences of the fold
 over 1 to 3 views, in every input and parameter.
 Examples are derandomized, so every run checks the same cases. A falsified
@@ -25,7 +26,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import views_of_cube_reference
+from helpers import tape_vjp, views_of_cube_reference
 
 from voxelstereo.diffops import (
     GeomFeatureConfig,
@@ -247,12 +248,14 @@ def test_conv_matches_direct_sum_and_vjp_is_adjoint(seed, shapes):
     np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
 
     up = rng.standard_normal(y.shape)
-    grad_x, grad_k, grad_b = conv_vjp(x, kernel, stride, "same", up)
+    grad_x, grad_k = conv_vjp(x, kernel, stride, "same", up)
     assert grad_x.shape == x.shape and grad_k.shape == kernel.shape
     linear = conv_forward(x, kernel, None, stride)
     assert_adjoint(linear, up, x, grad_x)
     assert_adjoint(linear, up, kernel, grad_k)
-    np.testing.assert_allclose(grad_b, up.reshape(-1, c_out).sum(axis=0), rtol=1e-12, atol=1e-12)
+    grad_b = tape_vjp(lambda b: tape.conv(tape.TapeNode(x), tape.TapeNode(kernel), b, stride),
+                      bias, up)
+    assert_adjoint(np.broadcast_to(bias, y.shape), up, bias, grad_b)
 
 
 @settings(PROPERTY, max_examples=50)
