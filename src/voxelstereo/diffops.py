@@ -235,6 +235,12 @@ def unproject(
     return out.reshape(v, v, v, -1)
 
 
+def _check_upstream(got, expected):
+    """Raise unless a VJP's upstream has its forward's output shape."""
+    if got != expected:
+        raise ValueError(f"upstream of shape {got} for an output of shape {expected}")
+
+
 def unproject_vjp(
     fmap: np.ndarray,
     cam: Intrinsics,
@@ -245,10 +251,12 @@ def unproject_vjp(
 ) -> np.ndarray:
     """Gradient of <unproject(fmap, ...), upstream> w.r.t. fmap.
 
-    Geometric channels do not touch fmap and contribute nothing.
+    Geometric channels do not touch fmap and contribute nothing. An
+    upstream not shaped like unproject's output raises.
     """
     h, w, c = np.shape(fmap)
     _, _, s = _unproject_geometry((h, w), cam, pose, spec)
+    _check_upstream(np.shape(upstream), (*(spec.resolution,) * 3, gcfg.out_channels(c)))
     up = np.asarray(upstream, dtype=np.float64).reshape(-1, gcfg.out_channels(c))
     return (s.T @ up[:, :c]).reshape(h, w, c)
 
@@ -292,8 +300,10 @@ def project(grid: np.ndarray, cam: Intrinsics, pose: Pose) -> np.ndarray:
 
 def project_vjp(grid: np.ndarray, cam: Intrinsics, pose: Pose,
                 upstream: np.ndarray) -> np.ndarray:
-    """Gradient of <project(grid, ...), upstream> w.r.t. grid values."""
+    """Gradient of <project(grid, ...), upstream> w.r.t. grid values. An
+    upstream not shaped like project's output raises."""
     shape = np.shape(grid)
     s = _project_matrix(shape, cam, pose)
+    _check_upstream(np.shape(upstream), (cam.height, cam.width, shape[0] * shape[3]))
     up = np.asarray(upstream, dtype=np.float64).reshape(-1, shape[3])
     return (s.T @ up).reshape(shape)

@@ -1,8 +1,9 @@
 """Metrics: voxel IoU, depth error and the view-count sweep.
 
 Voxel IoU binarizes predictions at the caller's threshold (0.4 for learned
-methods, 0.75 for the probabilistic visual hull) and aggregates per-scene
-values to per-class means, then averages the class means.
+methods, 0.75 for the probabilistic visual hull); the view-count sweep
+aggregates per-scene values to per-class means, then averages the class
+means.
 
 Depth error is the per-view median absolute difference over valid pixels;
 a pixel is valid when ground truth is present, the prediction is present,
@@ -15,7 +16,7 @@ Both metrics reject a prediction whose shape is not its ground truth's.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,41 +42,19 @@ def voxel_iou(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.4) -> float
     return float(np.logical_and(p, g).sum() / union)
 
 
-def _per_class_mean(per_item: list[tuple[str, str, float]]):
+def _per_class_mean(per_item: list[tuple[str, str, float]]) -> float:
+    """The mean over families, in sorted order, of each family's mean value; NaN if none."""
     classes: dict[str, list[float]] = {}
     for _, family, value in per_item:
         classes.setdefault(family, []).append(value)
-    class_means = {fam: float(np.mean(vals)) for fam, vals in sorted(classes.items())}
-    overall = float(np.mean(list(class_means.values()))) if class_means else float("nan")
-    return class_means, overall
-
-
-@dataclass
-class IoUReport:
-    per_scene: list[tuple[str, str, float]]      # (scene, family, iou)
-    class_means: dict[str, float] = field(init=False)
-    mean: float = field(init=False)
-
-    def __post_init__(self):
-        self.class_means, self.mean = _per_class_mean(self.per_scene)
-
-
-def iou_report(entries: list[tuple[str, str, np.ndarray, np.ndarray]],
-               threshold: float = 0.4) -> IoUReport:
-    """entries: (scene_name, family, predicted grid, ground-truth grid)."""
-    per_scene = [(name, family, voxel_iou(pred, gt, threshold))
-                 for name, family, pred, gt in entries]
-    return IoUReport(per_scene=per_scene)
+    means = [float(np.mean(vals)) for _, vals in sorted(classes.items())]
+    return float(np.mean(means)) if means else float("nan")
 
 
 @dataclass
 class DepthErrorReport:
     per_view: list[tuple[str, str, float]]       # (view id, family, median abs error)
-    class_means: dict[str, float] = field(init=False)
-    mean: float = field(init=False)
-
-    def __post_init__(self):
-        self.class_means, self.mean = _per_class_mean(self.per_view)
+    mean: float                                  # _per_class_mean of per_view
 
 
 def depth_valid_mask(gt_depth: np.ndarray, pose: Pose, pred_depth: np.ndarray) -> np.ndarray:
@@ -101,22 +80,22 @@ def depth_error(entries: list[tuple[str, str, np.ndarray, np.ndarray, Pose]]) ->
             continue
         err = float(np.median(np.abs(pred[valid] - gt[valid])))
         per_view.append((name, family, err))
-    return DepthErrorReport(per_view=per_view)
+    return DepthErrorReport(per_view=per_view, mean=_per_class_mean(per_view))
 
 
 def view_count_sweep(reconstruct, scenes, view_counts, threshold: float) -> dict:
     """Mean IoU per view count for a reconstruct(scene, n_views) -> grid method.
 
     Scenes are SceneData records; the same leading views are used at every
-    count so the sweep isolates the effect of adding views.
+    count so the sweep isolates the effect of adding views. Each scene's
+    voxel_iou is averaged per class, then over the classes.
     """
-    table = {}
-    for n in view_counts:
-        entries = []
-        for scene in scenes:
-            if scene.n_views < n:
-                raise ValueError(f"scene {scene.name} has only {scene.n_views} views")
-            grid = reconstruct(scene, n)
-            entries.append((scene.name, scene.family, grid, scene.occupancy))
-        table[n] = iou_report(entries, threshold).mean
-    return table
+    for scene in scenes:
+        if scene.n_views < max(view_counts, default=0):
+            raise ValueError(f"scene {scene.name} has only {scene.n_views} views")
+
+    def scored(scene, n):
+        grid = reconstruct(scene, n)
+        return scene.name, scene.family, voxel_iou(grid, scene.occupancy, threshold)
+
+    return {n: _per_class_mean([scored(scene, n) for scene in scenes]) for n in view_counts}

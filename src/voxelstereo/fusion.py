@@ -41,8 +41,8 @@ step's VJP writes only the blend, the r * h chain, which convs run as one,
 and the zero gradient of the kernel rows the zero state never used.
 
 The value and every gradient are the bits of the graph of separate tape
-ops (sigmoid, tanh, mul, lerp, a concat, a conv per gate) that the op
-replaces; a test pins this. Each term is computed as that graph's op
+ops (sigmoid, tanh, mul, lerp, a joined concatenation, a conv per gate)
+that the op replaces; a test pins this. Each term is computed as that graph's op
 computed it, and each sum adds the same terms in the same order: h's
 gradient is (the blend's term + the r * h term) + the gate convs' term,
 x's the sum of its two convs' terms, and each parameter gets one term per

@@ -21,13 +21,14 @@ conv_forward keeps them and conv_vjp scatters the upstream into them. The
 strided input gradient, cropped to the input's interior, runs the same loop
 over the taps, and the kernel gradient runs it inside a loop over row blocks
 (see below). The input may be a list of channel blocks whose concatenation
-it is (a GRU gate's [x, h], or the value of a tape.concat node, which the
-depth head's refine conv reads): each block is copied straight into its
-channels of the padded buffer, so no joined copy is made and the bits are
-those of the concatenation. conv_forward frees its padded rows once the taps
-are done, before it copies the output out of the padded grid, and at
-stride 1 conv_vjp drops its padded input and upstream rows before the input
-gradient, a conv_forward over the upstream, pads its own.
+it is (a GRU gate's [x, h], or the arrays of the nodes tape.conv is given,
+as the depth head's refine conv is given [coarse depth, skip]): each block
+is copied straight into its channels of the padded buffer, so no joined
+copy is made and the bits are those of the concatenation. conv_forward
+frees its padded rows once the taps are done, before it copies the output
+out of the padded grid, and at stride 1 conv_vjp drops its padded input
+and upstream rows before the input gradient, a conv_forward over the
+upstream, pads its own.
 
 The kernel may also be a list of kernels over the same input, the GRU
 gates that read one input: the forward runs one conv over them joined on
@@ -86,6 +87,11 @@ _EPS_NORM = 1e-5
 _ROW_BLOCK = 768  # rows per kernel-gradient block; the module docstring says why
 
 
+def _as_list(a):
+    """a itself if it is a list, else the list [a]."""
+    return a if isinstance(a, list) else [a]
+
+
 def _tap_rows(x, k_shape, stride):
     """The one preparation of a same-padded conv input for a kernel of shape k_shape.
 
@@ -98,7 +104,7 @@ def _tap_rows(x, k_shape, stride):
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    blocks = [np.asarray(b, dtype=np.float64) for b in (x if isinstance(x, list) else [x])]
+    blocks = [np.asarray(b, dtype=np.float64) for b in _as_list(x)]
     spatial = blocks[0].shape[:-1]
     for b in blocks[1:]:
         if b.shape[:-1] != spatial:
@@ -153,7 +159,13 @@ def conv_forward(x, kernel, bias=None, stride=1):
     concatenation is the input; the result is the same bits. kernel may be
     a list of kernels (*k, C_in, C_out_i) over the same input, and bias then
     a list of their biases: the output joins theirs on the channel axis.
+    A bias not shaped (C_out_i,) raises, where numpy would broadcast it.
     """
+    if bias is not None:
+        for k, b in zip(_as_list(kernel), _as_list(bias), strict=True):
+            if np.shape(b) != np.shape(k)[-1:]:
+                raise ValueError(f"bias of shape {np.shape(b)} for a kernel of "
+                                 f"{np.shape(k)[-1]} output channels")
     kernel = _joined(kernel)
     rows, padded, _, outputs, offsets, m = _tap_rows(x, kernel.shape, stride)
     y = np.zeros((len(rows), kernel.shape[-1]))
@@ -173,12 +185,12 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     x may be a list of channel blocks, as in conv_forward; the input
     gradient is then that of their concatenation. With a list of kernels,
     upstream is the cotangent of the joined output, and the kernel gradient
-    is a list, one per kernel.
+    is a list, one per kernel. An upstream not shaped like the output raises.
     """
     if padding != "same":
         raise ValueError(f"only same padding is supported, got {padding!r}")
     several = isinstance(kernel, list)
-    kernels = kernel if several else [kernel]
+    kernels = _as_list(kernel)
     upstream = np.asarray(upstream, dtype=np.float64)
     widths = [np.shape(k)[-1] for k in kernels]
     if sum(widths) != upstream.shape[-1]:
@@ -189,6 +201,9 @@ def conv_vjp(x, kernel, stride, padding, upstream):
     c_out = kernel.shape[-1]
     # upstream on the stride-1 grid of conv_forward, zero where no output is
     up_rows = np.zeros((*padded, c_out))
+    if up_rows[outputs].shape != upstream.shape:
+        raise ValueError(f"upstream of shape {upstream.shape} for a conv output of shape "
+                         f"{up_rows[outputs].shape}")
     up_rows[outputs] = upstream
     up_rows = up_rows.reshape(-1, c_out)[:m]
 
@@ -241,6 +256,9 @@ def _norm_stats(x, axes):
 
 
 def _norm_forward(x, gain, shift, axes):
+    for name, p in (("gain", gain), ("shift", shift)):
+        if p.shape != x.shape[-1:]:
+            raise ValueError(f"{name} of shape {p.shape} for {x.shape[-1]} channels")
     xhat, var, out = _norm_stats(x, axes)
     np.multiply(gain, xhat, out=out)
     out += shift
@@ -265,6 +283,8 @@ def instance_norm(x, gain, shift):
 
     Returns (y, xhat, var): the output, the normalized input and its
     per-channel variance, the two that instance_norm_vjp reads.
+    gain and shift are (C,); any other shape raises, where numpy would
+    broadcast it.
     """
     x = np.asarray(x, dtype=np.float64)
     return _norm_forward(x, np.asarray(gain), np.asarray(shift), tuple(range(x.ndim - 1)))
@@ -281,6 +301,8 @@ def layer_norm_channels(x, gain, shift):
 
     Returns (y, xhat, var): the output, the normalized input and its
     per-position variance, the two that layer_norm_channels_vjp reads.
+    gain and shift are (C,); any other shape raises, where numpy would
+    broadcast it.
     """
     x = np.asarray(x, dtype=np.float64)
     return _norm_forward(x, np.asarray(gain), np.asarray(shift), (x.ndim - 1,))

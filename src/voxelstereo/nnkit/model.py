@@ -90,11 +90,6 @@ class ToyModelConfig:
     def grid_spec(self) -> VoxelGridSpec:
         return VoxelGridSpec(resolution=self.grid_resolution)
 
-    @property
-    def fused_channels(self) -> int:
-        unproj = GEOM_FEATURES.out_channels(ENCODER_CHANNELS[2])
-        return GRU_HIDDEN if self.fusion == "gru" else unproj
-
 
 def _conv_block(rng, params, name, kshape):
     params[f"{name}.kernel"] = TapeNode(he_normal(rng, kshape))
@@ -127,10 +122,12 @@ class ToyModel:
         _conv_block(rng, params, "enc1", (3, 3, 3, e1))
         _conv_block(rng, params, "enc2", (3, 3, e1, e2))
         _conv_block(rng, params, "enc3", (3, 3, e2, e3))
+        fused = GEOM_FEATURES.out_channels(e3)  # the unprojected width
         if cfg.fusion == "gru":
-            params.update(init_gru_params(GEOM_FEATURES.out_channels(e3), GRU_HIDDEN, rng))
+            params.update(init_gru_params(fused, GRU_HIDDEN, rng))
+            fused = GRU_HIDDEN
         r1, r2 = REASONER_CHANNELS
-        _conv_block(rng, params, "reason1", (3, 3, 3, cfg.fused_channels, r1))
+        _conv_block(rng, params, "reason1", (3, 3, 3, fused, r1))
         _conv_block(rng, params, "reason2", (3, 3, 3, r1, r2))
 
         if cfg.head == "voxel":
@@ -222,8 +219,7 @@ class ToyModel:
                     x = tape.relu(x)
             coarse = tape.upsample_nearest(x, 4)
             skip_full = tape.upsample_nearest(skip, 2)
-            stacked = tape.concat([coarse, skip_full])
-            depth = tape.conv(stacked, p["depth_refine.kernel"], p["depth_refine.bias"])
+            depth = tape.conv([coarse, skip_full], p["depth_refine.kernel"], p["depth_refine.bias"])
             out.append(tape.take(depth, 0, axis=-1))
         return out
 

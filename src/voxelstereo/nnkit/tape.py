@@ -2,8 +2,10 @@
 
 Every operation below takes tape nodes, computes its value eagerly and
 records one VJP: a function from the node's cotangent to the cotangents of
-all its parents, in parent order. An input that is not learned, an image or
-a constant, enters as a leaf TapeNode(x); only arguments that are not
+all its parents, in parent order. A node's value is always one float64
+array; conv alone takes a list of nodes, its input's channel blocks, each
+of which is a parent. An input that is not learned, an image or a
+constant, enters as a leaf TapeNode(x); only arguments that are not
 differentiated (a target, a mask, a camera, a scale) stay plain values.
 
 The graph links slots, not nodes: a node is its value plus its slot, and a
@@ -26,9 +28,9 @@ returns, and the cotangent is freed then, as before).
 The VJPs capture one array per value they need and recompute what is cheap:
 relu keeps its output, not its input; instance_norm keeps the normalized
 input and its per-channel variance, not the input, which the conv that
-made it then frees; a concat's value is its blocks' arrays, which conv
-reads as channel blocks, so no joined copy is written and a block that
-several convs or other VJPs read is held once. The GRU step
+made it then frees; a conv given its input as a list of nodes, the
+input's channel blocks, keeps their arrays, so no joined copy is written
+and a block that several convs or other VJPs read is held once. The GRU step
 (fusion.gru_step_node) is one op whose VJP is written out by hand.
 
 A value that is cheap to recompute from what the graph holds anyway need
@@ -119,8 +121,9 @@ class TapeNode:
     parents' slots, not the parents. Leaves, a model's parameters and its
     input images among them, are TapeNode(x): an empty slot, and the value is
     x as float64; grad accumulates until Adam.step uses it. An op under
-    no_record() keeps neither parents nor VJP. Only concat's value is a
-    list, of its blocks' arrays, and only conv reads one. rebuild is None,
+    no_record() keeps neither parents nor VJP. The value is always one
+    float64 array: an input in channel blocks is a list of nodes, which
+    only conv takes. rebuild is None,
     except on a recorded unproject: there it is a function of no arguments
     that returns the value's bits anew (see recall).
     """
@@ -193,21 +196,20 @@ def recall(node):
 
 # --- arithmetic -------------------------------------------------------------
 
+def _check_shape(op, name, value, shape):
+    """Raise unless an operand that numpy would broadcast has the shape op needs."""
+    if value.shape != shape:
+        raise ValueError(f"{op}: {name} has shape {value.shape}, not {shape}")
+
+
 def add(a, b):
+    """a + b of two nodes of one shape; operands that would broadcast raise."""
+    _check_shape("add", "b", b.value, a.value.shape)
     return TapeNode(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def scale(a, s: float):
     return TapeNode(a.value * s, (a,), lambda g: (g * s,))
-
-
-def concat(nodes):
-    """Concatenation along the last (channel) axis. The value is the list of
-    the nodes' arrays, the same objects, not a joined copy."""
-    splits = np.cumsum([n.value.shape[-1] for n in nodes])[:-1]
-    node = TapeNode((), tuple(nodes), lambda g: np.split(g, splits, axis=-1))
-    node.value = [n.value for n in nodes]
-    return node
 
 
 def take(a, index, axis):
@@ -280,19 +282,25 @@ def softmax_channels(a):
 # --- convolutions and resampling ---------------------------------------------
 
 def conv(x, kernel, bias=None, stride=1):
-    """Same-padded convolution plus bias; the bias node may be None. x may be
-    a concat, whose blocks the conv reads and keeps. A bias's cotangent is
-    g summed over positions; layers.conv_vjp gives x's and the kernel's."""
-    xv, kv = x.value, kernel.value
-    y = layers.conv_forward(xv, kv, None if bias is None else bias.value, stride)
-    if bias is None:
-        return TapeNode(y, (x, kernel), lambda g: layers.conv_vjp(xv, kv, stride, "same", g))
+    """Same-padded convolution plus bias; the bias node may be None. x is one
+    node or a list of nodes, the input's channel blocks, whose arrays the
+    conv reads and keeps; the cotangent of x is split at the blocks'
+    boundaries. A bias's cotangent is g summed over positions;
+    layers.conv_vjp gives x's and the kernel's."""
+    blocks = x if isinstance(x, list) else [x]
+    xv = [b.value for b in blocks] if blocks is x else x.value
+    kv, has_bias = kernel.value, bias is not None
+    y = layers.conv_forward(xv, kv, bias.value if has_bias else None, stride)
 
     def vjp(g):
-        return (*layers.conv_vjp(xv, kv, stride, "same", g),
-                g.reshape(-1, g.shape[-1]).sum(axis=0))
+        grad_x, grad_k = layers.conv_vjp(xv, kv, stride, "same", g)
+        # the split points are computed here: captured, they would live as long as the graph
+        grads = (np.split(grad_x, np.cumsum([v.shape[-1] for v in xv])[:-1], axis=-1)
+                 if isinstance(xv, list) else [grad_x])
+        grad_b = [g.reshape(-1, g.shape[-1]).sum(axis=0)] if has_bias else []
+        return [*grads, grad_k, *grad_b]
 
-    return TapeNode(y, (x, kernel, bias), vjp)
+    return TapeNode(y, (*blocks, kernel, bias) if has_bias else (*blocks, kernel), vjp)
 
 
 def upsample_nearest(x, factor):
@@ -382,16 +390,17 @@ P_CLAMP = 1e-7
 
 def bce(probs, target):
     """Mean binary cross entropy of probs clamped to [P_CLAMP, 1 - P_CLAMP];
-    the gradient is zero where the clamp is active."""
+    the gradient is zero where the clamp is active. A target not shaped
+    like probs raises."""
     pv = probs.value
-    p = np.clip(pv, P_CLAMP, 1.0 - P_CLAMP)
     y = np.asarray(target, dtype=np.float64)
+    _check_shape("bce", "target", y, pv.shape)
+    p = np.clip(pv, P_CLAMP, 1.0 - P_CLAMP)
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
 
     def vjp(g):
         # recomputed: capturing the forward's clamp would keep a second full-size array
         p = np.clip(pv, P_CLAMP, 1.0 - P_CLAMP)
-        y = np.asarray(target, dtype=np.float64)
         grad = (p - y) / (p * (1.0 - p)) / pv.size
         grad = np.where((pv > P_CLAMP) & (pv < 1.0 - P_CLAMP), grad, 0.0)
         return (grad * float(g),)
@@ -400,16 +409,18 @@ def bce(probs, target):
 
 
 def l1_masked(pred, target, valid_mask):
-    """Mean absolute error over the valid entries; the subgradient is zero at exact ties."""
+    """Mean absolute error over the valid entries; the subgradient is zero at
+    exact ties. A target or mask not shaped like pred raises."""
     pv = pred.value
-    mask = np.asarray(valid_mask, dtype=bool)
+    target, mask = np.asarray(target, dtype=np.float64), np.asarray(valid_mask, dtype=bool)
+    _check_shape("l1_masked", "target", target, pv.shape)
+    _check_shape("l1_masked", "mask", mask, pv.shape)
     if not mask.any():
         raise ValueError("l1_masked: empty valid mask")
-    diff = pv - np.asarray(target, dtype=np.float64)
-    loss = float(np.abs(diff[mask]).mean())
+    loss = float(np.abs((pv - target)[mask]).mean())
 
     def vjp(g):
-        diff = pv - np.asarray(target, dtype=np.float64)
+        diff = pv - target
         grad = np.where(mask, np.sign(diff) / mask.sum(), 0.0)
         return (grad * float(g),)
 

@@ -258,6 +258,15 @@ class TestUnprojectVjp:
                              np.zeros((4, 4, 4, 6)))
         np.testing.assert_array_equal(grad, 0.0)
 
+    @pytest.mark.parametrize("shape", [(64, 6), (4, 4, 4, 6, 1), (4, 16, 6), (4, 4, 4, 2)])
+    def test_upstream_not_shaped_like_the_output_rejected(self, shape):
+        # all but the last hold the output's 384 values, which a reshape would take
+        spec = VoxelGridSpec(resolution=4)
+        cam = Intrinsics(fx=20.0, fy=20.0, cx=7.5, cy=7.5, width=16, height=16)
+        with pytest.raises(ValueError, match=re.escape(
+                f"upstream of shape {shape} for an output of shape (4, 4, 4, 6)")):
+            unproject_vjp(np.ones((16, 16, 2)), cam, POSE_Z2, spec, FULL_GEOM, np.ones(shape))
+
     def test_single_voxel_locality(self):
         spec = VoxelGridSpec(resolution=8)
         fmap = np.zeros((64, 64, 1))
@@ -411,6 +420,14 @@ class TestProjectVjp:
         lhs = float(np.sum(project(grid, cam, pose) * up))
         rhs = float(np.sum(grid * project_vjp(grid, cam, pose, up)))
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("shape", [(64, 4), (8, 8, 2, 2), (4, 8, 8), (8, 8, 2)])
+    def test_upstream_not_shaped_like_the_output_rejected(self, shape):
+        # all but the last hold the output's 256 values, which a reshape would take
+        cam = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"upstream of shape {shape} for an output of shape (8, 8, 4)")):
+            project_vjp(np.ones((4, 4, 4, 1)), cam, POSE_Z2, np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(4, 8, 2, 1), (8, 8, 4, 1), (4, 4, 4)])
     def test_grid_not_a_cube_of_channels_rejected(self, shape):

@@ -8,7 +8,6 @@ from voxelstereo.evalkit import (
     DEPTH_HALF_RANGE,
     depth_error,
     depth_valid_mask,
-    iou_report,
     view_count_sweep,
     voxel_iou,
 )
@@ -69,15 +68,24 @@ class TestVoxelIou:
 
 class TestAggregation:
     def test_per_class_then_mean(self):
-        report = iou_report([
-            ("s0", "sphere", np.ones((1, 1, 1)), np.ones((1, 1, 1))),
-            ("s1", "sphere", np.zeros((1, 1, 1)), np.ones((1, 1, 1))),
-            ("s2", "box", np.ones((1, 1, 1)), np.ones((1, 1, 1))),
-        ], threshold=0.5)
-        assert report.class_means["sphere"] == pytest.approx(0.5)
-        assert report.class_means["box"] == pytest.approx(1.0)
+        def scene(name, family):
+            return SceneData(name=name, images=np.zeros((1, 4, 4, 3), np.float32),
+                             depths=np.zeros((1, 4, 4), np.float32),
+                             cameras=[(default_intrinsics(4, 4), look_at([2, 0, 0], [0, 0, 0]))],
+                             occupancy=np.ones((1, 1, 1), np.uint8), meta={"family": family})
+
+        scenes = [scene("s0", "sphere"), scene("s1", "sphere"), scene("s2", "box")]
+        predicted = {"s0": np.ones((1, 1, 1)), "s1": np.zeros((1, 1, 1)),
+                     "s2": np.ones((1, 1, 1))}
+
+        def mean_iou(family=None):
+            chosen = [sc for sc in scenes if family in (None, sc.family)]
+            return view_count_sweep(lambda sc, n: predicted[sc.name], chosen, [1], 0.5)[1]
+
+        assert mean_iou("sphere") == pytest.approx(0.5)
+        assert mean_iou("box") == pytest.approx(1.0)
         # mean of class means, not of scenes
-        assert report.mean == pytest.approx(0.75)
+        assert mean_iou() == pytest.approx(0.75)
 
 
 class TestDepthError:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import sys
 import threading
 import tracemalloc
@@ -502,6 +503,18 @@ class TestFoldOverUnprojectedGrids:
         assert run(as_list=False) == run(as_list=True)
 
 
+def arrays_in(func):
+    """The arrays a function's closure cells hold, directly or in lists and tuples."""
+    items, found = [cell.cell_contents for cell in func.__closure__ or ()], []
+    while items:
+        item = items.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            items.extend(item)
+    return found
+
+
 def TapeSum(node):
     """Scalar sum as a tape op (test-local helper)."""
     return tape.TapeNode(node.value.sum(), (node,),
@@ -656,12 +669,22 @@ class TestTape:
         for x in xs:
             np.testing.assert_array_equal(x.grad, np.full(x.value.shape, 2.0 / 3.0))
 
-    def test_a_concat_holds_its_blocks_arrays_and_a_leaf_holds_an_array(self):
-        a, b = leaves([np.zeros((2, 3, 4)), np.ones((2, 3, 1))])
-        joined = tape.concat([a, b])
-        assert joined.value[0] is a.value and joined.value[1] is b.value
+    def test_a_conv_over_blocks_keeps_their_arrays_and_every_value_is_an_array(self):
+        a, b, kernel, bias = leaves([np.zeros((2, 3, 4)), np.ones((2, 3, 1)),
+                                     np.ones((3, 3, 5, 2)), np.zeros(2)])
+        y = tape.conv([a, b], kernel, bias)
+        assert y.slot.parents == tuple(n.slot for n in (a, b, kernel, bias))
+        assert isinstance(y.value, np.ndarray) and y.value.shape == (2, 3, 2)
+        kept = arrays_in(y.slot.vjp)
+        assert any(v is a.value for v in kept) and any(v is b.value for v in kept)
+        assert all(v.shape[-1] != 5 for v in kept)  # no joined (2, 3, 5) copy
         leaf = tape.TapeNode([1.0, 2.0])
         assert isinstance(leaf.value, np.ndarray) and leaf.value.dtype == np.float64
+
+    def test_add_refuses_operands_that_would_broadcast(self):
+        a, b = leaves([np.ones(3), np.ones((2, 3))])
+        with pytest.raises(ValueError, match=re.escape("add: b has shape (2, 3), not (3,)")):
+            tape.add(a, b)
 
     def test_no_record_computes_the_same_values_and_keeps_no_graph(self):
         rng = np.random.default_rng(18)

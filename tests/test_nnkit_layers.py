@@ -147,8 +147,8 @@ class TestConv:
 
     @pytest.mark.parametrize("spatial,channels,stride", [((7, 6), (2, 3), 2),
                                                          ((5, 4, 5), (4, 3), 1)])
-    def test_tape_conv_over_a_concat_is_bitwise_the_conv_over_its_join(self, spatial, channels,
-                                                                         stride):
+    def test_tape_conv_over_blocks_is_bitwise_the_conv_over_their_join(self, spatial, channels,
+                                                                          stride):
         rng = np.random.default_rng(4)
         arrays = [rng.standard_normal(spatial + (c,)) for c in channels]
         kernel = rng.standard_normal((3,) * len(spatial) + (sum(channels), 5))
@@ -161,7 +161,7 @@ class TestConv:
             tape.backward(TapeDot(y, np.random.default_rng(5).standard_normal(y.value.shape)))
             return [y.value.tobytes()] + [n.grad.tobytes() for n in blocks + params]
 
-        assert run(tape.concat) == run(joined_concat)
+        assert run(list) == run(joined_concat)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_tape_conv_without_a_bias_node_records_x_and_kernel_only(self, stride):
@@ -186,6 +186,33 @@ class TestConv:
         with pytest.raises(ValueError, match=re.escape("upstream of 2 channels for kernels "
                                                        "of [3] output")):
             conv_vjp(x, kernels[0], 1, "same", np.zeros((4, 4, 2)))
+
+    @pytest.mark.parametrize("stride,shape", [(1, (1, 1, 3)), (1, (6, 4, 3)), (2, (3,)),
+                                              (2, (6, 5, 3))])
+    def test_vjp_rejects_an_upstream_not_shaped_like_the_output(self, stride, shape):
+        # numpy would broadcast (1, 1, 3) and (3,) into every output position
+        x, kernel = np.zeros((6, 5, 2)), np.zeros((3, 3, 2, 3))
+        out = conv_forward(x, kernel, stride=stride).shape
+        with pytest.raises(ValueError, match=re.escape(
+                f"upstream of shape {shape} for a conv output of shape {out}")):
+            conv_vjp(x, kernel, stride, "same", np.ones(shape))
+
+    @pytest.mark.parametrize("widths,bias_shapes", [
+        pytest.param((3,), [(1,)], id="one"),
+        pytest.param((3,), [(1, 3)], id="row"),
+        pytest.param((2, 1), [(1,), (2,)], id="list"),
+    ])
+    def test_forward_rejects_a_bias_not_shaped_like_its_kernels_outputs(self, widths,
+                                                                        bias_shapes):
+        # each would broadcast over the output, the list's joined like a (3,) bias
+        x = np.zeros((4, 4, 2))
+        kernels = [np.zeros((3, 3, 2, w)) for w in widths]
+        biases = [np.ones(shape) for shape in bias_shapes]
+        if len(widths) == 1:
+            kernels, biases = kernels[0], biases[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"bias of shape {bias_shapes[0]} for a kernel of {widths[0]} output channels")):
+            conv_forward(x, kernels, biases)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_list_of_kernels_is_bitwise_one_conv_per_kernel_at_any_thread_count(self,
@@ -357,6 +384,16 @@ class TestInstanceNorm:
         np.testing.assert_allclose(norm_vjp("instance_norm", y + b, gain, up)[0],
                                    norm_vjp("instance_norm", y, gain, up)[0],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("norm", [instance_norm, layer_norm_channels])
+    @pytest.mark.parametrize("param", ["gain", "shift"])
+    @pytest.mark.parametrize("shape", [(1,), (4, 3)])
+    def test_a_gain_or_shift_not_per_channel_is_rejected(self, norm, param, shape):
+        # both shapes would broadcast over (4, 4, 3)
+        args = {"gain": np.ones(3), "shift": np.zeros(3), param: np.ones(shape)}
+        with pytest.raises(ValueError, match=re.escape(f"{param} of shape {shape} for 3 "
+                                                       "channels")):
+            norm(np.ones((4, 4, 3)), **args)
 
     def test_layer_norm_gradcheck(self):
         rng = np.random.default_rng(5)
@@ -587,6 +624,20 @@ class TestLosses:
     def test_l1_empty_mask_raises(self):
         with pytest.raises(ValueError, match="empty"):
             loss(tape.l1_masked, np.ones(3), np.ones(3), np.zeros(3, dtype=bool))
+
+    def test_bce_rejects_a_target_not_shaped_like_the_probabilities(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "bce: target has shape (2,), not (2, 2, 2)")):
+            loss(tape.bce, np.full((2, 2, 2), 0.5), np.ones(2))
+
+    @pytest.mark.parametrize("name", ["target", "mask"])
+    def test_l1_rejects_a_target_or_mask_not_shaped_like_the_prediction(self, name):
+        # a (4,) mask would select whole rows of the (4, 4) prediction
+        args = {"target": np.zeros((4, 4)), "mask": np.ones((4, 4), dtype=bool)}
+        args[name] = args[name][0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"l1_masked: {name} has shape (4,), not (4, 4)")):
+            loss(tape.l1_masked, np.ones((4, 4)), args["target"], args["mask"])
 
     def test_l1_gradcheck_off_ties(self):
         rng = np.random.default_rng(9)
